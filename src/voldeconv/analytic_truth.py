@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError
+from .quadrature import gauss_legendre_box
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -55,11 +56,7 @@ class TruthDensity:
 
     def mass(self, nodes_per_axis: int = 800) -> float:
         """Mass over the truncation box by tensor Gauss-Legendre quadrature."""
-        xs, ws = [], []
-        for lo, hi in self.truncation_box:
-            u, w = np.polynomial.legendre.leggauss(nodes_per_axis)
-            xs.append(0.5 * (hi - lo) * u + 0.5 * (hi + lo))
-            ws.append(0.5 * (hi - lo) * w)
+        xs, ws = gauss_legendre_box(self.truncation_box, nodes_per_axis)
         mesh = np.meshgrid(*xs, indexing="ij")
         vals = self.vector_eval(np.stack(mesh, axis=-1))
         for ax in reversed(range(self.dimension)):

@@ -30,11 +30,13 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalFailure, RangeError
 from .noise_model import T_MAX, phi_k
+from .quadrature import gauss_legendre
 from .smoothing_kernel import KernelSpec
 
 # 512-node Gauss-Legendre on [-1,1]: resolves both the phi_w polynomial and
-# the oscillation exp(-i s a) for |a| up to several hundred.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
+# the oscillation exp(-i s a) for |a| up to several hundred.  The rule comes
+# from the gauss_legendre cache, built on first use rather than at import.
+_GL_SIZE = 512
 
 # Residual threshold: the quadrature is taken on the complex integrand and
 # the imaginary part must cancel by symmetry of the rule; anything larger
@@ -59,7 +61,8 @@ def _check_bandwidth(h: float) -> float:
 
 def _ratio_coefficients(spec: KernelSpec, h: float) -> np.ndarray:
     """Quadrature weights times phi_w(s)/phi_k(s/h) at the GL nodes."""
-    return _GL_WEIGHTS * spec.phi_w(_GL_NODES) / phi_k(_GL_NODES / h)
+    nodes, weights = gauss_legendre(_GL_SIZE)
+    return weights * spec.phi_w(nodes) / phi_k(nodes / h)
 
 
 def vh_quadrature(spec: KernelSpec, h: float, x):
@@ -74,6 +77,7 @@ def vh_quadrature(spec: KernelSpec, h: float, x):
     scalar = x.ndim == 0
     xv = np.atleast_1d(x).ravel()
 
+    nodes, _ = gauss_legendre(_GL_SIZE)
     coef = _ratio_coefficients(spec, h)
     cr, ci = coef.real, coef.imag
 
@@ -81,7 +85,7 @@ def vh_quadrature(spec: KernelSpec, h: float, x):
     max_im = 0.0
     for lo in range(0, xv.size, _CHUNK):
         blk = xv[lo : lo + _CHUNK]
-        phase = np.outer(_GL_NODES, blk)
+        phase = np.outer(nodes, blk)
         c, s = np.cos(phase), np.sin(phase)
         # exp(-i s a) = cos(sa) - i sin(sa); real and imaginary sums separately
         out[lo : lo + _CHUNK] = (cr @ c + ci @ s) / (2.0 * np.pi)
@@ -109,8 +113,9 @@ def sup_bound(spec: KernelSpec, h: float) -> float:
     which is the price of deconvolving supersmooth noise.
     """
     h = _check_bandwidth(h)
-    mags = np.abs(spec.phi_w(_GL_NODES) / phi_k(_GL_NODES / h))
-    return float(_GL_WEIGHTS @ mags / (2.0 * np.pi))
+    nodes, weights = gauss_legendre(_GL_SIZE)
+    mags = np.abs(spec.phi_w(nodes) / phi_k(nodes / h))
+    return float(weights @ mags / (2.0 * np.pi))
 
 
 def tail_envelope(h: float, x):

@@ -38,6 +38,7 @@ from .estimator import (
     default_bandwidth,
     estimate_density,
 )
+from .quadrature import gauss_legendre_box
 from .smoothing_kernel import builtin_kernel, kernel_moments
 from .vol_sim import OUParams, RegimeSwitchParams, simulate_bundle
 
@@ -206,14 +207,14 @@ def truth_for(cfg: ExperimentConfig) -> TruthDensity:
     return truth_for_model(cfg.model, cfg.params, cfg.times)
 
 
+def _box_nodes(truth: TruthDensity) -> int:
+    # Gauss-Legendre nodes per axis for tensor quadrature against the truth
+    return 400 if truth.dimension > 1 else 2000
+
+
 def _truth_moments(truth: TruthDensity):
     """Per-axis mean and sd of a truth density by tensor quadrature."""
-    nodes = 400 if truth.dimension > 1 else 2000
-    xs, ws = [], []
-    for lo, hi in truth.truncation_box:
-        u, w = np.polynomial.legendre.leggauss(nodes)
-        xs.append(0.5 * (hi - lo) * u + 0.5 * (hi + lo))
-        ws.append(0.5 * (hi - lo) * w)
+    xs, ws = gauss_legendre_box(truth.truncation_box, _box_nodes(truth))
     mesh = np.meshgrid(*xs, indexing="ij")
     vals = truth.vector_eval(np.stack(mesh, axis=-1))
 
@@ -269,13 +270,8 @@ def resolve_grid(cfg: ExperimentConfig, truth: TruthDensity):
         axes = [parse_axis_spec(s) for s in specs]
 
     # mass outside the grid box, by quadrature against the truth
-    nodes = 400 if truth.dimension > 1 else 2000
-    xs, ws = [], []
-    for ax in axes:
-        u, w = np.polynomial.legendre.leggauss(nodes)
-        lo, hi = float(ax[0]), float(ax[-1])
-        xs.append(0.5 * (hi - lo) * u + 0.5 * (hi + lo))
-        ws.append(0.5 * (hi - lo) * w)
+    box = [(float(ax[0]), float(ax[-1])) for ax in axes]
+    xs, ws = gauss_legendre_box(box, _box_nodes(truth))
     mesh = np.meshgrid(*xs, indexing="ij")
     inside = truth.vector_eval(np.stack(mesh, axis=-1))
     for ax_i in reversed(range(truth.dimension)):
@@ -344,6 +340,9 @@ def _with_context(exc: Exception, stage: str, n: int, rep: int) -> Exception:
         new = type(exc)(msg)
     except Exception:
         new = RuntimeError(msg)
+    else:
+        # keep the original's attributes, such as NumericalFailure.residual
+        new.__dict__.update(vars(exc))
     new.__cause__ = exc
     return new
 

@@ -1,0 +1,34 @@
+"""Gauss-Legendre rules, built on first use and shared for the process.
+
+numpy's leggauss(n) costs seconds for n in the thousands, so every rule the
+package uses comes from one cache: nothing is built at import, and a rule is
+built at most once per process.
+"""
+from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
+
+
+@lru_cache(maxsize=16)
+def gauss_legendre(n: int):
+    """numpy's n-node Gauss-Legendre rule on [-1, 1] as (nodes, weights).
+
+    Every caller shares the cached arrays, so they are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def gauss_legendre_box(box, n: int):
+    """Per-axis nodes and weights of the n-node rule mapped onto each
+    (lo, hi) pair of box, for tensor quadrature over the box."""
+    u, w = gauss_legendre(n)
+    xs, ws = [], []
+    for lo, hi in box:
+        xs.append(0.5 * (hi - lo) * u + 0.5 * (hi + lo))
+        ws.append(0.5 * (hi - lo) * w)
+    return xs, ws

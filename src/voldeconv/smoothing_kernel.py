@@ -18,15 +18,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotFoundError, NumericalFailure
+from .quadrature import gauss_legendre
 
-# Gauss-Legendre rule shared by all w evaluations.  256 nodes on [-1,1]
+# Gauss-Legendre rule size for all w evaluations.  256 nodes on [-1,1]
 # resolve the cos(s x) oscillation for |x| up to roughly 380, beyond any
-# argument the estimator or the tests feed this function.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+# argument the estimator or the tests feed this function.  Rules come from
+# the gauss_legendre cache, built on first use rather than at import.
+_GL_SIZE = 256
 
-# Denser private rule for the moment integrals, whose truncation radius
-# (several hundred) exceeds what the 256-node rule can oscillate against.
-_GL_NODES_DENSE, _GL_WEIGHTS_DENSE = np.polynomial.legendre.leggauss(2048)
+# Denser rule for the moment integrals, whose truncation radius (several
+# hundred) exceeds what the 256-node rule can oscillate against.
+_GL_SIZE_DENSE = 2048
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,21 @@ def eval_w(spec: KernelSpec, x):
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x)
-    coef = _GL_WEIGHTS * spec.phi_w(_GL_NODES)
-    vals = coef @ np.cos(np.outer(_GL_NODES, xv)) / (2.0 * np.pi)
+    nodes, weights = gauss_legendre(_GL_SIZE)
+    coef = weights * spec.phi_w(nodes)
+    vals = coef @ np.cos(np.outer(nodes, xv)) / (2.0 * np.pi)
     return float(vals[0]) if scalar else vals
 
 
 def _eval_w_dense(spec: KernelSpec, x):
     """As eval_w but on the dense rule, valid out to |x| of a few thousand."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    coef = _GL_WEIGHTS_DENSE * spec.phi_w(_GL_NODES_DENSE)
+    nodes, weights = gauss_legendre(_GL_SIZE_DENSE)
+    coef = weights * spec.phi_w(nodes)
     out = np.empty(xv.size)
     for lo in range(0, xv.size, 2048):
         blk = xv[lo : lo + 2048]
-        out[lo : lo + 2048] = coef @ np.cos(np.outer(_GL_NODES_DENSE, blk))
+        out[lo : lo + 2048] = coef @ np.cos(np.outer(nodes, blk))
     return out / (2.0 * np.pi)
 
 

@@ -2,10 +2,14 @@
 estimator: increment normalization, log-square transform, index arithmetic,
 bandwidth schedule, and grid evaluation."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as sst
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voldeconv import (
     EstimatorConfig,
@@ -287,3 +291,58 @@ def test_marginalize_grid():
     np.testing.assert_allclose(m0.values, np.trapezoid(vals, x2, axis=1), rtol=1e-13)
     with pytest.raises(ConfigError):
         marginalize(m0, 1)
+
+
+def test_non_finite_increments_rejected_early():
+    inc = np.linspace(-1.0, 1.0, 50)
+    inc[[7, 20, 33]] = [np.nan, np.inf, -np.inf]
+    with pytest.raises(InputError, match="3 non-finite .* index 7"):
+        ObservationSet.from_increments(inc, 0.1, (0.5,))
+
+
+_H = 0.7
+_FLOOR = 2.0 * np.log(1e-12)  # log_square_transform's clamp floor
+
+
+@functools.lru_cache(maxsize=None)
+def _table(kind):
+    # wide: every argument (x - y)/h below stays on the lattice; narrow:
+    # most fall off it and take the exact quadrature fallback
+    if kind == "wide":
+        return build_table(SPEC, _H, -150.0, 150.0, 6001)
+    return build_table(SPEC, _H, -8.0, 8.0, 321)
+
+
+@st.composite
+def _p1_cases(draw):
+    kind = draw(st.sampled_from(("wide", "narrow")))
+    m = draw(st.integers(1, 2000 if kind == "wide" else 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(draw(st.floats(-10.0, 10.0)), draw(st.floats(0.01, 8.0)), m)
+    lo = draw(st.floats(-70.0, 0.0))
+    x = np.linspace(lo, lo + draw(st.floats(0.0, 110.0)), draw(st.integers(1, 20)))
+    tbl = _table(kind)
+    # duplicated values, values on the clamp floor, and values whose
+    # argument for some grid point is exactly a table knot
+    pick = rng.integers(0, 4, m)
+    y[pick == 1] = rng.choice(y, int(np.sum(pick == 1)))
+    y[pick == 2] = _FLOOR
+    on_knot = np.flatnonzero(pick == 3)
+    y[on_knot] = rng.choice(x, on_knot.size) - _H * rng.choice(tbl.grid_x, on_knot.size)
+    return tbl, y, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_p1_cases())
+# grid wholly in v_h's far tail: the estimate is ~6e-8, while the
+# reference's own quadrature rounding is ~1e-18 and depends on batch shape
+@example((_table("narrow"), np.array([0.79925574]), np.array([-53.0, -53.0])))
+def test_p1_interval_sums_match_direct_sum(case):
+    tbl, y, x = case
+    obs = _obs_from_values(y, 0.1, (0.1,))
+    est = estimate_density(obs, tbl, (x,)).values
+    ref = eval_table(tbl, (x[:, None] - y[None, :]) / _H).sum(axis=1) / (y.size * _H)
+    # relative to the larger of the estimate and its uniform bound
+    # sup|v_h| / h, below which quadrature rounding sets the floor
+    scale = max(np.max(np.abs(ref)), tbl.sup_bound / _H)
+    assert np.max(np.abs(est - ref)) <= 1e-12 * scale

@@ -18,7 +18,8 @@ from voldeconv import (
     truth_for,
     truth_for_model,
 )
-from voldeconv.errors import ConfigError, InputError
+from voldeconv import experiment
+from voldeconv.errors import ConfigError, InputError, NumericalFailure
 from voldeconv.estimator import DensityGrid
 from voldeconv.experiment import (
     emit_report,
@@ -213,6 +214,17 @@ def test_run_experiment_error_context():
     cfg = _small_config(subgrid_ratio=5, n_schedule=(500,), replications=1)
     with pytest.raises(ConfigError, match="stage 'simulate'.*n=500.*rep=0"):
         run_experiment(cfg)
+
+
+def test_error_context_keeps_residual(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalFailure("quadrature residual too large", residual=0.5)
+
+    monkeypatch.setattr(experiment, "estimate_density", fail)
+    with pytest.raises(NumericalFailure, match="stage 'estimate'.*n=500") as info:
+        run_experiment(_small_config(n_schedule=(500,), replications=1))
+    assert info.value.residual == 0.5
+    assert info.value.__cause__.residual == 0.5
 
 
 def test_degenerate_volatility_peak_location():
