@@ -20,7 +20,6 @@ from .deconv_kernel import (
     eval_table,
     sup_bound,
     tail_envelope,
-    vh_multivariate,
     vh_quadrature,
 )
 from .errors import (
@@ -40,7 +39,6 @@ from .estimator import (
     delta_schedule,
     estimate_density,
     log_square_transform,
-    make_observation_vectors,
     marginalize,
     normalized_increments,
 )
@@ -56,7 +54,7 @@ from .experiment import (
     truth_for,
     truth_for_model,
 )
-from .noise_model import complex_gamma, noise_density, phi_k, phi_k_abs, sample_noise
+from .noise_model import noise_density, phi_k, phi_k_abs, sample_noise
 from .smoothing_kernel import (
     KernelMoments,
     KernelSpec,
@@ -81,17 +79,17 @@ __all__ = [
     "TruthDensity", "invariant_density_1d", "ou_bivariate", "ou_logsq_marginal",
     "regime_bivariate", "regime_marginal", "scaled_truth",
     "DeconvTable", "build_table", "eval_table", "sup_bound", "tail_envelope",
-    "vh_multivariate", "vh_quadrature",
+    "vh_quadrature",
     "ConfigError", "DomainError", "InputError", "NotFoundError",
     "NumericalFailure", "RangeError",
     "DensityGrid", "EstimatorConfig", "ObservationSet", "ScheduleWarning",
     "default_bandwidth", "delta_schedule", "estimate_density",
-    "log_square_transform", "make_observation_vectors", "marginalize",
+    "log_square_transform", "marginalize",
     "normalized_increments",
     "BiasReport", "ExperimentConfig", "MonteCarloReport", "bias_check",
     "compute_mise", "emit_report", "mix_seed", "run_experiment", "truth_for",
     "truth_for_model",
-    "complex_gamma", "noise_density", "phi_k", "phi_k_abs", "sample_noise",
+    "noise_density", "phi_k", "phi_k_abs", "sample_noise",
     "KernelMoments", "KernelSpec", "builtin_kernel", "eval_w", "kernel_moments",
     "OUParams", "PathBundle", "RegimeSwitchParams", "integrate_price",
     "markov_transition", "simulate_bundle", "simulate_ou",

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError
-from .quadrature import gauss_legendre_box
+from .quadrature import gauss_legendre_box, tensor_quadrature
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -57,11 +57,7 @@ class TruthDensity:
     def mass(self, nodes_per_axis: int = 800) -> float:
         """Mass over the truncation box by tensor Gauss-Legendre quadrature."""
         xs, ws = gauss_legendre_box(self.truncation_box, nodes_per_axis)
-        mesh = np.meshgrid(*xs, indexing="ij")
-        vals = self.vector_eval(np.stack(mesh, axis=-1))
-        for ax in reversed(range(self.dimension)):
-            vals = vals @ ws[ax] if vals.ndim == 1 else np.tensordot(vals, ws[ax], axes=([ax], [0]))
-        return float(vals)
+        return tensor_quadrature(self.grid_values(xs), ws)
 
 
 def _make_truth(dimension, vector_fn, description, box) -> TruthDensity:

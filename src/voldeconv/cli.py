@@ -25,39 +25,27 @@ from .estimator import (
 )
 from .experiment import (
     ExperimentConfig,
+    _fmt,
     emit_report,
+    grid_csv,
+    params_from_mapping,
+    params_to_mapping,
     parse_axis_spec,
     parse_config_text,
+    parse_grid_spec,
     run_experiment,
     table_for_axes,
     truth_for_model,
 )
 from .smoothing_kernel import builtin_kernel, eval_w
-from .vol_sim import OUParams, RegimeSwitchParams, simulate_bundle
+from .vol_sim import simulate_bundle
 
 _TABLE_GRID_DEFAULT = "-40.0:40.0:4096"
 
 
-def _read_params(path: str, model: str):
+def _read_mapping(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        mapping = parse_config_text(fh.read())
-
-    def need(key):
-        if key not in mapping:
-            raise ConfigError(f"params file {path} is missing key {key!r}")
-        return mapping[key]
-
-    if model == "ou":
-        return OUParams(a=float(need("a")), mu=float(need("mu")), b=float(need("b")))
-    if model == "regime":
-        a, b = float(need("a")), float(need("b"))
-        return RegimeSwitchParams(
-            a0=float(need("a0")),
-            a1=float(need("a1")),
-            ou0=OUParams(a=a, mu=float(need("mu0")), b=b),
-            ou1=OUParams(a=a, mu=float(need("mu1")), b=b),
-        )
-    raise ConfigError(f"unknown model {model!r}")
+        return parse_config_text(fh.read())
 
 
 def _write_text(path, text):
@@ -66,25 +54,6 @@ def _write_text(path, text):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _grid_csv(axes, values) -> str:
-    p = len(axes)
-    if p == 1:
-        rows = ["x,f_hat"]
-        for x, v in zip(axes[0], values):
-            rows.append(f"{_fmt(x)},{_fmt(v)}")
-    else:
-        rows = [",".join(f"x{k + 1}" for k in range(p)) + ",f_hat"]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.ravel() for m in mesh] + [np.asarray(values).ravel()]
-        for row in zip(*flat):
-            rows.append(",".join(_fmt(v) for v in row))
-    return "\n".join(rows) + "\n"
 
 
 def _cmd_kernel_table(args) -> int:
@@ -110,7 +79,7 @@ def _cmd_kernel_table(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params = _read_params(args.params, args.model)
+    params = params_from_mapping(args.model, _read_mapping(args.params))
     bundle = simulate_bundle(
         args.model, params, args.n, args.delta, args.seed,
         subgrid_ratio=args.subgrid_ratio,
@@ -124,9 +93,7 @@ def _cmd_simulate(args) -> int:
         "fine_dt": float(bundle.fine_dt),
         "seed": int(args.seed),
         "subgrid_ratio": int(bundle.subgrid_ratio),
-        "params": {
-            k: v for k, v in sorted(vars_of(params).items())
-        },
+        "params": params_to_mapping(params),
         "sigma2_summary": {
             "mean": float(np.mean(sigma2)),
             "var": float(np.var(sigma2)),
@@ -139,19 +106,6 @@ def _cmd_simulate(args) -> int:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
-
-
-def vars_of(params) -> dict:
-    if isinstance(params, OUParams):
-        return {"a": params.a, "mu": params.mu, "b": params.b}
-    return {
-        "a0": params.a0,
-        "a1": params.a1,
-        "a": params.ou0.a,
-        "b": params.ou0.b,
-        "mu0": params.ou0.mu,
-        "mu1": params.ou1.mu,
-    }
 
 
 def _cmd_estimate(args) -> int:
@@ -168,38 +122,24 @@ def _cmd_estimate(args) -> int:
         gamma=args.gamma, delta_exp=delta_exp, bandwidth_override=args.bandwidth
     )
     h = default_bandwidth(n, p, cfg)
-    specs = args.grid.split(",")
-    if len(specs) == 1:
-        specs = specs * p
-    if len(specs) != p:
-        raise ConfigError(f"got {len(specs)} grid specs for p = {p} target times")
-    axes = [parse_axis_spec(s) for s in specs]
+    axes = parse_grid_spec(args.grid, p)
     table = table_for_axes(args.kernel, h, axes)
     grid = estimate_density(obs, table, axes)
-    _write_text(args.out, _grid_csv(grid.axes, grid.values))
+    _write_text(args.out, grid_csv(grid.axes, grid.values))
     return 0
 
 
 def _cmd_truth(args) -> int:
-    params = _read_params(args.params, args.model)
+    params = params_from_mapping(args.model, _read_mapping(args.params))
     times = [float(t) for t in args.times.split(",")]
     truth = truth_for_model(args.model, params, times)
-    specs = args.grid.split(",")
-    if len(specs) == 1:
-        specs = specs * len(times)
-    if len(specs) != len(times):
-        raise ConfigError(
-            f"got {len(specs)} grid specs for p = {len(times)} target times"
-        )
-    axes = [parse_axis_spec(s) for s in specs]
-    _write_text(args.out, _grid_csv(axes, truth.grid_values(axes)))
+    axes = parse_grid_spec(args.grid, len(times))
+    _write_text(args.out, grid_csv(axes, truth.grid_values(axes)))
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        mapping = parse_config_text(fh.read())
-    cfg = ExperimentConfig.from_mapping(mapping, out_dir=args.out)
+    cfg = ExperimentConfig.from_mapping(_read_mapping(args.config), out_dir=args.out)
     report = run_experiment(cfg)
     emit_report(report, args.out)
     for row in report.aggregate:

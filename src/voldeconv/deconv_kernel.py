@@ -24,8 +24,6 @@ window ends) are refused outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalFailure, RangeError
@@ -206,30 +204,3 @@ def eval_table(table: DeconvTable, x):
         return float(out[0])
     return out.reshape(x.shape)
 
-
-def vh_multivariate(tables: Sequence[DeconvTable], x) -> float:
-    """Product kernel: prod_j v_h(x_j), one table per coordinate.
-
-    All tables must share the same bandwidth and kernel; the multivariate
-    estimator uses a single h across coordinates.
-    """
-    tables = list(tables)
-    if not tables:
-        raise ConfigError("need at least one table")
-    h0 = tables[0].bandwidth
-    name0 = tables[0].kernel.name
-    for t in tables[1:]:
-        if t.bandwidth != h0 or t.kernel.name != name0:
-            raise ConfigError(
-                f"tables disagree: ({t.bandwidth}, {t.kernel.name!r}) vs "
-                f"({h0}, {name0!r}); the product kernel shares one bandwidth"
-            )
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.ndim != 1 or xv.size != len(tables):
-        raise ConfigError(
-            f"point has {xv.size} coordinates but {len(tables)} tables given"
-        )
-    prod = 1.0
-    for t, xi in zip(tables, xv):
-        prod *= eval_table(t, float(xi))
-    return float(prod)

@@ -180,18 +180,6 @@ class ObservationSet:
         )
 
 
-def make_observation_vectors(obs: ObservationSet, j: int):
-    """The j-th observation vector (1-based j, matching the estimator sum).
-
-    Component k is log_sq at 1-based position i_k - i_1 + j.
-    """
-    if not 1 <= j <= obs.m:
-        raise IndexError(f"j = {j} outside 1..{obs.m}")
-    off = np.asarray(obs.index_offsets, dtype=int)
-    idx = off - int(off[0]) + (j - 1)
-    return np.asarray(obs.log_sq, dtype=float)[idx]
-
-
 def _observation_matrix(obs: ObservationSet) -> np.ndarray:
     """All m observation vectors as an (m, p) matrix of lagged views."""
     log_sq = np.asarray(obs.log_sq, dtype=float)

@@ -38,13 +38,14 @@ from .estimator import (
     default_bandwidth,
     estimate_density,
 )
-from .quadrature import gauss_legendre_box
+from .quadrature import gauss_legendre_box, tensor_quadrature
 from .smoothing_kernel import builtin_kernel, kernel_moments
 from .vol_sim import OUParams, RegimeSwitchParams, simulate_bundle
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
 _AUTO_POINTS = {1: 201, 2: 61, 3: 31}
 _LOG_SQ_FLOOR = 2.0 * np.log(1e-12)  # clamp floor of the log-square transform
+_PARAMS_TYPE = {"ou": OUParams, "regime": RegimeSwitchParams}
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,14 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.model not in ("ou", "regime"):
+        if self.model not in _PARAMS_TYPE:
             raise ConfigError(f"unknown model {self.model!r}")
+        expected = _PARAMS_TYPE[self.model]
+        if not isinstance(self.params, expected):
+            raise ConfigError(
+                f"model {self.model!r} needs {expected.__name__} params, "
+                f"got {type(self.params).__name__}"
+            )
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         sched = tuple(int(n) for n in self.n_schedule)
@@ -92,17 +99,7 @@ class ExperimentConfig:
     def to_mapping(self) -> dict:
         """Flat key = value view, invertible by from_mapping."""
         out = {"model": self.model}
-        if self.model == "ou":
-            out["a"] = repr(self.params.a)
-            out["mu"] = repr(self.params.mu)
-            out["b"] = repr(self.params.b)
-        else:
-            out["a"] = repr(self.params.ou0.a)
-            out["b"] = repr(self.params.ou0.b)
-            out["mu0"] = repr(self.params.ou0.mu)
-            out["mu1"] = repr(self.params.ou1.mu)
-            out["a0"] = repr(self.params.a0)
-            out["a1"] = repr(self.params.a1)
+        out.update((k, repr(v)) for k, v in params_to_mapping(self.params).items())
         out["n_schedule"] = ",".join(str(n) for n in self.n_schedule)
         out["delta_exp"] = repr(self.delta_exp)
         out["gamma"] = repr(self.gamma)
@@ -126,43 +123,78 @@ class ExperimentConfig:
         unknown = set(mapping) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        mapping = {"kernel": "poly3", "subgrid_ratio": "50", **mapping}
 
-        def need(key):
-            if key not in mapping:
-                raise ConfigError(f"missing config key {key!r}")
-            return mapping[key]
+        def ints(text):
+            return tuple(int(s) for s in text.split(","))
 
-        model = need("model").strip()
-        if model == "ou":
-            params = OUParams(
-                a=float(need("a")), mu=float(need("mu")), b=float(need("b"))
-            )
-        elif model == "regime":
-            a, b = float(need("a")), float(need("b"))
-            params = RegimeSwitchParams(
-                a0=float(need("a0")),
-                a1=float(need("a1")),
-                ou0=OUParams(a=a, mu=float(need("mu0")), b=b),
-                ou1=OUParams(a=a, mu=float(need("mu1")), b=b),
-            )
-        else:
-            raise ConfigError(f"unknown model {model!r}")
-        bw = mapping.get("bandwidth")
+        def floats(text):
+            return tuple(float(s) for s in text.split(","))
+
+        model = _value(mapping, "model", str.strip)
         return cls(
             model=model,
-            params=params,
-            n_schedule=tuple(int(s) for s in need("n_schedule").split(",")),
-            delta_exp=float(need("delta_exp")),
-            gamma=float(need("gamma")),
-            times=tuple(float(s) for s in need("times").split(",")),
-            grid_spec=need("grid").strip(),
-            replications=int(need("replications")),
-            master_seed=int(need("seed")),
-            kernel_name=mapping.get("kernel", "poly3").strip(),
-            bandwidth_override=None if bw is None else float(bw),
-            subgrid_ratio=int(mapping.get("subgrid_ratio", "50")),
+            params=params_from_mapping(model, mapping),
+            n_schedule=_value(mapping, "n_schedule", ints),
+            delta_exp=_value(mapping, "delta_exp"),
+            gamma=_value(mapping, "gamma"),
+            times=_value(mapping, "times", floats),
+            grid_spec=_value(mapping, "grid", str.strip),
+            replications=_value(mapping, "replications", int),
+            master_seed=_value(mapping, "seed", int),
+            kernel_name=_value(mapping, "kernel", str.strip),
+            bandwidth_override=(
+                _value(mapping, "bandwidth") if "bandwidth" in mapping else None
+            ),
+            subgrid_ratio=_value(mapping, "subgrid_ratio", int),
             out_dir=out_dir,
         )
+
+
+def _value(mapping: dict, key: str, convert=float):
+    """mapping[key] passed through convert; a ConfigError names the key when
+    it is missing or its value does not convert."""
+    if key not in mapping:
+        raise ConfigError(f"missing key {key!r}")
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"key {key!r} has a malformed value {mapping[key]!r}"
+        ) from None
+
+
+def params_from_mapping(model: str, mapping: dict):
+    """OUParams or RegimeSwitchParams from a flat key = value mapping, such as
+    a parsed config or params file; other keys are ignored."""
+    if model == "ou":
+        return OUParams(
+            a=_value(mapping, "a"), mu=_value(mapping, "mu"), b=_value(mapping, "b")
+        )
+    if model == "regime":
+        a, b = _value(mapping, "a"), _value(mapping, "b")
+        return RegimeSwitchParams(
+            a0=_value(mapping, "a0"),
+            a1=_value(mapping, "a1"),
+            ou0=OUParams(a=a, mu=_value(mapping, "mu0"), b=b),
+            ou1=OUParams(a=a, mu=_value(mapping, "mu1"), b=b),
+        )
+    raise ConfigError(f"unknown model {model!r}")
+
+
+def params_to_mapping(params) -> dict:
+    """The flat key -> value view of OU or regime-switching parameters that
+    params_from_mapping reads back, keys in config.echo order."""
+    if isinstance(params, OUParams):
+        return {"a": params.a, "mu": params.mu, "b": params.b}
+    return {
+        "a": params.ou0.a,
+        "b": params.ou0.b,
+        "mu0": params.ou0.mu,
+        "mu1": params.ou1.mu,
+        "a0": params.a0,
+        "a1": params.a1,
+    }
 
 
 def parse_config_text(text: str) -> dict:
@@ -217,18 +249,11 @@ def _truth_moments(truth: TruthDensity):
     xs, ws = gauss_legendre_box(truth.truncation_box, _box_nodes(truth))
     mesh = np.meshgrid(*xs, indexing="ij")
     vals = truth.vector_eval(np.stack(mesh, axis=-1))
-
-    def integrate(f):
-        v = f
-        for ax in reversed(range(truth.dimension)):
-            v = np.tensordot(v, ws[ax], axes=([ax], [0]))
-        return float(v)
-
-    total = integrate(vals)
+    total = tensor_quadrature(vals, ws)
     means, sds = [], []
     for ax in range(truth.dimension):
-        m1 = integrate(vals * mesh[ax]) / total
-        m2 = integrate(vals * mesh[ax] ** 2) / total
+        m1 = tensor_quadrature(vals * mesh[ax], ws) / total
+        m2 = tensor_quadrature(vals * mesh[ax] ** 2, ws) / total
         means.append(m1)
         sds.append(np.sqrt(max(m2 - m1 * m1, 0.0)))
     return means, sds
@@ -239,10 +264,26 @@ def parse_axis_spec(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid spec {spec!r} is not of the form lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 2 or not lo < hi:
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ConfigError(
+            f"grid spec {spec!r} needs numbers lo:hi and an integer count"
+        ) from None
+    if count < 2 or not lo < hi or not np.isfinite(lo) or not np.isfinite(hi):
         raise ConfigError(f"bad grid spec {spec!r}")
     return np.linspace(lo, hi, count)
+
+
+def parse_grid_spec(spec: str, p: int) -> list:
+    """p evaluation axes from comma-separated lo:hi:count specs, one per
+    axis; a single spec serves every axis."""
+    specs = spec.split(",")
+    if len(specs) == 1:
+        specs = specs * p
+    if len(specs) != p:
+        raise ConfigError(f"got {len(specs)} grid specs for p = {p} target times")
+    return [parse_axis_spec(s) for s in specs]
 
 
 def resolve_grid(cfg: ExperimentConfig, truth: TruthDensity):
@@ -260,23 +301,13 @@ def resolve_grid(cfg: ExperimentConfig, truth: TruthDensity):
             for m, s in zip(means, sds)
         ]
     else:
-        specs = cfg.grid_spec.split(",")
-        if len(specs) == 1:
-            specs = specs * cfg.p
-        if len(specs) != cfg.p:
-            raise ConfigError(
-                f"got {len(specs)} grid specs for p = {cfg.p} target times"
-            )
-        axes = [parse_axis_spec(s) for s in specs]
+        axes = parse_grid_spec(cfg.grid_spec, cfg.p)
 
     # mass outside the grid box, by quadrature against the truth
     box = [(float(ax[0]), float(ax[-1])) for ax in axes]
     xs, ws = gauss_legendre_box(box, _box_nodes(truth))
-    mesh = np.meshgrid(*xs, indexing="ij")
-    inside = truth.vector_eval(np.stack(mesh, axis=-1))
-    for ax_i in reversed(range(truth.dimension)):
-        inside = np.tensordot(inside, ws[ax_i], axes=([ax_i], [0]))
-    return axes, max(0.0, 1.0 - float(inside))
+    inside = tensor_quadrature(truth.grid_values(xs), ws)
+    return axes, max(0.0, 1.0 - inside)
 
 
 def mix_seed(master_seed: int, n_index: int, rep_index: int) -> int:
@@ -483,6 +514,11 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     """Estimate E f_hat at the grid center point over R replications and
     compare the empirical bias to the second-order kernel prediction
     (h^2 mu2 / 2) * trace of the truth Hessian."""
+    if cfg.replications < 2:
+        raise ConfigError(
+            f"bias_check needs at least 2 replications for a standard error, "
+            f"got {cfg.replications}"
+        )
     axes, _ = resolve_grid(cfg, truth)
     point = np.array([float(a[a.size // 2]) for a in axes])
     n_index = len(cfg.n_schedule) - 1
@@ -526,6 +562,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def grid_csv(axes, values) -> str:
+    """A density on a tensor grid as CSV: one row per grid point, the
+    coordinates (header x, or x1..xp for p > 1) then f_hat, in C order."""
+    p = len(axes)
+    names = ["x"] if p == 1 else [f"x{k + 1}" for k in range(p)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    cols = [m.ravel() for m in mesh] + [np.asarray(values).ravel()]
+    rows = [",".join(names + ["f_hat"])]
+    rows += [",".join(_fmt(v) for v in row) for row in zip(*cols)]
+    return "\n".join(rows) + "\n"
+
+
 def emit_report(report: MonteCarloReport, out_dir: str) -> list:
     """Write records.csv, aggregate.csv, grids/*.csv, config.echo and the
     timings.csv sidecar.  Everything except timings.csv is deterministic."""
@@ -562,18 +610,7 @@ def emit_report(report: MonteCarloReport, out_dir: str) -> list:
 
     for (n, rep), grid in sorted(report.grids.items()):
         path = os.path.join(out_dir, "grids", f"n{n}_rep{rep}.csv")
-        p = len(grid.axes)
-        if p == 1:
-            rows = ["x,f_hat"]
-            for x, v in zip(grid.axes[0], grid.values):
-                rows.append(f"{_fmt(x)},{_fmt(v)}")
-        else:
-            rows = [",".join(f"x{k + 1}" for k in range(p)) + ",f_hat"]
-            mesh = np.meshgrid(*grid.axes, indexing="ij")
-            flat = [m.ravel() for m in mesh] + [grid.values.ravel()]
-            for row in zip(*flat):
-                rows.append(",".join(_fmt(v) for v in row))
-        _write(path, "\n".join(rows) + "\n")
+        _write(path, grid_csv(grid.axes, grid.values))
 
     echo = [f"{k} = {v}" for k, v in cfg.to_mapping().items()]
     echo.append(f"# truncated_truth_mass = {_fmt(report.truncated_mass)}")

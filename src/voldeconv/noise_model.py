@@ -3,16 +3,18 @@
 When a normalized price increment is approximately sigma * Z with Z standard
 normal, taking log of the square turns the multiplicative noise into additive
 noise distributed as log(Z^2).  This module provides that noise law: its
-density, its characteristic function (computed through the complex gamma
-function), and exact sampling.
+density, its characteristic function (computed through scipy's complex
+log-gamma), and exact sampling.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import loggamma
 
 from .errors import RangeError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+SQRT_PI = np.sqrt(np.pi)
 LOG_2 = np.log(2.0)
 
 # Largest |t| accepted by phi_k.  |phi_k(t)| = 1/sqrt(cosh(pi t)) decays like
@@ -20,50 +22,6 @@ LOG_2 = np.log(2.0)
 # double precision, but the reciprocal used downstream is ~e^300 and one more
 # decade would overflow.
 T_MAX = 600.0 / np.pi
-
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
-# ~3e-13 on the strip Re(z) = 1/2, |Im(z)| <= 190 (checked against the
-# reflection identity below, which the tests pin down).
-_LANCZOS_G = 7
-_LANCZOS_COEF = np.array([
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-])
-
-
-def complex_gamma(z):
-    """Gamma function for complex argument via the Lanczos series.
-
-    Vectorized over ``z``.  Arguments with Re(z) < 0.5 are routed through the
-    reflection formula Gamma(z)Gamma(1-z) = pi/sin(pi z).
-    """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
-    reflect = z.real < 0.5
-    if np.any(reflect):
-        zr = z[reflect]
-        out[reflect] = np.pi / (np.sin(np.pi * zr) * complex_gamma(1.0 - zr))
-
-    direct = ~reflect
-    if np.any(direct):
-        zd = z[direct] - 1.0
-        series = np.full(zd.shape, _LANCZOS_COEF[0], dtype=complex)
-        for i in range(1, len(_LANCZOS_COEF)):
-            series += _LANCZOS_COEF[i] / (zd + i)
-        t = zd + _LANCZOS_G + 0.5
-        out[direct] = SQRT_2PI * t ** (zd + 0.5) * np.exp(-t) * series
-
-    return out[0] if scalar else out
 
 
 def noise_density(x):
@@ -93,7 +51,7 @@ def phi_k(t):
             f"|t| = {worst:.3f} exceeds t_max = {T_MAX:.3f}; "
             "1/phi_k(t) is not representable in double precision"
         )
-    return np.pi ** -0.5 * np.exp(1j * t * LOG_2) * complex_gamma(0.5 + 1j * t)
+    return np.exp(1j * t * LOG_2 + loggamma(0.5 + 1j * t)) / SQRT_PI
 
 
 def phi_k_abs(t):

@@ -32,3 +32,11 @@ def gauss_legendre_box(box, n: int):
         xs.append(0.5 * (hi - lo) * u + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * w)
     return xs, ws
+
+
+def tensor_quadrature(values, weights) -> float:
+    """Weighted sum of values on a tensor grid: axis k of values is
+    contracted with weights[k], last axis first."""
+    for ax in reversed(range(len(weights))):
+        values = np.tensordot(values, weights[ax], axes=([ax], [0]))
+    return float(values)

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from voldeconv import ExperimentConfig, OUParams, RegimeSwitchParams, emit_report
+from voldeconv import mix_seed, run_experiment
 from voldeconv.cli import main
 
 PARAMS_OU = "a = 2.0\nmu = 0.0\nb = 2.0\n"
@@ -122,6 +124,46 @@ def test_experiment_command(tmp_path, capsys):
     ]
     stdout = capsys.readouterr().out
     assert "n=400" in stdout and "n=800" in stdout
+
+
+@pytest.mark.parametrize("model, times, grid", [
+    ("ou", "1.0", "-5:5:41"),
+    ("regime", "1.0,1.05", "-8:8:9,-7:7:8"),
+])
+def test_estimate_matches_report_grid(tmp_path, model, times, grid):
+    # the CLI's simulate -> estimate and an experiment's grids/*.csv write
+    # the same DensityGrid through the same writer, byte for byte
+    params = tmp_path / "model.params"
+    params.write_text(PARAMS_OU if model == "ou" else PARAMS_REGIME)
+    cfg = ExperimentConfig(
+        model=model,
+        params=(
+            OUParams(2.0, 0.0, 2.0) if model == "ou"
+            else RegimeSwitchParams(1.0, 1.0, OUParams(4.0, -2.0, 1.0), OUParams(4.0, 2.0, 1.0))
+        ),
+        n_schedule=(500,),
+        delta_exp=0.75,
+        gamma=17.0,
+        times=tuple(float(t) for t in times.split(",")),
+        grid_spec=grid,
+        replications=1,
+        master_seed=11,
+        bandwidth_override=1.3,
+    )
+    emit_report(run_experiment(cfg), str(tmp_path / "report"))
+    delta = repr(500.0 ** -0.75)
+    inc_file = tmp_path / "inc.txt"
+    assert main([
+        "simulate", "--model", model, "--params", str(params), "--n", "500",
+        "--delta", delta, "--seed", str(mix_seed(11, 0, 0)), "--out", str(inc_file),
+    ]) == 0
+    est_file = tmp_path / "est.csv"
+    assert main([
+        "estimate", "--input", str(inc_file), "--delta", delta, "--times", times,
+        "--gamma", "17.0", "--bandwidth", "1.3", f"--grid={grid}", "--out", str(est_file),
+    ]) == 0
+    report_grid = tmp_path / "report" / "grids" / "n500_rep0.csv"
+    assert est_file.read_bytes() == report_grid.read_bytes()
 
 
 def test_missing_input_file_is_reported(tmp_path, capsys):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from voldeconv import (
+    ObservationSet,
     build_table,
     builtin_kernel,
+    estimate_density,
     eval_table,
     eval_w,
     noise_density,
     sup_bound,
     tail_envelope,
-    vh_multivariate,
     vh_quadrature,
 )
 from voldeconv.errors import ConfigError, DomainError, NumericalFailure, RangeError
@@ -180,40 +181,50 @@ def test_build_table_config_errors():
         build_table(SPEC, 0.8, -1.0, 1.0, 1)
 
 
+def _single_vector_estimate(tbl, y, axes):
+    """estimate_density on the one observation vector y: the product kernel
+    prod_k v_h((x_k - y_k) / h) / h^p on the tensor grid of axes."""
+    p = len(y)
+    obs = ObservationSet(
+        delta=1.0,
+        log_sq=np.asarray(y, dtype=float),
+        times=tuple(float(k) for k in range(1, p + 1)),
+        index_offsets=tuple(range(1, p + 1)),
+    )
+    assert obs.m == 1
+    return estimate_density(obs, tbl, axes).values
+
+
 def test_multivariate_reduces_to_univariate():
-    tbl = build_table(SPEC, 0.9, -20.0, 20.0, 2001)
-    for x in (-4.2, 0.0, 3.3):
-        assert vh_multivariate([tbl], np.array([x])) == float(eval_table(tbl, x))
+    # p = 2 (the GEMM sweep) is the outer product of two p = 1 estimates
+    # (the interval sums)
+    h = 0.9
+    tbl = build_table(SPEC, h, -20.0, 20.0, 2001)
+    y = np.array([0.4, -1.1])
+    axes = (np.array([-4.2, 0.0, 3.3]), np.array([-2.0, 1.7]))
+    joint = _single_vector_estimate(tbl, y, axes)
+    one = [_single_vector_estimate(tbl, y[k : k + 1], axes[k : k + 1]) for k in range(2)]
+    np.testing.assert_allclose(joint, np.outer(*one), rtol=1e-12, atol=0.0)
 
 
 def test_multivariate_product_structure():
-    tbl = build_table(SPEC, 0.9, -20.0, 20.0, 2001)
+    h = 0.9
+    tbl = build_table(SPEC, h, -20.0, 20.0, 2001)
     rng = np.random.default_rng(8)
-    pts = rng.uniform(-15.0, 15.0, (50, 3))
-    for q in pts:
-        prod = np.prod([float(eval_table(tbl, qi)) for qi in q])
-        assert abs(vh_multivariate([tbl, tbl, tbl], q) - prod) < 1e-12
+    y = rng.uniform(-2.0, 2.0, 3)
+    axes = [y[k] + h * rng.uniform(-15.0, 15.0, 4) for k in range(3)]
+    vals = [eval_table(tbl, (axes[k] - y[k]) / h) for k in range(3)]
+    prod = np.einsum("a,b,c->abc", *vals) / h**3
+    np.testing.assert_allclose(
+        _single_vector_estimate(tbl, y, axes), prod, rtol=1e-12, atol=0.0
+    )
 
 
 def test_multivariate_bound():
-    tbl = build_table(SPEC, 0.8, -40.0, 40.0, 4097)
-    g0 = sup_bound(SPEC, 0.8)
+    h = 0.8
+    tbl = build_table(SPEC, h, -40.0, 40.0, 4097)
+    g0 = sup_bound(SPEC, h)
     rng = np.random.default_rng(9)
-    pts = rng.uniform(-35.0, 35.0, (1000, 2))
-    vals = np.array([vh_multivariate([tbl, tbl], q) for q in pts])
+    axes = [h * rng.uniform(-35.0, 35.0, 32) for _ in range(2)]
+    vals = _single_vector_estimate(tbl, np.zeros(2), axes) * h**2
     assert np.max(np.abs(vals)) <= g0**2 * (1.0 + 1e-9)
-
-
-def test_multivariate_config_errors():
-    tbl_a = build_table(SPEC, 0.8, -10.0, 10.0, 101)
-    tbl_b = build_table(SPEC, 0.9, -10.0, 10.0, 101)
-    other = KernelSpec(name="poly2", phi_w=lambda s: (1.0 - s**2) ** 2 * (np.abs(s) <= 1.0), rho=2.0, edge_coeff=4.0)
-    tbl_c = build_table(other, 0.8, -10.0, 10.0, 101)
-    with pytest.raises(ConfigError):
-        vh_multivariate([], np.array([]))
-    with pytest.raises(ConfigError):
-        vh_multivariate([tbl_a, tbl_b], np.array([0.0, 0.0]))
-    with pytest.raises(ConfigError):
-        vh_multivariate([tbl_a, tbl_c], np.array([0.0, 0.0]))
-    with pytest.raises(ConfigError):
-        vh_multivariate([tbl_a, tbl_a], np.array([0.0, 0.0, 0.0]))

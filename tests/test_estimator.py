@@ -24,13 +24,12 @@ from voldeconv import (
     eval_table,
     eval_w,
     log_square_transform,
-    make_observation_vectors,
     marginalize,
     normalized_increments,
     simulate_bundle,
 )
 from voldeconv.errors import ConfigError, InputError
-from voldeconv.estimator import DensityGrid
+from voldeconv.estimator import DensityGrid, _observation_matrix
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
 SPEC = builtin_kernel("poly3")
@@ -92,19 +91,18 @@ def test_observation_vector_index_arithmetic():
     obs = _obs_from_values(data, 0.1, (1.0, 1.5))
     assert obs.index_offsets == (10, 15)
     assert obs.m == 95
-    # j = 1 picks 1-based entries (1, 6)
-    np.testing.assert_array_equal(make_observation_vectors(obs, 1), [0.0, 5.0])
-    np.testing.assert_array_equal(make_observation_vectors(obs, 95), [94.0, 99.0])
+    # row j - 1 is the j-th vector: j = 1 picks 1-based entries (1, 6)
+    rows = _observation_matrix(obs)
+    assert rows.shape == (95, 2)
+    np.testing.assert_array_equal(rows[0], [0.0, 5.0])
+    np.testing.assert_array_equal(rows[94], [94.0, 99.0])
 
     obs3 = _obs_from_values(data, 0.1, (0.25, 0.5, 0.75))
     assert obs3.index_offsets == (2, 5, 7)
     # j = 3 picks 1-based entries (3, 6, 8)
-    np.testing.assert_array_equal(make_observation_vectors(obs3, 3), [2.0, 5.0, 7.0])
-
-    with pytest.raises(IndexError):
-        make_observation_vectors(obs, 0)
-    with pytest.raises(IndexError):
-        make_observation_vectors(obs, 96)
+    rows3 = _observation_matrix(obs3)
+    assert rows3.shape == (95, 3)
+    np.testing.assert_array_equal(rows3[2], [2.0, 5.0, 7.0])
 
 
 def test_floor_guard_against_binary_representation():
@@ -181,8 +179,9 @@ def test_two_point_manual_product():
     x1, x2 = np.array([-1.0, 0.5]), np.array([0.0, 1.5, 3.0])
     est = estimate_density(obs, tbl, (x1, x2))
     manual = np.zeros((2, 3))
-    for j in range(1, obs.m + 1):
-        y = make_observation_vectors(obs, j)
+    for j in range(obs.m):
+        # components lag by the index offsets: log_sq[j] and log_sq[j + 2]
+        y = (obs.log_sq[j], obs.log_sq[j + 2])
         for i, a in enumerate(x1):
             for k, b in enumerate(x2):
                 manual[i, k] += float(eval_table(tbl, (a - y[0]) / h)) * float(

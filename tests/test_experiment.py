@@ -23,8 +23,10 @@ from voldeconv.errors import ConfigError, InputError, NumericalFailure
 from voldeconv.estimator import DensityGrid
 from voldeconv.experiment import (
     emit_report,
+    params_from_mapping,
     parse_axis_spec,
     parse_config_text,
+    parse_grid_spec,
     resolve_grid,
 )
 
@@ -85,6 +87,22 @@ def test_from_mapping_unknown_key():
         ExperimentConfig.from_mapping(mapping)
 
 
+def test_mapping_malformed_values():
+    for key, line in (("a", "a = abc"), ("gamma", "gamma = fast"),
+                      ("n_schedule", "n_schedule = 500,1e3x")):
+        text = CONFIG_TEXT.replace(
+            next(ln for ln in CONFIG_TEXT.splitlines() if ln.startswith(key + " ")),
+            line,
+        )
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig.from_mapping(parse_config_text(text))
+    regime = {"a": "4", "b": "1", "mu0": "-2", "mu1": "two", "a0": "1", "a1": "1"}
+    with pytest.raises(ConfigError, match="'mu1'.*'two'"):
+        params_from_mapping("regime", regime)
+    with pytest.raises(ConfigError, match="missing key 'a0'"):
+        params_from_mapping("regime", {k: v for k, v in regime.items() if k != "a0"})
+
+
 def test_mapping_round_trip():
     cfg = _small_config(bandwidth_override=0.8, replications=3)
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
@@ -109,6 +127,10 @@ def test_config_validation():
         _small_config(replications=0)
     with pytest.raises(ConfigError):
         _small_config(model="garch")
+    with pytest.raises(ConfigError, match="'ou' needs OUParams.*RegimeSwitchParams"):
+        _small_config(params=REGIME)
+    with pytest.raises(ConfigError, match="'regime' needs RegimeSwitchParams.*OUParams"):
+        _small_config(model="regime", times=(1.0, 1.05))
 
 
 def test_truth_for_model_scales():
@@ -134,6 +156,19 @@ def test_parse_axis_spec():
         parse_axis_spec("2:1:5")
     with pytest.raises(ConfigError):
         parse_axis_spec("1:2:1")
+    for spec in ("a:1:5", "1:2:5.5", "-inf:1:5", "0:inf:5", "nan:1:5"):
+        with pytest.raises(ConfigError, match=spec):
+            parse_axis_spec(spec)
+
+
+def test_parse_grid_spec():
+    axes = parse_grid_spec("-1:1:3", 2)
+    assert len(axes) == 2 and axes[0] is not axes[1]
+    np.testing.assert_array_equal(axes[1], [-1.0, 0.0, 1.0])
+    axes = parse_grid_spec("-1:1:3,0:4:5", 2)
+    assert [a.size for a in axes] == [3, 5]
+    with pytest.raises(ConfigError, match="got 2 grid specs for p = 3"):
+        parse_grid_spec("-1:1:3,0:4:5", 3)
 
 
 def test_resolve_grid_auto_bounds():
@@ -260,6 +295,12 @@ def test_bias_check_report():
     assert rep.predicted_bias == pytest.approx(0.75 * (-f0 / 4.0), rel=1e-4)
     assert rep.empirical_se > 0.0
     assert rep.ratio == pytest.approx(rep.empirical_bias / rep.predicted_bias, rel=1e-12)
+
+
+def test_bias_check_needs_two_replications():
+    cfg = _small_config(n_schedule=(500,), replications=1)
+    with pytest.raises(ConfigError, match="got 1"):
+        bias_check(cfg, truth_for(cfg))
 
 
 def test_emit_report_files_and_determinism(tmp_path):

@@ -1,12 +1,12 @@
 """Tests for the log-chi-square noise channel: density, characteristic
-function, complex gamma, and sampling."""
+function, and sampling."""
 
 import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as sst
 
-from voldeconv import complex_gamma, noise_density, phi_k, phi_k_abs, sample_noise
+from voldeconv import noise_density, phi_k, phi_k_abs, sample_noise
 from voldeconv.errors import RangeError
 from voldeconv.noise_model import T_MAX
 
@@ -49,8 +49,9 @@ def test_characteristic_function_modulus_identity():
 
 
 def test_phi_k_abs_matches_phi_k():
-    t = np.linspace(-25.0, 25.0, 501)
-    np.testing.assert_allclose(phi_k_abs(t), np.abs(phi_k(t)), rtol=1e-11, atol=1e-300)
+    # measured max relative error 1.3e-13 over the whole evaluation window
+    t = np.linspace(-T_MAX, T_MAX, 4001)
+    np.testing.assert_allclose(np.abs(phi_k(t)), phi_k_abs(t), rtol=1e-12, atol=0.0)
 
 
 def test_phi_k_matches_direct_quadrature():
@@ -92,26 +93,13 @@ def test_phi_k_range_guard():
         phi_k(-T_MAX * 1.01)
 
 
-def test_complex_gamma_known_values():
-    assert complex_gamma(0.5 + 0j) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
-    assert complex_gamma(1.0 + 0j) == pytest.approx(1.0, rel=1e-13)
-    assert complex_gamma(4.0 + 0j) == pytest.approx(6.0, rel=1e-13)
-
-
-def test_complex_gamma_against_scipy_on_strip():
-    # the strip Re z = 1/2 is the one the channel lives on; measured max
-    # relative error 4.1e-13 out to |Im z| = 190
-    t = np.linspace(-190.0, 190.0, 4001)
-    z = 0.5 + 1j * t
-    ref = np.exp(sps.loggamma(z))
-    rel = np.max(np.abs(complex_gamma(z) - ref) / np.abs(ref))
-    assert rel < 5e-12
-
-
-def test_complex_gamma_reflection_region():
-    z = np.array([-0.5 + 3.0j, -2.3 - 1.7j, 0.1 + 0.4j])
-    ref = np.exp(sps.loggamma(z))
-    np.testing.assert_allclose(complex_gamma(z), ref, rtol=1e-11)
+def test_phi_k_phase_against_scipy_gamma():
+    # phi_k is computed through loggamma; its phase must match the plain
+    # product 2^{it} Gamma(1/2 + it), which stays finite for |t| <= 50
+    t = np.linspace(-50.0, 50.0, 2001)
+    ref = np.exp(1j * t * np.log(2.0)) * sps.gamma(0.5 + 1j * t)
+    dphase = np.angle(phi_k(t) * np.conj(ref))
+    assert np.max(np.abs(dphase)) < 1e-12
 
 
 def test_sample_noise_distribution():
