@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, DomainError
 from .quadrature import gauss_legendre_box, tensor_quadrature
@@ -219,6 +218,8 @@ def invariant_density_1d(
     normalized by adaptive quadrature over the state interval.  The choice of
     x0 shifts only the multiplicative constant and cancels on normalization.
     """
+    from scipy.integrate import quad  # imported here: slow to import
+
     lo, hi = float(state_interval[0]), float(state_interval[1])
     if not lo < x0 < hi:
         raise DomainError(f"x0 = {x0} must be interior to ({lo}, {hi})")

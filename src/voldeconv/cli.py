@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .deconv_kernel import build_table, sup_bound
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .estimator import (
     EstimatorConfig,
     ObservationSet,
@@ -54,6 +54,17 @@ def _write_text(path, text):
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _numbers(pairs, where: str) -> list:
+    """float of each text in (position, text) pairs, naming a malformed one."""
+    out = []
+    for pos, text in pairs:
+        try:
+            out.append(float(text))
+        except ValueError:
+            raise InputError(f"{where} {pos}: not a number: {text.strip()!r}") from None
+    return out
 
 
 def _cmd_kernel_table(args) -> int:
@@ -110,10 +121,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        increments = np.array(
-            [float(line) for line in fh if line.strip()], dtype=float
-        )
-    times = [float(t) for t in args.times.split(",")]
+        lines = [(i, text) for i, text in enumerate(fh, start=1) if text.strip()]
+    increments = np.array(_numbers(lines, f"{args.input}, line"), dtype=float)
+    times = _numbers(enumerate(args.times.split(","), start=1), "--times field")
     obs = ObservationSet.from_increments(increments, args.delta, times)
     n, p = obs.n, obs.p
     # the implied schedule exponent: delta = n^{-delta_exp}
@@ -131,7 +141,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_truth(args) -> int:
     params = params_from_mapping(args.model, _read_mapping(args.params))
-    times = [float(t) for t in args.times.split(",")]
+    times = _numbers(enumerate(args.times.split(","), start=1), "--times field")
     truth = truth_for_model(args.model, params, times)
     axes = parse_grid_spec(args.grid, len(times))
     _write_text(args.out, grid_csv(axes, truth.grid_values(axes)))

@@ -17,9 +17,10 @@ NOT symmetric: the kernel leans to compensate the noise asymmetry, and the
 orientation matters (the reflected kernel fails the identity by ~5e-2).
 
 Since 1/|phi_k(t)| grows like exp(pi |t| / 2) / sqrt(2), the integrand spans
-e^{pi/(2h)}; everything is done on the unnormalized complex ratio in double
-precision, and bandwidths below pi/600 (where the gamma-function evaluation
-window ends) are refused outright.
+e^{pi/(2h)}; bandwidths below pi/600 (where the gamma-function evaluation
+window ends) are refused outright.  As phi_w is even and phi_k(-t) is
+conj phi_k(t), the quadrature coefficients are conjugate symmetric (checked
+on every call): v_h is a real cosine/sine sum over the s > 0 half-rule.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalFailure, RangeError
 from .noise_model import T_MAX, phi_k
-from .quadrature import gauss_legendre
+from .quadrature import fourier_sum, gauss_legendre
 from .smoothing_kernel import KernelSpec
 
 # 512-node Gauss-Legendre on [-1,1]: resolves both the phi_w polynomial and
@@ -36,12 +37,9 @@ from .smoothing_kernel import KernelSpec
 # from the gauss_legendre cache, built on first use rather than at import.
 _GL_SIZE = 512
 
-# Residual threshold: the quadrature is taken on the complex integrand and
-# the imaginary part must cancel by symmetry of the rule; anything larger
-# signals a broken phi_k evaluation.
-_IMAG_TOL = 1e-9
-
-_CHUNK = 2048
+# Tolerated conjugate asymmetry of the coefficients, relative to max |c|; more
+# signals a phi_w that is not even or a broken phi_k evaluation.
+_SYM_TOL = 1e-9
 
 
 def _check_bandwidth(h: float) -> float:
@@ -57,63 +55,47 @@ def _check_bandwidth(h: float) -> float:
     return h
 
 
-def _ratio_coefficients(spec: KernelSpec, h: float) -> np.ndarray:
-    """Quadrature weights times phi_w(s)/phi_k(s/h) at the GL nodes."""
+def _half_rule_coefficients(spec: KernelSpec, h: float):
+    """Nodes s_k > 0 of the rule and c_k = w_k phi_w(s_k)/phi_k(s_k/h), after
+    checking h and that c(-s) = conj c(s); node j of the rule mirrors node n-1-j."""
+    h = _check_bandwidth(h)
     nodes, weights = gauss_legendre(_GL_SIZE)
-    return weights * spec.phi_w(nodes) / phi_k(nodes / h)
+    coef = weights * spec.phi_w(nodes) / phi_k(nodes / h)
+    asym = float(np.max(np.abs(coef[::-1] - np.conj(coef))))
+    scale = float(np.max(np.abs(coef)))
+    if asym > _SYM_TOL * scale:
+        raise NumericalFailure(
+            f"v_h quadrature coefficients are not conjugate symmetric: asymmetry "
+            f"{asym:.3e} exceeds {_SYM_TOL:g} of max |c| = {scale:.3e}",
+            residual=asym,
+        )
+    return nodes[_GL_SIZE // 2 :], coef[_GL_SIZE // 2 :]
 
 
 def vh_quadrature(spec: KernelSpec, h: float, x):
     """Evaluate the deconvolution kernel v_h at x (scalar or array).
 
+    v_h(x) = (1/pi) * sum_{s_k > 0} [Re c_k cos(s_k x) + Im c_k sin(s_k x)]
+    folds the full 512-node sum (1/2pi) * sum_k c_k exp(-i s_k x) onto s > 0;
+    the two agree to 1e-14 of max |v_h| for |x| <= 290 (measured: 2.6e-15).
+
     Raises RangeError if 1/h exceeds the noise model's evaluation window and
-    NumericalFailure if the quadrature's imaginary residual is not negligible
-    against the real part.
+    NumericalFailure if the coefficients are not conjugate symmetric.
     """
-    h = _check_bandwidth(h)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).ravel()
-
-    nodes, _ = gauss_legendre(_GL_SIZE)
-    coef = _ratio_coefficients(spec, h)
-    cr, ci = coef.real, coef.imag
-
-    out = np.empty(xv.size)
-    max_im = 0.0
-    for lo in range(0, xv.size, _CHUNK):
-        blk = xv[lo : lo + _CHUNK]
-        phase = np.outer(nodes, blk)
-        c, s = np.cos(phase), np.sin(phase)
-        # exp(-i s a) = cos(sa) - i sin(sa); real and imaginary sums separately
-        out[lo : lo + _CHUNK] = (cr @ c + ci @ s) / (2.0 * np.pi)
-        im = (ci @ c - cr @ s) / (2.0 * np.pi)
-        if im.size:
-            max_im = max(max_im, float(np.max(np.abs(im))))
-
-    scale = float(np.max(np.abs(out))) if out.size else 0.0
-    if out.size and max_im > _IMAG_TOL * max(scale, np.finfo(float).tiny):
-        raise NumericalFailure(
-            f"imaginary residual {max_im:.3e} exceeds {_IMAG_TOL:g} of the "
-            f"real magnitude {scale:.3e} in v_h quadrature",
-            residual=max_im,
-        )
-    if scalar:
-        return float(out[0])
-    return out.reshape(x.shape)
+    nodes, coef = _half_rule_coefficients(spec, h)
+    return fourier_sum(nodes, coef.real, coef.imag, x) / np.pi
 
 
 def sup_bound(spec: KernelSpec, h: float) -> float:
-    """Uniform bound on |v_h|: (1/2pi) * integral |phi_w(s)/phi_k(s/h)| ds.
+    """Uniform bound on |v_h|: (1/2pi) * integral |phi_w(s)/phi_k(s/h)| ds, by
+    the half rule as (1/pi) * sum_{s_k > 0} |c_k|.
 
     This number is simultaneously the sup-norm bound and the Lipschitz
     constant of v_h, and it blows up like h^{1+rho} e^{pi/(2h)} as h -> 0,
     which is the price of deconvolving supersmooth noise.
     """
-    h = _check_bandwidth(h)
-    nodes, weights = gauss_legendre(_GL_SIZE)
-    mags = np.abs(spec.phi_w(nodes) / phi_k(nodes / h))
-    return float(weights @ mags / (2.0 * np.pi))
+    _, coef = _half_rule_coefficients(spec, h)
+    return float(np.sum(np.abs(coef)) / np.pi)
 
 
 def tail_envelope(h: float, x):
@@ -126,15 +108,11 @@ def tail_envelope(h: float, x):
     if not h > 0.0:
         raise RangeError(f"bandwidth must be positive, got {h}")
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    if np.any(xv == 0.0):
+    if np.any(x == 0.0):
         raise DomainError("tail envelope is undefined at x = 0")
-    q = (1.0 + np.pi / np.abs(xv)) / h
+    q = (1.0 + np.pi / np.abs(x)) / h
     vals = np.exp(np.pi / (2.0 * h)) + (1.0 / h) * np.exp((np.pi / 2.0) * q) * np.log(q)
-    if scalar:
-        return float(vals[0])
-    return vals.reshape(x.shape)
+    return float(vals) if x.ndim == 0 else vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +171,10 @@ def eval_table(table: DeconvTable, x):
     lattice would be wrong; out-of-range points get the exact integral.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x).ravel()
-    lo, hi = table.grid_x[0], table.grid_x[-1]
+    xv = x.ravel()
     out = np.interp(xv, table.grid_x, table.values)
-    outside = (xv < lo) | (xv > hi)
+    outside = (xv < table.grid_x[0]) | (xv > table.grid_x[-1])
     if np.any(outside):
         out[outside] = vh_quadrature(table.kernel, table.bandwidth, xv[outside])
-    if scalar:
-        return float(out[0])
-    return out.reshape(x.shape)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 

@@ -32,10 +32,12 @@ from .analytic_truth import (
 from .deconv_kernel import build_table
 from .errors import ConfigError, InputError
 from .estimator import (
+    _CLAMP_FLOOR_DEFAULT,
     DensityGrid,
     EstimatorConfig,
     ObservationSet,
     default_bandwidth,
+    delta_schedule,
     estimate_density,
 )
 from .quadrature import gauss_legendre_box, tensor_quadrature
@@ -44,7 +46,7 @@ from .vol_sim import OUParams, RegimeSwitchParams, simulate_bundle
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
 _AUTO_POINTS = {1: 201, 2: 61, 3: 31}
-_LOG_SQ_FLOOR = 2.0 * np.log(1e-12)  # clamp floor of the log-square transform
+_LOG_SQ_FLOOR = 2.0 * np.log(_CLAMP_FLOOR_DEFAULT)  # floor of the log-square transform
 _PARAMS_TYPE = {"ou": OUParams, "regime": RegimeSwitchParams}
 
 
@@ -75,6 +77,12 @@ class ExperimentConfig:
                 f"model {self.model!r} needs {expected.__name__} params, "
                 f"got {type(self.params).__name__}"
             )
+        if self.model == "regime":  # the flat format has one a and one b
+            ou0, ou1 = self.params.ou0, self.params.ou1
+            if (ou0.a, ou0.b) != (ou1.a, ou1.b):
+                raise ConfigError(
+                    f"regimes must share a and b, got ou0 = {ou0}, ou1 = {ou1}"
+                )
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         sched = tuple(int(n) for n in self.n_schedule)
@@ -413,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     bandwidths = {}
     notes = []
     for n_index, n in enumerate(cfg.n_schedule):
-        delta = float(n) ** (-cfg.delta_exp)
+        delta = delta_schedule(n, est_cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             h = default_bandwidth(n, cfg.p, est_cfg)
@@ -428,16 +436,15 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
             seed = mix_seed(cfg.master_seed, n_index, rep)
             t0 = time.perf_counter()
             try:
-                bundle = simulate_bundle(
+                # only the increments are kept: the sigma^2 path is freed here
+                increments = simulate_bundle(
                     cfg.model, cfg.params, n, delta, seed,
                     subgrid_ratio=cfg.subgrid_ratio,
-                )
+                ).increments
             except Exception as exc:
                 raise _with_context(exc, "simulate", n, rep)
             try:
-                obs = ObservationSet.from_increments(
-                    bundle.increments, delta, cfg.times
-                )
+                obs = ObservationSet.from_increments(increments, delta, cfg.times)
                 est = estimate_density(obs, table, axes)
             except Exception as exc:
                 raise _with_context(exc, "estimate", n, rep)
@@ -523,7 +530,7 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     point = np.array([float(a[a.size // 2]) for a in axes])
     n_index = len(cfg.n_schedule) - 1
     n = cfg.n_schedule[n_index]
-    delta = float(n) ** (-cfg.delta_exp)
+    delta = delta_schedule(n, cfg.estimator_config())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         h = default_bandwidth(n, cfg.p, cfg.estimator_config())
@@ -533,10 +540,10 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     point_axes = [np.array([v]) for v in point]
     for rep in range(cfg.replications):
         seed = mix_seed(cfg.master_seed, n_index, rep)
-        bundle = simulate_bundle(
+        increments = simulate_bundle(
             cfg.model, cfg.params, n, delta, seed, subgrid_ratio=cfg.subgrid_ratio
-        )
-        obs = ObservationSet.from_increments(bundle.increments, delta, cfg.times)
+        ).increments
+        obs = ObservationSet.from_increments(increments, delta, cfg.times)
         est = estimate_density(obs, table, point_axes)
         values[rep] = float(est.values.ravel()[0])
 

@@ -10,6 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
+_BLOCK = 2048  # points per fourier_sum block, bounding its phase matrix
+
 
 @lru_cache(maxsize=16)
 def gauss_legendre(n: int):
@@ -40,3 +42,17 @@ def tensor_quadrature(values, weights) -> float:
     for ax in reversed(range(len(weights))):
         values = np.tensordot(values, weights[ax], axes=([ax], [0]))
     return float(values)
+
+
+def fourier_sum(nodes, cos_coef, sin_coef, x):
+    """sum_k cos_coef[k] cos(nodes[k] x) + sin_coef[k] sin(nodes[k] x), with
+    no sine terms if sin_coef is None, shaped like x (a float for a scalar)."""
+    x = np.asarray(x, dtype=float)
+    xv = x.ravel()
+    out = np.empty(xv.size)
+    # cos overwrites the phase block: at most two block-sized arrays are live
+    for lo in range(0, xv.size, _BLOCK):
+        phase = np.outer(nodes, xv[lo : lo + _BLOCK])
+        blk = 0.0 if sin_coef is None else sin_coef @ np.sin(phase)
+        out[lo : lo + _BLOCK] = cos_coef @ np.cos(phase, out=phase) + blk
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotFoundError, NumericalFailure
-from .quadrature import gauss_legendre
+from .quadrature import fourier_sum, gauss_legendre
 
 # Gauss-Legendre rule size for all w evaluations.  256 nodes on [-1,1]
 # resolve the cos(s x) oscillation for |x| up to roughly 380, beyond any
@@ -79,25 +79,8 @@ def builtin_kernel(name: str) -> KernelSpec:
 
 def eval_w(spec: KernelSpec, x):
     """Evaluate the kernel w at x (scalar or array) by Fourier inversion."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
     nodes, weights = gauss_legendre(_GL_SIZE)
-    coef = weights * spec.phi_w(nodes)
-    vals = coef @ np.cos(np.outer(nodes, xv)) / (2.0 * np.pi)
-    return float(vals[0]) if scalar else vals
-
-
-def _eval_w_dense(spec: KernelSpec, x):
-    """As eval_w but on the dense rule, valid out to |x| of a few thousand."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    nodes, weights = gauss_legendre(_GL_SIZE_DENSE)
-    coef = weights * spec.phi_w(nodes)
-    out = np.empty(xv.size)
-    for lo in range(0, xv.size, 2048):
-        blk = xv[lo : lo + 2048]
-        out[lo : lo + 2048] = coef @ np.cos(np.outer(nodes, blk))
-    return out / (2.0 * np.pi)
+    return fourier_sum(nodes, weights * spec.phi_w(nodes), None, x) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -126,13 +109,18 @@ def kernel_moments(spec: KernelSpec, max_radius: float = 900.0) -> KernelMoments
     m2_abs converges only like 1/R because u^2 |w(u)| ~ C |cos u| / u^2 in the
     tail; it is integrated out to max_radius with the tail estimate reported.
     """
+    # w by the dense rule, valid out to |u| of a few thousand
+    nodes, weights = gauss_legendre(_GL_SIZE_DENSE)
+    coef = weights * spec.phi_w(nodes)
+
     # m0: trapezoid with spacing well below the Nyquist limit pi; band-limited
     # w makes the lattice sum step-independent, so a halved step must agree.
     m0_radius = min(max_radius, 400.0)
     m0 = None
     for step in (0.25, 0.125):
         grid = np.arange(-m0_radius, m0_radius + step / 2, step)
-        est = float(np.trapezoid(_eval_w_dense(spec, grid), dx=step))
+        w = fourier_sum(nodes, coef, None, grid) / (2.0 * np.pi)
+        est = float(np.trapezoid(w, dx=step))
         if m0 is None:
             m0 = est
         else:
@@ -162,7 +150,8 @@ def kernel_moments(spec: KernelSpec, max_radius: float = 900.0) -> KernelMoments
     for j in range(n_seg):
         lo = j * seg_len
         pts = np.linspace(lo, lo + seg_len, per_seg + 1)
-        vals = pts ** 2 * np.abs(_eval_w_dense(spec, pts))
+        w = fourier_sum(nodes, coef, None, pts) / (2.0 * np.pi)
+        vals = pts ** 2 * np.abs(w)
         weights = np.ones(per_seg + 1)
         weights[1:-1:2] = 4.0
         weights[2:-1:2] = 2.0

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, InputError
 
@@ -85,6 +84,8 @@ def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
         raise InputError(f"n_steps must be at least 1, got {n_steps}")
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
+    from scipy.signal import lfilter  # imported here: slow to import
+
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(n_steps)
     phi = np.exp(-params.a * dt)

@@ -172,3 +172,31 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
         "--times", "1.0", "--gamma", "9.0", "--grid=-5:5:11",
     ]) == 1
     assert "nope.txt" in capsys.readouterr().err
+
+
+def test_malformed_input_line_is_reported(tmp_path, capsys):
+    inc_file = tmp_path / "inc.txt"
+    inc_file.write_text("0.01\n\n-0.02\nx\n0.03\n")
+    assert main([
+        "estimate", "--input", str(inc_file), "--delta", "0.02",
+        "--times", "1.0", "--gamma", "9.0", "--grid=-5:5:11",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"{inc_file}, line 4: not a number: 'x'" in err
+
+
+def test_malformed_times_field_is_reported(tmp_path, capsys):
+    inc_file = tmp_path / "inc.txt"
+    inc_file.write_text("0.01\n-0.02\n0.03\n")
+    assert main([
+        "estimate", "--input", str(inc_file), "--delta", "0.02",
+        "--times", "1.0,1.o5", "--gamma", "9.0", "--grid=-5:5:11",
+    ]) == 1
+    assert "--times field 2: not a number: '1.o5'" in capsys.readouterr().err
+    params = tmp_path / "ou.params"
+    params.write_text(PARAMS_OU)
+    assert main([
+        "truth", "--model", "ou", "--params", str(params), "--times", "a",
+        "--grid=-5:5:11",
+    ]) == 1
+    assert "--times field 1: not a number: 'a'" in capsys.readouterr().err

@@ -17,6 +17,8 @@ from voldeconv import (
     vh_quadrature,
 )
 from voldeconv.errors import ConfigError, DomainError, NumericalFailure, RangeError
+from voldeconv.noise_model import phi_k
+from voldeconv.quadrature import gauss_legendre
 from voldeconv.smoothing_kernel import KernelSpec
 
 SPEC = builtin_kernel("poly3")
@@ -46,6 +48,36 @@ def test_quadrature_rejects_complex_residual():
     )
     with pytest.raises(NumericalFailure) as exc:
         vh_quadrature(skewed, 1.0, np.linspace(-5.0, 5.0, 11))
+    assert exc.value.residual > 1e-9
+
+
+@pytest.mark.parametrize("h", [0.25, 1.0, 2.46, 4.64])
+def test_half_rule_matches_full_complex_sum(h):
+    # the full 512-node sum (1/2pi) sum_k c_k exp(-i s_k x); vh_quadrature's
+    # docstring bounds the half rule's departure from it by 1e-14 of max |v_h|
+    x = np.linspace(-290.0, 290.0, 5801)
+    nodes, weights = gauss_legendre(512)
+    coef = weights * SPEC.phi_w(nodes) / phi_k(nodes / h)
+    full = coef @ np.exp(-1j * np.outer(nodes, x)) / (2.0 * np.pi)
+    half = vh_quadrature(SPEC, h, x)
+    scale = np.max(np.abs(full.real))
+    assert np.max(np.abs(full.imag)) <= 1e-14 * scale
+    assert np.max(np.abs(half - full.real)) <= 1e-14 * scale
+    # sup_bound is the same half-rule fold of (1/2pi) sum_k |c_k|
+    np.testing.assert_allclose(
+        sup_bound(SPEC, h), np.sum(np.abs(coef)) / (2.0 * np.pi), rtol=1e-13
+    )
+
+
+def test_sup_bound_rejects_asymmetric_coefficients():
+    odd = KernelSpec(
+        name="odd",
+        phi_w=lambda s: (1.0 - s**2) ** 3 * (1.0 + 0.1 * s) * (np.abs(s) <= 1.0),
+        rho=3.0,
+        edge_coeff=8.0,
+    )
+    with pytest.raises(NumericalFailure, match="conjugate symmetric") as exc:
+        sup_bound(odd, 1.0)
     assert exc.value.residual > 1e-9
 
 

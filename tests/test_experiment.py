@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voldeconv import (
     ExperimentConfig,
@@ -118,6 +120,69 @@ def test_mapping_round_trip():
         master_seed=7,
     )
     assert ExperimentConfig.from_mapping(rcfg.to_mapping()) == rcfg
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_REAL = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def _config_fields(draw):
+    """ExperimentConfig keyword arguments; regimes mostly share a and b."""
+    if draw(st.booleans()):
+        model, p = "ou", draw(st.integers(1, 3))
+        params = OUParams(a=draw(_POSITIVE), mu=draw(_REAL), b=draw(_POSITIVE))
+    else:
+        model, p = "regime", draw(st.integers(1, 2))
+        a, b = draw(_POSITIVE), draw(_POSITIVE)
+        params = RegimeSwitchParams(
+            a0=draw(_POSITIVE), a1=draw(_POSITIVE),
+            ou0=OUParams(a=a, mu=draw(_REAL), b=b),
+            ou1=OUParams(
+                a=draw(st.just(a) | _POSITIVE), mu=draw(_REAL), b=draw(st.just(b) | _POSITIVE)
+            ),
+        )
+    sched = draw(st.lists(st.integers(2, 10**7), min_size=1, max_size=4, unique=True))
+    return dict(
+        model=model,
+        params=params,
+        n_schedule=tuple(sorted(sched)),
+        delta_exp=draw(st.floats(min_value=1e-3, max_value=0.999)),
+        gamma=draw(_POSITIVE),
+        times=tuple(draw(st.lists(_REAL, min_size=p, max_size=p))),
+        grid_spec=draw(st.sampled_from(["auto", "-5:5:41", "-8:8:9,-7:7:8"])),
+        replications=draw(st.integers(1, 1000)),
+        master_seed=draw(st.integers(0, 2**63)),
+        bandwidth_override=draw(st.none() | _POSITIVE),
+        subgrid_ratio=draw(st.integers(1, 200)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_fields())
+def test_mapping_round_trip_property(fields):
+    # every config that is accepted reads back equal from its flat mapping
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ConfigError:
+        ou0, ou1 = fields["params"].ou0, fields["params"].ou1
+        assert (ou0.a, ou0.b) != (ou1.a, ou1.b)
+        return
+    assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
+
+
+def test_regime_params_must_share_a_and_b():
+    # the flat format has one a and one b; other regimes would not round-trip
+    with pytest.raises(ConfigError, match=r"share a and b, got ou0 = OUParams\(a=4.0, mu=-2.0, b=1.0\), ou1 = OUParams\(a=3.0,"):
+        _small_config(
+            model="regime", times=(1.0, 1.05),
+            params=RegimeSwitchParams(1.0, 1.0, OUParams(4.0, -2.0, 1.0), OUParams(3.0, 2.0, 1.5)),
+        )
+    with pytest.raises(ConfigError, match=r"ou1 = OUParams\(a=4.0, mu=2.0, b=1.5\)"):
+        _small_config(
+            model="regime", times=(1.0, 1.05),
+            params=RegimeSwitchParams(1.0, 1.0, OUParams(4.0, -2.0, 1.0), OUParams(4.0, 2.0, 1.5)),
+        )
 
 
 def test_config_validation():

@@ -25,19 +25,33 @@ from voldeconv.vol_sim import RegimeSwitchParams
 SPEC = builtin_kernel("poly3")
 
 
-def test_import_builds_no_rule():
+def _fresh_process_output(code):
     src = os.path.dirname(os.path.dirname(os.path.abspath(voldeconv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_import_builds_no_rule():
     code = (
         "import voldeconv\n"
         "from voldeconv.quadrature import gauss_legendre\n"
         "print(gauss_legendre.cache_info().currsize)\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        timeout=120, check=True,
+    assert _fresh_process_output(code) == "0"
+
+
+def test_import_loads_no_slow_scipy_module():
+    # scipy.signal and scipy.integrate are imported where they are used
+    code = (
+        "import sys\n"
+        "import voldeconv\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.integrate') if m in sys.modules))\n"
     )
-    assert out.stdout.strip() == "0"
+    assert _fresh_process_output(code) == "[]"
 
 
 def test_rules_are_shared_read_only_leggauss():
