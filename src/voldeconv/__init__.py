@@ -19,7 +19,6 @@ from .deconv_kernel import (
     build_table,
     eval_table,
     sup_bound,
-    tail_envelope,
     vh_quadrature,
 )
 from .errors import (
@@ -54,7 +53,7 @@ from .experiment import (
     truth_for,
     truth_for_model,
 )
-from .noise_model import noise_density, phi_k, phi_k_abs, sample_noise
+from .noise_model import noise_density, phi_k
 from .smoothing_kernel import (
     KernelMoments,
     KernelSpec,
@@ -78,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TruthDensity", "invariant_density_1d", "ou_bivariate", "ou_logsq_marginal",
     "regime_bivariate", "regime_marginal", "scaled_truth",
-    "DeconvTable", "build_table", "eval_table", "sup_bound", "tail_envelope",
+    "DeconvTable", "build_table", "eval_table", "sup_bound",
     "vh_quadrature",
     "ConfigError", "DomainError", "InputError", "NotFoundError",
     "NumericalFailure", "RangeError",
@@ -89,7 +88,7 @@ __all__ = [
     "BiasReport", "ExperimentConfig", "MonteCarloReport", "bias_check",
     "compute_mise", "emit_report", "mix_seed", "run_experiment", "truth_for",
     "truth_for_model",
-    "noise_density", "phi_k", "phi_k_abs", "sample_noise",
+    "noise_density", "phi_k",
     "KernelMoments", "KernelSpec", "builtin_kernel", "eval_w", "kernel_moments",
     "OUParams", "PathBundle", "RegimeSwitchParams", "integrate_price",
     "markov_transition", "simulate_bundle", "simulate_ou",

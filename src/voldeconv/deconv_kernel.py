@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalFailure, RangeError
+from .errors import ConfigError, NumericalFailure, RangeError
 from .noise_model import T_MAX, phi_k
 from .quadrature import fourier_sum, gauss_legendre
 from .smoothing_kernel import KernelSpec
@@ -96,23 +96,6 @@ def sup_bound(spec: KernelSpec, h: float) -> float:
     """
     _, coef = _half_rule_coefficients(spec, h)
     return float(np.sum(np.abs(coef)) / np.pi)
-
-
-def tail_envelope(h: float, x):
-    """Envelope controlling the slow tail decay of v_h.
-
-    |v_h(x)| <= D * tail_envelope(h, x) / |x| for a single constant D; the
-    envelope is e^{pi/(2h)} plus a term that inflates as |x| shrinks, and it
-    is decreasing in |x| for fixed h.
-    """
-    if not h > 0.0:
-        raise RangeError(f"bandwidth must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
-        raise DomainError("tail envelope is undefined at x = 0")
-    q = (1.0 + np.pi / np.abs(x)) / h
-    vals = np.exp(np.pi / (2.0 * h)) + (1.0 / h) * np.exp((np.pi / 2.0) * q) * np.log(q)
-    return float(vals) if x.ndim == 0 else vals
 
 
 @dataclass(frozen=True, eq=False)

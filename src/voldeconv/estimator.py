@@ -125,9 +125,9 @@ class ObservationSet:
         if t.ndim != 1 or t.size < 1:
             raise ConfigError("times must be a non-empty 1-D sequence")
         if np.any(t <= 0.0):
-            raise ConfigError("target times must be positive")
+            raise ConfigError(f"target times must be positive, got {t[t <= 0.0].tolist()}")
         if np.any(np.diff(t) <= 0.0):
-            raise ConfigError("target times must be distinct")
+            raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
         off = np.asarray(self.index_offsets)
         if off.size != t.size or np.any(np.diff(off) < 0):
             raise ConfigError("index offsets must be nondecreasing, one per time")

@@ -90,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"n schedule must be strictly increasing, got {sched}")
         if not self.times:
             raise ConfigError("need at least one target time")
+        t = self.times
+        if not all(v > 0.0 for v in t) or any(b <= a for a, b in zip(t, t[1:])):
+            raise ConfigError(f"target times must be positive and strictly increasing, got {t}")
         # delta_exp/gamma ranges are enforced by EstimatorConfig
         self.estimator_config()
 
@@ -413,7 +416,8 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     axes, truncated_mass = resolve_grid(cfg, truth)
     est_cfg = cfg.estimator_config()
 
-    center_point = tuple(float(a[a.size // 2]) for a in axes)
+    center_idx = tuple(a.size // 2 for a in axes)
+    center_point = tuple(float(a[i]) for a, i in zip(axes, center_idx))
     truth_center = truth.evaluator(np.array(center_point))
 
     records = []
@@ -453,7 +457,6 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
             except Exception as exc:
                 raise _with_context(exc, "compare", n, rep)
             seconds = time.perf_counter() - t0
-            center_idx = tuple(a.size // 2 for a in axes)
             bias_center = float(est.values[center_idx]) - truth_center
             records.append(
                 ExperimentRecord(
@@ -534,10 +537,10 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         h = default_bandwidth(n, cfg.p, cfg.estimator_config())
-    table = table_for_axes(cfg.kernel_name, h, [np.array([v]) for v in point])
+    point_axes = [np.array([v]) for v in point]
+    table = table_for_axes(cfg.kernel_name, h, point_axes)
 
     values = np.empty(cfg.replications)
-    point_axes = [np.array([v]) for v in point]
     for rep in range(cfg.replications):
         seed = mix_seed(cfg.master_seed, n_index, rep)
         increments = simulate_bundle(

@@ -3,8 +3,8 @@
 When a normalized price increment is approximately sigma * Z with Z standard
 normal, taking log of the square turns the multiplicative noise into additive
 noise distributed as log(Z^2).  This module provides that noise law: its
-density, its characteristic function (computed through scipy's complex
-log-gamma), and exact sampling.
+density and its characteristic function (computed through scipy's complex
+log-gamma).
 """
 from __future__ import annotations
 
@@ -53,20 +53,3 @@ def phi_k(t):
         )
     return np.exp(1j * t * LOG_2 + loggamma(0.5 + 1j * t)) / SQRT_PI
 
-
-def phi_k_abs(t):
-    """|phi_k(t)| = 1/sqrt(cosh(pi t)), by the reflection identity
-    |Gamma(1/2 + it)|^2 = pi/cosh(pi t).
-
-    Closed form, valid for all t (no t_max guard needed); used as an
-    independent cross-check of phi_k and for diagnostics.
-    """
-    t = np.asarray(t, dtype=float)
-    return 1.0 / np.sqrt(np.cosh(np.pi * t))
-
-
-def sample_noise(count: int, seed) -> np.ndarray:
-    """Exact samples of log(Z^2): draw Z ~ N(0,1) and transform."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(count)
-    return np.log(z * z)

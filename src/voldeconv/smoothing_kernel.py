@@ -8,7 +8,8 @@ inverse Fourier transform
     w(x) = (1/2pi) * integral_{-1}^{1} phi_w(s) cos(s x) ds,
 
 so w is real, symmetric, integrates to one, and is band-limited: its spectrum
-lives on [-1, 1], which is what keeps the deconvolution integral finite.
+lives on [-1, 1], which is what keeps the deconvolution integral finite.  The
+bias expansion needs one kernel constant, mu2 = -phi_w''(0) (kernel_moments).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NotFoundError, NumericalFailure
+from .errors import NotFoundError
 from .quadrature import fourier_sum, gauss_legendre
 
 # Gauss-Legendre rule size for all w evaluations.  256 nodes on [-1,1]
@@ -25,10 +26,6 @@ from .quadrature import fourier_sum, gauss_legendre
 # argument the estimator or the tests feed this function.  Rules come from
 # the gauss_legendre cache, built on first use rather than at import.
 _GL_SIZE = 256
-
-# Denser rule for the moment integrals, whose truncation radius (several
-# hundred) exceeds what the 256-node rule can oscillate against.
-_GL_SIZE_DENSE = 2048
 
 
 @dataclass(frozen=True)
@@ -85,80 +82,23 @@ def eval_w(spec: KernelSpec, x):
 
 @dataclass(frozen=True)
 class KernelMoments:
-    """Moments of w used by bias predictions and bound checks.
+    """Kernel constants used by bias predictions.
 
-    m0        : integral of w (should be 1).
-    mu2       : integral of u^2 w(u) du, equal to -phi_w''(0).
-    m2_abs    : integral of u^2 |w(u)| du, by truncated quadrature.
-    m2_abs_tail : analytic estimate of the truncated tail of m2_abs.
+    mu2 : integral of u^2 w(u) du, equal to -phi_w''(0); the leading bias
+          term of the estimator is (h^2 / 2) * mu2 * (trace of the Hessian).
     """
 
-    m0: float
     mu2: float
-    m2_abs: float
-    m2_abs_tail: float
 
 
-def kernel_moments(spec: KernelSpec, max_radius: float = 900.0) -> KernelMoments:
-    """Compute kernel moments by quadrature.
+def kernel_moments(spec: KernelSpec) -> KernelMoments:
+    """mu2 = -phi_w''(0) by a fourth-order central difference.
 
-    m0 uses a uniform trapezoid lattice: w is band-limited, so the lattice sum
-    is exact up to the tail beyond the truncation radius (|w| decays
-    polynomially); convergence is verified by halving the lattice step.
-    mu2 is computed as -phi_w''(0) by a fourth-order central difference.
-    m2_abs converges only like 1/R because u^2 |w(u)| ~ C |cos u| / u^2 in the
-    tail; it is integrated out to max_radius with the tail estimate reported.
+    The step e = 3e-3 balances truncation against cancellation (about 1e-9
+    in total for polynomial-like phi_w).
     """
-    # w by the dense rule, valid out to |u| of a few thousand
-    nodes, weights = gauss_legendre(_GL_SIZE_DENSE)
-    coef = weights * spec.phi_w(nodes)
-
-    # m0: trapezoid with spacing well below the Nyquist limit pi; band-limited
-    # w makes the lattice sum step-independent, so a halved step must agree.
-    m0_radius = min(max_radius, 400.0)
-    m0 = None
-    for step in (0.25, 0.125):
-        grid = np.arange(-m0_radius, m0_radius + step / 2, step)
-        w = fourier_sum(nodes, coef, None, grid) / (2.0 * np.pi)
-        est = float(np.trapezoid(w, dx=step))
-        if m0 is None:
-            m0 = est
-        else:
-            resid = abs(est - m0)
-            if resid > 1e-9:
-                raise NumericalFailure(
-                    f"kernel mass quadrature did not converge: step halving "
-                    f"moved the estimate by {resid:.3e}",
-                    residual=resid,
-                )
-
-    # mu2 = -phi_w''(0), five-point stencil, step balances truncation against
-    # cancellation (~1e-9 total for polynomial-like phi_w).
     e = 3e-3
     stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * e
     ph = spec.phi_w(stencil)
     second = (-ph[0] + 16 * ph[1] - 30 * ph[2] + 16 * ph[3] - ph[4]) / (12 * e * e)
-    mu2 = float(-second)
-
-    # m2_abs: Simpson per 2pi-length segment; |w| has kinks at the zeros of w,
-    # but each segment holds only a few so fixed 256-point Simpson is ample.
-    per_seg = 256
-    seg_len = 2.0 * np.pi
-    n_seg = int(max_radius // seg_len)
-    total = 0.0
-    last_seg = 0.0
-    for j in range(n_seg):
-        lo = j * seg_len
-        pts = np.linspace(lo, lo + seg_len, per_seg + 1)
-        w = fourier_sum(nodes, coef, None, pts) / (2.0 * np.pi)
-        vals = pts ** 2 * np.abs(w)
-        weights = np.ones(per_seg + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        last_seg = float(np.sum(weights * vals) * (seg_len / per_seg) / 3.0)
-        total += last_seg
-    u_end = n_seg * seg_len
-    # Segments decay like c/u^2, so the one-sided remainder is about
-    # last_seg * u_end / (2pi); double everything for the negative axis.
-    tail = 2.0 * last_seg * u_end / seg_len
-    return KernelMoments(m0=m0, mu2=mu2, m2_abs=2.0 * total + tail, m2_abs_tail=tail)
+    return KernelMoments(mu2=float(-second))

@@ -112,10 +112,10 @@ def test_floor_guard_against_binary_representation():
 
 
 def test_observation_set_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"must be distinct .*got \[1.0, 1.0\]"):
         _obs_from_values(np.zeros(10), 0.1, (1.0, 1.0))
-    with pytest.raises(ConfigError):
-        _obs_from_values(np.zeros(10), 0.1, (-0.5,))
+    with pytest.raises(ConfigError, match=r"must be positive, got \[-0.5, 0.0\]"):
+        _obs_from_values(np.zeros(10), 0.1, (-0.5, 0.0, 0.3))
     with pytest.raises(InputError, match="series too short"):
         _obs_from_values(np.zeros(4), 0.1, (0.1, 0.9))
 

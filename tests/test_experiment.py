@@ -2,6 +2,7 @@
 bookkeeping, error context, report files, and byte-level determinism."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -165,8 +166,12 @@ def test_mapping_round_trip_property(fields):
     try:
         cfg = ExperimentConfig(**fields)
     except ConfigError:
-        ou0, ou1 = fields["params"].ou0, fields["params"].ou1
-        assert (ou0.a, ou0.b) != (ou1.a, ou1.b)
+        t, params = fields["times"], fields["params"]
+        bad_times = min(t) <= 0.0 or any(b <= a for a, b in zip(t, t[1:]))
+        bad_regimes = fields["model"] == "regime" and (
+            (params.ou0.a, params.ou0.b) != (params.ou1.a, params.ou1.b)
+        )
+        assert bad_times or bad_regimes
         return
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
 
@@ -196,6 +201,13 @@ def test_config_validation():
         _small_config(params=REGIME)
     with pytest.raises(ConfigError, match="'regime' needs RegimeSwitchParams.*OUParams"):
         _small_config(model="regime", times=(1.0, 1.05))
+
+
+def test_target_times_must_be_positive_and_increasing():
+    # refused at construction, before any truth, grid or simulation is built
+    for times in [(0.0,), (-1.0, 1.0), (1.0, 1.0), (1.05, 1.0)]:
+        with pytest.raises(ConfigError, match=re.escape(f"strictly increasing, got {times}")):
+            _small_config(times=times)
 
 
 def test_truth_for_model_scales():

@@ -1,12 +1,12 @@
-"""Tests for the log-chi-square noise channel: density, characteristic
-function, and sampling."""
+"""Tests for the log-chi-square noise channel: density and characteristic
+function."""
 
 import numpy as np
 import pytest
 import scipy.special as sps
 import scipy.stats as sst
 
-from voldeconv import noise_density, phi_k, phi_k_abs, sample_noise
+from voldeconv import noise_density, phi_k
 from voldeconv.errors import RangeError
 from voldeconv.noise_model import T_MAX
 
@@ -49,9 +49,12 @@ def test_characteristic_function_modulus_identity():
 
 
 def test_phi_k_abs_matches_phi_k():
+    # |phi_k(t)| = 1/sqrt(cosh(pi t)) by |Gamma(1/2 + it)|^2 = pi/cosh(pi t);
     # measured max relative error 1.3e-13 over the whole evaluation window
     t = np.linspace(-T_MAX, T_MAX, 4001)
-    np.testing.assert_allclose(np.abs(phi_k(t)), phi_k_abs(t), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        np.abs(phi_k(t)), 1.0 / np.sqrt(np.cosh(np.pi * t)), rtol=1e-12, atol=0.0
+    )
 
 
 def test_phi_k_matches_direct_quadrature():
@@ -103,14 +106,7 @@ def test_phi_k_phase_against_scipy_gamma():
 
 
 def test_sample_noise_distribution():
-    x = sample_noise(100_000, seed=11)
-    stat = sst.kstest(x, _noise_cdf).statistic
+    # log Z^2 for standard normal Z follows the noise_density law
+    z = np.random.default_rng(11).standard_normal(100_000)
+    stat = sst.kstest(np.log(z * z), _noise_cdf).statistic
     assert stat < 0.006  # measured 0.0027 at this seed
-
-
-def test_sample_noise_deterministic():
-    a = sample_noise(1000, seed=5)
-    b = sample_noise(1000, seed=5)
-    c = sample_noise(1000, seed=6)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
