@@ -41,6 +41,11 @@ _GL_SIZE = 512
 # signals a phi_w that is not even or a broken phi_k evaluation.
 _SYM_TOL = 1e-9
 
+# Tolerated distance of a table's lattice points from the uniform line, in
+# steps.  np.linspace is off by ~3e-12 of the step on [-290, 290]; at 1e-9
+# the trunc((x - t_0)/dt) guess of eval_table is off by at most one interval.
+_UNIFORM_TOL = 1e-9
+
 
 def _check_bandwidth(h: float) -> float:
     h = float(h)
@@ -120,6 +125,21 @@ class DeconvTable:
     values: np.ndarray
     sup_bound: float
 
+    def __post_init__(self):
+        # eval_table and the p = 1 interval sums locate a point's interval by
+        # index arithmetic on a uniform lattice; refuse any other lattice
+        t = np.asarray(self.grid_x, dtype=float)
+        if t.ndim != 1 or t.size < 2 or np.shape(self.values) != t.shape:
+            raise ConfigError(f"need a 1-D grid_x of at least 2 points and values of its "
+                              f"shape, got shapes {t.shape} and {np.shape(self.values)}")
+        if not np.all(np.diff(t) > 0.0):
+            raise ConfigError("table lattice must be strictly increasing")
+        step = (t[-1] - t[0]) / (t.size - 1)
+        dev = float(np.max(np.abs(t - (t[0] + step * np.arange(t.size)))))
+        if not dev <= _UNIFORM_TOL * step:
+            raise ConfigError(f"table lattice must be uniform: a point is {dev / step:.3e} "
+                              f"of the step {step:.6g} off the line, over {_UNIFORM_TOL:g}")
+
 
 def build_table(
     spec: KernelSpec, h: float, x_min: float, x_max: float, n_points: int
@@ -150,14 +170,32 @@ def eval_table(table: DeconvTable, x):
     """v_h from the table: linear interpolation inside the lattice, direct
     quadrature (slow path) outside it.
 
+    Inside, the value is bit for bit numpy's interp(x, grid_x, values), found
+    in O(1) per point rather than by binary search: on the uniform lattice
+    the guess j = trunc((x - t_0)/dt), clipped to [0, L-2], is at most one
+    interval off the bracket t_j <= x < t_{j+1}, and one step each way finds
+    it.  The value is slope_j (x - t_j) + v_j with slope_j = (v_{j+1} - v_j)
+    / (t_{j+1} - t_j), interp's own formula; x = t_{L-1} ends on j = L-1 and
+    reads v_{L-1} through a zero slope.  NaN gives NaN.
+
     The tail of v_h decays like 1/|x| with oscillation, so extrapolating the
     lattice would be wrong; out-of-range points get the exact integral.
     """
     x = np.asarray(x, dtype=float)
     xv = x.ravel()
-    out = np.interp(xv, table.grid_x, table.values)
-    outside = (xv < table.grid_x[0]) | (xv > table.grid_x[-1])
+    t, v = table.grid_x, table.values
+    last = t.size - 1
+    # slope per interval, plus a zero one for j = L-1 (and j = -1, which is
+    # what points below t_0 end on; they are replaced below)
+    slope = np.append(np.diff(v) / np.diff(t), 0.0)
+    guess = (xv - t[0]) * (last / (t[-1] - t[0]))
+    np.fmax(guess, 0.0, out=guess)  # fmax also sends NaN to 0
+    np.fmin(guess, last - 1, out=guess)
+    j = guess.astype(np.intp)
+    j += xv >= t[j + 1]
+    j -= xv < t[j]
+    out = slope[j] * (xv - t[j]) + v[j]
+    outside = (xv < t[0]) | (xv > t[-1])
     if np.any(outside):
         out[outside] = vh_quadrature(table.kernel, table.bandwidth, xv[outside])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-

@@ -13,16 +13,17 @@ accumulation order is fixed, so a re-run reproduces results bit for bit.
 
 v_h is read from a DeconvTable, which is piecewise linear on a uniform
 lattice t_0 < ... < t_{L-1} of step dt.  For p >= 2 the sum is a sweep over
-observation blocks: G_1 x ... x G_p table lookups per observation.  For p = 1
-the sum is taken exactly per lattice interval instead.  With the m values
-sorted once and their prefix sums taken, the data falling in interval l for
-grid point x (those Y with (x - Y)/h in [t_l, t_{l+1})) are one contiguous
-run, found by np.searchsorted at the breakpoints x - h t_l; its count N_l and
-sum S_l give
+observation blocks: G_1 + ... + G_p table lookups per observation, each by
+O(1) index arithmetic on the lattice (see eval_table), then one product of
+the per-axis factor matrices.  For p = 1 the sum is taken exactly per lattice
+interval instead.  With the m values sorted once and their prefix sums taken,
+the data falling in interval l for grid point x (those Y with (x - Y)/h in
+[t_l, t_{l+1})) are one contiguous run, found by np.searchsorted at the
+breakpoints x - h t_l; its count N_l and sum S_l give
 
     sum_{j in l} T((x - Y_j)/h) = N_l v_l + slope_l (N_l (x/h - t_l) - S_l/h),
 
-the same linear pieces np.interp evaluates, summed in closed form.  Only the
+the same linear pieces eval_table evaluates, summed in closed form.  Only the
 W ~ (max Y - min Y)/(h dt) + 3 intervals the data can reach are visited, so
 the cost is O(m log m + G W log m) against the sweep's O(G m).  Data off the
 lattice span form a prefix and a suffix of the sorted values and go through
@@ -82,6 +83,15 @@ def log_square_transform(x, clamp_floor: float = _CLAMP_FLOOR_DEFAULT):
     return vals, int(np.count_nonzero(clamped))
 
 
+def _check_times(t: np.ndarray) -> None:
+    # "not t > 0" so that NaN fails too: every comparison with NaN is false
+    bad = t[~(t > 0.0)]
+    if bad.size:
+        raise ConfigError(f"target times must be positive, got {bad.tolist()}")
+    if np.any(np.isinf(t)):
+        raise ConfigError(f"target times must be finite, got {t.tolist()}")
+
+
 def _floor_index(t: float, delta: float) -> int:
     # floor(t/delta) with a 1e-9 relative pad: floor(1.5/0.1) must be 15
     # even though 1.5/0.1 = 14.999... in binary.
@@ -124,9 +134,8 @@ class ObservationSet:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise ConfigError("times must be a non-empty 1-D sequence")
-        if np.any(t <= 0.0):
-            raise ConfigError(f"target times must be positive, got {t[t <= 0.0].tolist()}")
-        if np.any(np.diff(t) <= 0.0):
+        _check_times(t)
+        if not np.all(np.diff(t) > 0.0):
             raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
         off = np.asarray(self.index_offsets)
         if off.size != t.size or np.any(np.diff(off) < 0):
@@ -164,6 +173,7 @@ class ObservationSet:
         user_times = np.asarray(times, dtype=float)
         if user_times.ndim != 1 or user_times.size < 1:
             raise ConfigError("times must be a non-empty 1-D sequence")
+        _check_times(user_times)
         order = tuple(int(i) for i in np.argsort(user_times, kind="stable"))
         sorted_times = user_times[list(order)]
         log_sq, n_clamped = log_square_transform(increments, clamp_floor)
@@ -348,7 +358,7 @@ def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarr
     t, v = table.grid_x, table.values
     n_knots = t.size
     dt = (t[-1] - t[0]) / (n_knots - 1)
-    slope = np.diff(v) / np.diff(t)  # np.interp's per-interval slope
+    slope = np.diff(v) / np.diff(t)  # eval_table's per-interval slope
 
     ys = np.sort(y)
     csum = np.concatenate(([0.0], np.cumsum(ys, dtype=np.longdouble)))

@@ -1,8 +1,12 @@
 """Tests for the deconvolving kernel: quadrature evaluation, lookup tables,
 operator norms, and tail envelopes."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voldeconv import (
     ObservationSet,
@@ -15,6 +19,7 @@ from voldeconv import (
     sup_bound,
     vh_quadrature,
 )
+from voldeconv.deconv_kernel import DeconvTable
 from voldeconv.errors import ConfigError, NumericalFailure, RangeError
 from voldeconv.noise_model import phi_k
 from voldeconv.quadrature import gauss_legendre
@@ -197,6 +202,79 @@ def test_table_slow_path_outside_range():
     tbl = build_table(SPEC, 0.8, -10.0, 10.0, 1001)
     outside = np.array([-15.0, 12.5, 40.0])
     np.testing.assert_array_equal(eval_table(tbl, outside), vh_quadrature(SPEC, 0.8, outside))
+
+
+@st.composite
+def _lattice_points(draw):
+    """A table on a random lattice and points that probe every bracket case:
+    random points across and beyond the span, every knot and both its
+    floating-point neighbours, both ends and points past them."""
+    lo = draw(st.floats(-300.0, 10.0))
+    tbl = build_table(
+        SPEC, draw(st.floats(0.3, 3.0)), lo, lo + draw(st.floats(1e-3, 590.0)),
+        draw(st.integers(2, 5000)),
+    )
+    t = tbl.grid_x
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = t[-1] - t[0]
+    x = np.concatenate((
+        rng.uniform(t[0] - 0.1 * width, t[-1] + 0.1 * width, 2000),
+        t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+        [t[0] - width, t[-1] + width, -1e6, 1e6],
+    ))
+    return tbl, rng.permutation(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lattice_points())
+def test_eval_table_is_interp_on_span_and_quadrature_off_span(case):
+    # the index-arithmetic lookup is the exact reference it replaced:
+    # np.interp on the lattice, the direct integral off it
+    tbl, x = case
+    t = tbl.grid_x
+    on = (x >= t[0]) & (x <= t[-1])
+    got = eval_table(tbl, x)
+    np.testing.assert_array_equal(got[on], np.interp(x[on], t, tbl.values))
+    np.testing.assert_array_equal(got[~on], vh_quadrature(SPEC, tbl.bandwidth, x[~on]))
+
+
+def test_eval_table_nan_in_nan_out():
+    tbl = build_table(SPEC, 0.8, -10.0, 10.0, 1001)
+    x = np.array([[np.nan, 0.3], [-np.nan, tbl.grid_x[-1]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no invalid-cast warning for NaN
+        got = eval_table(tbl, x)
+        assert np.isnan(eval_table(tbl, np.nan))
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 0])
+    assert got[0, 1] == np.interp(0.3, tbl.grid_x, tbl.values)
+    assert got[1, 1] == tbl.values[-1]
+
+
+def test_deconv_table_requires_uniform_lattice():
+    tbl = build_table(SPEC, 0.8, -290.0, 290.0, 29001)  # accepted: linspace
+
+    def table(grid, values=None):
+        grid = np.asarray(grid, dtype=float)
+        values = np.zeros(grid.shape) if values is None else values
+        return DeconvTable(tbl.bandwidth, SPEC, grid, values, tbl.sup_bound)
+
+    t = np.linspace(-1.0, 1.0, 11)
+    with pytest.raises(ConfigError, match="at least 2 points"):
+        table([0.5])
+    with pytest.raises(ConfigError, match="1-D"):
+        table(t.reshape(1, -1))
+    with pytest.raises(ConfigError, match=r"got shapes \(11,\) and \(10,\)"):
+        table(t, np.zeros(10))
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        table(t[::-1])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        table(np.where(t == 0.0, np.nan, t))
+    bent = t.copy()
+    bent[4] += 1e-6 * 0.2
+    with pytest.raises(ConfigError, match="uniform: a point is 1.0.*e-06 of the step 0.2"):
+        table(bent)
+    bent[4] = t[4] + 1e-11 * 0.2  # within the tolerance
+    table(bent)
 
 
 def test_build_table_config_errors():

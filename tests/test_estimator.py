@@ -27,9 +27,10 @@ from voldeconv import (
     marginalize,
     normalized_increments,
     simulate_bundle,
+    vh_quadrature,
 )
 from voldeconv.errors import ConfigError, InputError
-from voldeconv.estimator import DensityGrid, _observation_matrix
+from voldeconv.estimator import _JCHUNK, DensityGrid, _observation_matrix
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
 SPEC = builtin_kernel("poly3")
@@ -118,6 +119,19 @@ def test_observation_set_validation():
         _obs_from_values(np.zeros(10), 0.1, (-0.5, 0.0, 0.3))
     with pytest.raises(InputError, match="series too short"):
         _obs_from_values(np.zeros(4), 0.1, (0.1, 0.9))
+
+
+def test_nan_and_infinite_times_rejected():
+    with pytest.raises(ConfigError, match=r"must be positive, got \[nan\]"):
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(np.nan,), index_offsets=(0,))
+    with pytest.raises(ConfigError, match=r"must be positive, got \[nan\]"):
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0, np.nan),
+                       index_offsets=(10, 10))
+    inc = np.linspace(0.1, 1.0, 50)
+    with pytest.raises(ConfigError, match=r"must be positive, got \[nan\]"):
+        ObservationSet.from_increments(inc, 0.1, (0.5, np.nan))
+    with pytest.raises(ConfigError, match=r"must be finite, got \[0.5, inf\]"):
+        ObservationSet.from_increments(inc, 0.1, (0.5, np.inf))
 
 
 def test_observation_set_sorts_times():
@@ -212,6 +226,61 @@ def test_swapped_times_transpose():
     est_fwd = estimate_density(fwd, tbl, (x1, x2))
     est_rev = estimate_density(rev, tbl, (x2, x1))
     np.testing.assert_array_equal(est_rev.values, est_fwd.values.T)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    times=st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3, unique=True),
+    sizes=st.lists(st.integers(1, 9), min_size=3, max_size=3),
+)
+def test_reversed_times_give_transposed_grid(p, seed, times, sizes):
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal(300) * np.exp(rng.normal(0.0, 1.0, 300))
+    times = times[:p]
+    axes = [np.sort(rng.uniform(-12.0, 6.0, sizes[k])) for k in range(p)]
+    fwd = ObservationSet.from_increments(inc, 0.05, times)
+    rev = ObservationSet.from_increments(inc, 0.05, times[::-1])
+    tbl = _table("wide")
+    est_fwd = estimate_density(fwd, tbl, axes)
+    est_rev = estimate_density(rev, tbl, axes[::-1])
+    np.testing.assert_array_equal(est_rev.values, est_fwd.values.T)
+
+
+def _interp_sweep(obs, table, axes):
+    """The p >= 2 estimate with np.interp as the on-lattice lookup, in the
+    estimator's block and summation order."""
+    h = table.bandwidth
+    t = table.grid_x
+
+    def lookup(x):
+        out = np.interp(x, t, table.values)
+        off = (x < t[0]) | (x > t[-1])
+        out[off] = vh_quadrature(table.kernel, h, x[off])
+        return out
+
+    ymat = _observation_matrix(obs)
+    axes = [np.asarray(axes[k], dtype=float) for k in obs.axis_order]
+    acc = np.zeros(tuple(a.size for a in axes))
+    for lo in range(0, ymat.shape[0], _JCHUNK):
+        blk = ymat[lo : lo + _JCHUNK]
+        f = [lookup((axes[k][:, None] - blk[None, :, k]) / h) for k in range(obs.p)]
+        acc += f[0] @ f[1].T if obs.p == 2 else np.einsum("am,bm,cm->abc", *f)
+    return np.transpose(acc / (ymat.shape[0] * h**obs.p), np.argsort(obs.axis_order))
+
+
+@pytest.mark.parametrize("times", [(1.0, 1.25), (1.25, 0.5, 1.0)])
+def test_sweep_matches_interp_reference(times):
+    # m spans two observation blocks; the narrow table sends the far grid
+    # points' arguments off the lattice onto the quadrature
+    bundle = simulate_bundle("ou", OUParams(a=2.0, mu=0.0, b=2.0), _JCHUNK + 700, 0.05, seed=3)
+    obs = ObservationSet.from_increments(bundle.increments, bundle.delta, times)
+    assert obs.m > _JCHUNK
+    axes = [np.linspace(-9.0 + k, 4.0 + k, 9 + 2 * k) for k in range(len(times))]
+    for kind in ("wide", "narrow"):
+        est = estimate_density(obs, _table(kind), axes)
+        np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
 
 
 def test_grid_mass_near_one():
