@@ -30,17 +30,25 @@ class TruthDensity:
     """A reference density with a documented integration box.
 
     dimension      : number of coordinates p.
-    evaluator      : single-point evaluation, p-vector -> nonnegative float.
-    description    : human-readable identity of the law.
-    truncation_box : p pairs (lo, hi) outside which the mass is negligible.
     vector_eval    : vectorized evaluation on arrays of shape (..., p).
+    truncation_box : p pairs (lo, hi) outside which the mass is negligible.
     """
 
     dimension: int
-    evaluator: Callable
-    description: str
-    truncation_box: tuple
     vector_eval: Callable
+    truncation_box: tuple
+
+    def evaluator(self, x) -> float:
+        """Single-point evaluation: a p-vector (or a scalar when p = 1) to a
+        nonnegative float."""
+        pt = np.asarray(x, dtype=float)
+        if pt.ndim == 0:
+            pt = pt.reshape(1)
+        if pt.shape != (self.dimension,):
+            raise ConfigError(
+                f"point shape {pt.shape} does not match dimension {self.dimension}"
+            )
+        return float(self.vector_eval(pt))
 
     def grid_values(self, axes) -> np.ndarray:
         """Evaluate on the tensor grid spanned by the axis arrays."""
@@ -59,26 +67,6 @@ class TruthDensity:
         return tensor_quadrature(self.grid_values(xs), ws)
 
 
-def _make_truth(dimension, vector_fn, description, box) -> TruthDensity:
-    def evaluator(x):
-        pt = np.asarray(x, dtype=float)
-        if pt.ndim == 0:
-            pt = pt.reshape(1)
-        if pt.shape != (dimension,):
-            raise ConfigError(
-                f"point shape {pt.shape} does not match dimension {dimension}"
-            )
-        return float(vector_fn(pt))
-
-    return TruthDensity(
-        dimension=dimension,
-        evaluator=evaluator,
-        description=description,
-        truncation_box=tuple(box),
-        vector_eval=vector_fn,
-    )
-
-
 def _gauss(u, var):
     return np.exp(-0.5 * u * u / var) / (_SQRT_2PI * np.sqrt(var))
 
@@ -95,7 +83,7 @@ def ou_logsq_marginal(params: OUParams) -> TruthDensity:
         return _gauss(pts[..., 0] - mu, var)
 
     box = ((mu - 10.0 * sd, mu + 10.0 * sd),)
-    return _make_truth(1, fn, f"Normal(mu={mu}, var={var})", box)
+    return TruthDensity(1, fn, box)
 
 
 def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
@@ -117,9 +105,7 @@ def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
         return np.exp(-0.5 * quad_form) / (2.0 * np.pi * np.sqrt(det))
 
     box = ((mu - 10.0 * sd, mu + 10.0 * sd),) * 2
-    return _make_truth(
-        2, fn, f"BivariateNormal(mu={mu}, var={var}, rho={rho})", box
-    )
+    return TruthDensity(2, fn, box)
 
 
 def regime_marginal(params: RegimeSwitchParams) -> TruthDensity:
@@ -138,12 +124,7 @@ def regime_marginal(params: RegimeSwitchParams) -> TruthDensity:
 
     lo = min(c.mu - 10.0 * sd for c, sd in zip(comps, sds))
     hi = max(c.mu + 10.0 * sd for c, sd in zip(comps, sds))
-    return _make_truth(
-        1,
-        fn,
-        f"Mixture(pi={pi.tolist()}, mu=({comps[0].mu}, {comps[1].mu}))",
-        ((lo, hi),),
-    )
+    return TruthDensity(1, fn, ((lo, hi),))
 
 
 def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDensity:
@@ -175,12 +156,7 @@ def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDen
     sd = max(np.sqrt(v0), np.sqrt(v1))
     lo = min(mu0, mu1) - 10.0 * sd
     hi = max(mu0, mu1) + 10.0 * sd
-    return _make_truth(
-        2,
-        fn,
-        f"RegimeMixture(mu=({mu0}, {mu1}), pi={pi.tolist()}, gap={t - s})",
-        ((lo, hi),) * 2,
-    )
+    return TruthDensity(2, fn, ((lo, hi),) * 2)
 
 
 def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
@@ -201,9 +177,7 @@ def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
     for lo, hi in truth.truncation_box:
         a, b = lo * factor, hi * factor
         box.append((min(a, b), max(a, b)))
-    return _make_truth(
-        p, fn, f"{truth.description} scaled by {factor}", tuple(box)
-    )
+    return TruthDensity(p, fn, tuple(box))
 
 
 def invariant_density_1d(
@@ -267,9 +241,4 @@ def invariant_density_1d(
             half *= 2.0
         box_lo = max(lo, x0 - half)
         box_hi = min(hi, x0 + half)
-    return _make_truth(
-        1,
-        fn,
-        f"InvariantDensity1D(x0={x0}, interval=({lo}, {hi}))",
-        ((box_lo, box_hi),),
-    )
+    return TruthDensity(1, fn, ((box_lo, box_hi),))

@@ -149,7 +149,7 @@ def _cmd_truth(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_mapping(_read_mapping(args.config), out_dir=args.out)
+    cfg = ExperimentConfig.from_mapping(_read_mapping(args.config))
     report = run_experiment(cfg)
     emit_report(report, args.out)
     for row in report.aggregate:

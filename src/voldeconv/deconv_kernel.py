@@ -25,6 +25,8 @@ on every call): v_h is a real cosine/sine sum over the s > 0 half-rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure, RangeError
@@ -40,11 +42,6 @@ _GL_SIZE = 512
 # Tolerated conjugate asymmetry of the coefficients, relative to max |c|; more
 # signals a phi_w that is not even or a broken phi_k evaluation.
 _SYM_TOL = 1e-9
-
-# Tolerated distance of a table's lattice points from the uniform line, in
-# steps.  np.linspace is off by ~3e-12 of the step on [-290, 290]; at 1e-9
-# the trunc((x - t_0)/dt) guess of eval_table is off by at most one interval.
-_UNIFORM_TOL = 1e-9
 
 
 def _check_bandwidth(h: float) -> float:
@@ -111,34 +108,42 @@ class DeconvTable:
         The h the table was built at (log sigma^2 scale).
     kernel : KernelSpec
         Smoothing kernel whose spectrum was deconvolved.
-    grid_x : ndarray
-        Uniform evaluation lattice.
+    x_min, x_max : float
+        Ends of the lattice, finite with x_min < x_max.
     values : ndarray
-        v_h at grid_x, real.
+        v_h at grid_x, real, 1-D with at least 2 points.
     sup_bound : float
         Uniform bound on |v_h|, also its Lipschitz constant.
+
+    The lattice is linspace(x_min, x_max, values.size), so it is uniform and
+    increasing by construction, as eval_table and the p = 1 interval sums
+    need: both locate a point's interval by index arithmetic.
     """
 
     bandwidth: float
     kernel: KernelSpec
-    grid_x: np.ndarray
+    x_min: float
+    x_max: float
     values: np.ndarray
     sup_bound: float
 
     def __post_init__(self):
-        # eval_table and the p = 1 interval sums locate a point's interval by
-        # index arithmetic on a uniform lattice; refuse any other lattice
-        t = np.asarray(self.grid_x, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.shape(self.values) != t.shape:
-            raise ConfigError(f"need a 1-D grid_x of at least 2 points and values of its "
-                              f"shape, got shapes {t.shape} and {np.shape(self.values)}")
-        if not np.all(np.diff(t) > 0.0):
-            raise ConfigError("table lattice must be strictly increasing")
-        step = (t[-1] - t[0]) / (t.size - 1)
-        dev = float(np.max(np.abs(t - (t[0] + step * np.arange(t.size)))))
-        if not dev <= _UNIFORM_TOL * step:
-            raise ConfigError(f"table lattice must be uniform: a point is {dev / step:.3e} "
-                              f"of the step {step:.6g} off the line, over {_UNIFORM_TOL:g}")
+        if np.ndim(self.values) != 1 or np.size(self.values) < 2:
+            raise ConfigError(f"need 1-D values of at least 2 points, got shape "
+                              f"{np.shape(self.values)}")
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise ConfigError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
+
+    @cached_property
+    def grid_x(self) -> np.ndarray:
+        """The uniform evaluation lattice, bit for bit build_table's."""
+        return np.linspace(self.x_min, self.x_max, self.values.size)
+
+    @cached_property
+    def slope(self) -> np.ndarray:
+        """numpy interp's slope (v_{j+1} - v_j) / (t_{j+1} - t_j) per interval
+        j, plus a zero one for j = L-1."""
+        return np.append(np.diff(self.values) / np.diff(self.grid_x), 0.0)
 
 
 def build_table(
@@ -152,15 +157,16 @@ def build_table(
     """
     if n_points < 2:
         raise ConfigError(f"n_points must be at least 2, got {n_points}")
-    if not x_min < x_max:
-        raise ConfigError(f"need x_min < x_max, got [{x_min}, {x_max}]")
+    if not -np.inf < x_min < x_max < np.inf:  # refused before the quadrature
+        raise ConfigError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
     h = _check_bandwidth(h)
-    grid = np.linspace(float(x_min), float(x_max), int(n_points))
-    values = vh_quadrature(spec, h, grid)
+    x_min, x_max = float(x_min), float(x_max)
+    values = vh_quadrature(spec, h, np.linspace(x_min, x_max, int(n_points)))
     return DeconvTable(
         bandwidth=h,
         kernel=spec,
-        grid_x=grid,
+        x_min=x_min,
+        x_max=x_max,
         values=values,
         sup_bound=sup_bound(spec, h),
     )
@@ -183,11 +189,10 @@ def eval_table(table: DeconvTable, x):
     """
     x = np.asarray(x, dtype=float)
     xv = x.ravel()
-    t, v = table.grid_x, table.values
+    t, v, slope = table.grid_x, table.values, table.slope
     last = t.size - 1
-    # slope per interval, plus a zero one for j = L-1 (and j = -1, which is
-    # what points below t_0 end on; they are replaced below)
-    slope = np.append(np.diff(v) / np.diff(t), 0.0)
+    # points below t_0 end on j = -1 and read the zero slope; they are
+    # replaced below
     guess = (xv - t[0]) * (last / (t[-1] - t[0]))
     np.fmax(guess, 0.0, out=guess)  # fmax also sends NaN to 0
     np.fmin(guess, last - 1, out=guess)

@@ -355,10 +355,9 @@ def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarr
     double is double.  The tests hold it to 1e-12.
     """
     h = table.bandwidth
-    t, v = table.grid_x, table.values
+    t, v, slope = table.grid_x, table.values, table.slope
     n_knots = t.size
     dt = (t[-1] - t[0]) / (n_knots - 1)
-    slope = np.diff(v) / np.diff(t)  # eval_table's per-interval slope
 
     ys = np.sort(y)
     csum = np.concatenate(([0.0], np.cumsum(ys, dtype=np.longdouble)))

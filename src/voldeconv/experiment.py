@@ -66,7 +66,6 @@ class ExperimentConfig:
     kernel_name: str = "poly3"
     bandwidth_override: Optional[float] = None
     subgrid_ratio: int = 50
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.model not in _PARAMS_TYPE:
@@ -91,8 +90,10 @@ class ExperimentConfig:
         if not self.times:
             raise ConfigError("need at least one target time")
         t = self.times
-        if not all(v > 0.0 for v in t) or any(b <= a for a, b in zip(t, t[1:])):
-            raise ConfigError(f"target times must be positive and strictly increasing, got {t}")
+        if not all(0.0 < v < np.inf for v in t) or any(b <= a for a, b in zip(t, t[1:])):
+            raise ConfigError(
+                f"target times must be positive, finite and strictly increasing, got {t}"
+            )
         # delta_exp/gamma ranges are enforced by EstimatorConfig
         self.estimator_config()
 
@@ -125,7 +126,7 @@ class ExperimentConfig:
         return out
 
     @classmethod
-    def from_mapping(cls, mapping: dict, out_dir: Optional[str] = None) -> "ExperimentConfig":
+    def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         known = {
             "model", "a", "mu", "b", "mu0", "mu1", "a0", "a1", "n_schedule",
             "delta_exp", "gamma", "bandwidth", "times", "grid", "replications",
@@ -158,7 +159,6 @@ class ExperimentConfig:
                 _value(mapping, "bandwidth") if "bandwidth" in mapping else None
             ),
             subgrid_ratio=_value(mapping, "subgrid_ratio", int),
-            out_dir=out_dir,
         )
 
 
@@ -371,9 +371,7 @@ def compute_mise(est: DensityGrid, truth: TruthDensity) -> float:
             f"{truth.dimension}-dimensional"
         )
     diff2 = (est.values - truth.grid_values(est.axes)) ** 2
-    for ax in reversed(range(len(est.axes))):
-        diff2 = np.trapezoid(diff2, x=est.axes[ax], axis=ax)
-    return float(diff2)
+    return DensityGrid(est.axes, diff2).mass()
 
 
 def _with_context(exc: Exception, stage: str, n: int, rep: int) -> Exception:
@@ -405,6 +403,37 @@ def table_for_axes(kernel_name: str, h: float, axes):
     return build_table(spec, h, lo, hi, n_points)
 
 
+def _schedule(cfg: ExperimentConfig, n_index: int):
+    """(n, delta, h, warning texts) for the n_index-th sample size."""
+    n = cfg.n_schedule[n_index]
+    est_cfg = cfg.estimator_config()
+    delta = delta_schedule(n, est_cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        h = default_bandwidth(n, cfg.p, est_cfg)
+    return n, delta, h, [str(w.message) for w in caught]
+
+
+def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, table, axes):
+    """One replication's simulate -> observe -> estimate step, returning (seed,
+    observations, estimate); a failure is re-raised naming its stage, n and rep."""
+    n = cfg.n_schedule[n_index]
+    seed = mix_seed(cfg.master_seed, n_index, rep)
+    try:
+        # only the increments are kept: the sigma^2 path is freed here
+        increments = simulate_bundle(
+            cfg.model, cfg.params, n, delta, seed, subgrid_ratio=cfg.subgrid_ratio
+        ).increments
+    except Exception as exc:
+        raise _with_context(exc, "simulate", n, rep)
+    try:
+        obs = ObservationSet.from_increments(increments, delta, cfg.times)
+        est = estimate_density(obs, table, axes)
+    except Exception as exc:
+        raise _with_context(exc, "estimate", n, rep)
+    return seed, obs, est
+
+
 def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     """Run the full simulate -> estimate -> compare loop over the schedule.
 
@@ -414,7 +443,6 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     """
     truth = truth_for(cfg)
     axes, truncated_mass = resolve_grid(cfg, truth)
-    est_cfg = cfg.estimator_config()
 
     center_idx = tuple(a.size // 2 for a in axes)
     center_point = tuple(float(a[i]) for a, i in zip(axes, center_idx))
@@ -424,34 +452,17 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     grids = {}
     bandwidths = {}
     notes = []
-    for n_index, n in enumerate(cfg.n_schedule):
-        delta = delta_schedule(n, est_cfg)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            h = default_bandwidth(n, cfg.p, est_cfg)
-        for w in caught:
-            notes.append(f"n={n}: {w.message}")
+    for n_index in range(len(cfg.n_schedule)):
+        n, delta, h, caught = _schedule(cfg, n_index)
+        notes.extend(f"n={n}: {text}" for text in caught)
         bandwidths[n] = h
         try:
             table = table_for_axes(cfg.kernel_name, h, axes)
         except Exception as exc:
             raise _with_context(exc, "build_table", n, -1)
         for rep in range(cfg.replications):
-            seed = mix_seed(cfg.master_seed, n_index, rep)
             t0 = time.perf_counter()
-            try:
-                # only the increments are kept: the sigma^2 path is freed here
-                increments = simulate_bundle(
-                    cfg.model, cfg.params, n, delta, seed,
-                    subgrid_ratio=cfg.subgrid_ratio,
-                ).increments
-            except Exception as exc:
-                raise _with_context(exc, "simulate", n, rep)
-            try:
-                obs = ObservationSet.from_increments(increments, delta, cfg.times)
-                est = estimate_density(obs, table, axes)
-            except Exception as exc:
-                raise _with_context(exc, "estimate", n, rep)
+            seed, obs, est = _replicate(cfg, n_index, rep, delta, table, axes)
             try:
                 mise = compute_mise(est, truth)
             except Exception as exc:
@@ -532,22 +543,13 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     axes, _ = resolve_grid(cfg, truth)
     point = np.array([float(a[a.size // 2]) for a in axes])
     n_index = len(cfg.n_schedule) - 1
-    n = cfg.n_schedule[n_index]
-    delta = delta_schedule(n, cfg.estimator_config())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        h = default_bandwidth(n, cfg.p, cfg.estimator_config())
+    n, delta, h, _ = _schedule(cfg, n_index)
     point_axes = [np.array([v]) for v in point]
     table = table_for_axes(cfg.kernel_name, h, point_axes)
 
     values = np.empty(cfg.replications)
     for rep in range(cfg.replications):
-        seed = mix_seed(cfg.master_seed, n_index, rep)
-        increments = simulate_bundle(
-            cfg.model, cfg.params, n, delta, seed, subgrid_ratio=cfg.subgrid_ratio
-        ).increments
-        obs = ObservationSet.from_increments(increments, delta, cfg.times)
-        est = estimate_density(obs, table, point_axes)
+        _, _, est = _replicate(cfg, n_index, rep, delta, table, point_axes)
         values[rep] = float(est.values.ravel()[0])
 
     f_true = truth.evaluator(point)

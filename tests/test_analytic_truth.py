@@ -16,7 +16,7 @@ from voldeconv import (
     regime_marginal,
     scaled_truth,
 )
-from voldeconv.errors import DomainError
+from voldeconv.errors import ConfigError, DomainError
 
 STD = OUParams(a=1.0, mu=0.0, b=np.sqrt(2.0))  # stationary N(0, 1)
 REGIME = RegimeSwitchParams(
@@ -35,6 +35,18 @@ def test_marginal_standard_normal():
     x = np.linspace(-8.0, 8.0, 1601)
     np.testing.assert_allclose(truth.grid_values((x,)), _gauss(x, 0.0, 1.0), rtol=1e-12)
     assert abs(truth.mass() - 1.0) < 1e-10
+
+
+def test_evaluator_takes_one_point():
+    # a scalar serves p = 1; any other shape than (p,) is refused
+    truth = ou_logsq_marginal(STD)
+    assert truth.evaluator(0.5) == truth.evaluator(np.array([0.5])) == float(
+        truth.vector_eval(np.array([0.5]))
+    )
+    with pytest.raises(ConfigError, match=r"point shape \(2,\) does not match dimension 1"):
+        truth.evaluator(np.zeros(2))
+    with pytest.raises(ConfigError, match=r"point shape \(1, 2\) does not match dimension 2"):
+        ou_bivariate(STD, 0.0, 1.0).evaluator(np.zeros((1, 2)))
 
 
 def test_marginal_matches_simulation():

@@ -1,6 +1,7 @@
 """Tests for the deconvolving kernel: quadrature evaluation, lookup tables,
 operator norms, and tail envelopes."""
 
+import re
 import warnings
 
 import numpy as np
@@ -250,36 +251,45 @@ def test_eval_table_nan_in_nan_out():
     assert got[1, 1] == tbl.values[-1]
 
 
-def test_deconv_table_requires_uniform_lattice():
-    tbl = build_table(SPEC, 0.8, -290.0, 290.0, 29001)  # accepted: linspace
+def test_deconv_table_is_uniform_by_construction():
+    # the lattice is linspace(x_min, x_max, values.size) and cannot be
+    # anything else; the constructor checks only what it is built from
+    tbl = build_table(SPEC, 0.8, -290.0, 290.0, 29001)
+    np.testing.assert_array_equal(tbl.grid_x, np.linspace(-290.0, 290.0, 29001))
+    np.testing.assert_array_equal(
+        tbl.slope, np.append(np.diff(tbl.values) / np.diff(tbl.grid_x), 0.0)
+    )
 
-    def table(grid, values=None):
-        grid = np.asarray(grid, dtype=float)
-        values = np.zeros(grid.shape) if values is None else values
-        return DeconvTable(tbl.bandwidth, SPEC, grid, values, tbl.sup_bound)
+    def table(x_min, x_max, values):
+        return DeconvTable(tbl.bandwidth, SPEC, x_min, x_max, values, tbl.sup_bound)
 
-    t = np.linspace(-1.0, 1.0, 11)
-    with pytest.raises(ConfigError, match="at least 2 points"):
-        table([0.5])
-    with pytest.raises(ConfigError, match="1-D"):
-        table(t.reshape(1, -1))
-    with pytest.raises(ConfigError, match=r"got shapes \(11,\) and \(10,\)"):
-        table(t, np.zeros(10))
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        table(t[::-1])
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        table(np.where(t == 0.0, np.nan, t))
-    bent = t.copy()
-    bent[4] += 1e-6 * 0.2
-    with pytest.raises(ConfigError, match="uniform: a point is 1.0.*e-06 of the step 0.2"):
-        table(bent)
-    bent[4] = t[4] + 1e-11 * 0.2  # within the tolerance
-    table(bent)
+    with pytest.raises(ConfigError, match=r"at least 2 points, got shape \(1,\)"):
+        table(-1.0, 1.0, np.zeros(1))
+    with pytest.raises(ConfigError, match=r"1-D values .* got shape \(1, 11\)"):
+        table(-1.0, 1.0, np.zeros((1, 11)))
+    for lo, hi in [(1.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0)]:
+        with pytest.raises(ConfigError, match=re.escape(f"need finite x_min < x_max, got [{lo}, {hi}]")):
+            table(lo, hi, np.zeros(11))
+    assert table(-1.0, 1.0, np.zeros(2)).grid_x.tolist() == [-1.0, 1.0]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.4, 4.64))
+def test_table_trapezoid_mass_is_one(h):
+    # v_h integrates to phi_w(0) / phi_k(0) = 1; on criterion 08's table
+    # [-290, 290] x 29001 the trapezoid mass was measured within 3.6e-8 of 1
+    # for h in [0.4, 4.64] (5.0e-7 at h = 0.3, 6.7e-6 at h = 0.2)
+    tbl = build_table(SPEC, h, -290.0, 290.0, 29001)
+    assert abs(np.trapezoid(tbl.values, tbl.grid_x) - 1.0) < 1e-6
 
 
 def test_build_table_config_errors():
     with pytest.raises(ConfigError):
         build_table(SPEC, 0.8, -1.0, -1.0, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any quadrature runs
+        with pytest.raises(ConfigError, match=r"finite x_min < x_max, got \[0.0, inf\]"):
+            build_table(SPEC, 0.8, 0.0, np.inf, 100)
     with pytest.raises(ConfigError):
         build_table(SPEC, 0.8, -1.0, 1.0, 1)
 

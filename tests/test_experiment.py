@@ -210,6 +210,13 @@ def test_target_times_must_be_positive_and_increasing():
             _small_config(times=times)
 
 
+def test_target_times_must_be_finite():
+    # refused at construction, not after replication 0 has been simulated
+    for times in [(np.inf,), (1.0, np.inf)]:
+        with pytest.raises(ConfigError, match=re.escape(f"finite and strictly increasing, got {times}")):
+            _small_config(times=times)
+
+
 def test_truth_for_model_scales():
     t_ou = truth_for_model("ou", OU, (1.0,))
     assert t_ou.dimension == 1
@@ -326,6 +333,13 @@ def test_run_experiment_error_context():
     cfg = _small_config(subgrid_ratio=5, n_schedule=(500,), replications=1)
     with pytest.raises(ConfigError, match="stage 'simulate'.*n=500.*rep=0"):
         run_experiment(cfg)
+
+
+def test_bias_check_error_context():
+    # bias_check runs the same replication step as run_experiment
+    cfg = _small_config(subgrid_ratio=5, n_schedule=(500,), replications=2)
+    with pytest.raises(ConfigError, match="stage 'simulate'.*n=500.*rep=0"):
+        bias_check(cfg, truth_for(cfg))
 
 
 def test_error_context_keeps_residual(monkeypatch):
