@@ -13,9 +13,18 @@ increment is a Riemann sum of drift plus sigma times independent Gaussian
 shocks, normalized by sqrt(delta).  The sigma path and the price shocks come
 from independent, documented child streams of one master seed, so every
 bundle is reproducible from (seed, parameters) alone.
+
+Each stage is a private chunk generator.  simulate_bundle runs them a few
+thousand increments at a time, with the normal draws made a chunk ahead on
+two worker threads, so only sigma^2 is held at full length; the public
+simulate_ou, simulate_regime_switch and integrate_price are the same
+generators read as one chunk.
 """
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -24,6 +33,9 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 SeedLike = Union[int, np.random.SeedSequence]
+
+# increments per simulate_bundle chunk; the output does not depend on it
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,41 @@ class RegimeSwitchParams:
         return np.array([self.a1 / s, self.a0 / s])
 
 
+def _normal_chunks(seed: SeedLike, size: int, chunk: int):
+    """Yield default_rng(seed)'s first `size` standard normals in pieces of at
+    most `chunk`; joined, they are the bits of one standard_normal(size)."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, size, chunk):
+        yield rng.standard_normal(min(chunk, size - start))
+
+
+def _ou_chunks(
+    params: OUParams, n_steps: int, dt: float, seed: SeedLike, chunk: int, read: Callable = iter
+):
+    """Yield simulate_ou's path in consecutive pieces of at most `chunk` steps.
+
+    The normals are default_rng(seed)'s, in order and read through `read`,
+    and the AR(1) state is carried between pieces by lfilter's zi, so the
+    pieces joined are the same bits whatever the chunk size.
+    """
+    from scipy.signal import lfilter  # imported here: slow to import
+
+    phi = np.exp(-params.a * dt)
+    sd_stat = np.sqrt(params.stationary_var)
+    scale = sd_stat * np.sqrt(1.0 - phi * phi)
+    state = np.zeros(1)
+    normals = read(_normal_chunks(seed, n_steps, chunk))
+    for start, e in zip(range(0, n_steps, chunk), normals):
+        first = e[0]
+        e *= scale
+        if start == 0:
+            e[0] = first * sd_stat
+        # AR(1) recursion x_k = phi x_{k-1} + e_k as a linear filter
+        x, state = lfilter([1.0], [1.0, -phi], e, zi=state)
+        x += params.mu
+        yield x
+
+
 def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
     """Simulate n_steps points of the OU process on a dt grid.
 
@@ -84,17 +131,7 @@ def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
         raise InputError(f"n_steps must be at least 1, got {n_steps}")
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    from scipy.signal import lfilter  # imported here: slow to import
-
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_steps)
-    phi = np.exp(-params.a * dt)
-    sd_stat = np.sqrt(params.stationary_var)
-    e = z * (sd_stat * np.sqrt(1.0 - phi * phi))
-    e[0] = z[0] * sd_stat
-    # AR(1) recursion x_k = phi x_{k-1} + e_k as a linear filter
-    x = lfilter([1.0], [1.0, -phi], e)
-    return params.mu + x
+    return next(_ou_chunks(params, n_steps, dt, seed, n_steps))
 
 
 def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
@@ -111,20 +148,33 @@ def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
     )
 
 
-def simulate_regime_switch(
-    params: RegimeSwitchParams, n_steps: int, dt: float, seed: SeedLike
-):
-    """Simulate xi_t = U_t X^1_t + (1 - U_t) X^0_t on a dt grid.
+def _first_at_or_after(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
+    """For each time, the first grid index k < n_steps with k * dt >= time
+    (n_steps if none), with k * dt rounded exactly as np.arange(n_steps) * dt."""
+    k = np.minimum(np.ceil(times / dt), n_steps).astype(np.int64)
+    while True:  # ceil(time / dt) can be one step off after rounding
+        early = (k < n_steps) & (k * dt < times)
+        late = (k > 0) & ((k - 1) * dt >= times)
+        if not (early.any() or late.any()):
+            return k
+        k += early
+        k -= late
 
-    The chain U is simulated exactly by exponential holding clocks (state i
-    holds for Exp(a_i) time), started from its stationary law; X^0 and X^1
-    are independent OU paths.  Child streams of `seed`, in order: chain,
-    X^0, X^1.
+
+def _regime_chunks(
+    params: RegimeSwitchParams,
+    n_steps: int,
+    dt: float,
+    seed: SeedLike,
+    chunk: int,
+    read: Callable = iter,
+):
+    """Yield simulate_regime_switch's path in pieces of at most `chunk` steps.
+
+    The chain's jump times over the whole horizon are drawn first; the two OU
+    paths are then streamed side by side, each through `read`, and every
+    piece takes X^1 where the chain is in state 1 and X^0 elsewhere.
     """
-    if n_steps < 1:
-        raise InputError(f"n_steps must be at least 1, got {n_steps}")
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     chain_ss, ou0_ss, ou1_ss = ss.spawn(3)
 
@@ -146,14 +196,68 @@ def simulate_regime_switch(
         jumps = np.concatenate([jumps, elapsed + np.cumsum(holds)])
         elapsed = float(jumps[-1])
         parity = (parity + batch) % 2
+    # a jump at time J is counted from the first grid point at or after J
+    switch = _first_at_or_after(jumps, dt, n_steps)
 
-    grid = np.arange(n_steps) * dt
-    n_jumps = np.searchsorted(jumps, grid, side="right")
-    occupied = (state0 + n_jumps) % 2
+    paths = zip(
+        range(0, n_steps, chunk),
+        _ou_chunks(params.ou0, n_steps, dt, ou0_ss, chunk, read),
+        _ou_chunks(params.ou1, n_steps, dt, ou1_ss, chunk, read),
+    )
+    for start, x0, x1 in paths:
+        state = (state0 + np.searchsorted(switch, start, side="right")) % 2
+        inside = switch[(switch > start) & (switch < start + x0.size)] - start
+        edges = np.concatenate([[0], inside, [x0.size]])
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if state == 1:
+                x0[lo:hi] = x1[lo:hi]
+            state ^= 1
+        yield x0
 
-    x0 = simulate_ou(params.ou0, n_steps, dt, ou0_ss)
-    x1 = simulate_ou(params.ou1, n_steps, dt, ou1_ss)
-    return np.where(occupied == 1, x1, x0)
+
+def simulate_regime_switch(
+    params: RegimeSwitchParams, n_steps: int, dt: float, seed: SeedLike
+):
+    """Simulate xi_t = U_t X^1_t + (1 - U_t) X^0_t on a dt grid.
+
+    The chain U is simulated exactly by exponential holding clocks (state i
+    holds for Exp(a_i) time), started from its stationary law; X^0 and X^1
+    are independent OU paths.  Child streams of `seed`, in order: chain,
+    X^0, X^1.
+    """
+    if n_steps < 1:
+        raise InputError(f"n_steps must be at least 1, got {n_steps}")
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    return next(_regime_chunks(params, n_steps, dt, seed, n_steps))
+
+
+def _price_block(sigma2, z, fine_dt, delta, ratio, drift, start):
+    """Normalized increments of the whole delta intervals covered by the
+    substeps start, start + 1, ... whose sigma^2 and shocks are given."""
+    steps = np.sqrt(sigma2)
+    steps *= np.sqrt(fine_dt)
+    steps *= z
+    if drift is not None:
+        t_left = np.arange(start, start + steps.size) * fine_dt
+        b = np.broadcast_to(np.asarray(drift(t_left), dtype=float), t_left.shape)
+        steps += b * fine_dt
+    return steps.reshape(-1, ratio).sum(axis=1) / np.sqrt(delta)
+
+
+def _check_variance(sigma2: np.ndarray, nonpositive_error: type) -> None:
+    """Refuse NaN or infinite sigma^2 (InputError) and sigma^2 <= 0."""
+    if sigma2.min() > 0.0 and sigma2.max() < np.inf:  # NaN fails both
+        return
+    for bad, what, error in (
+        (~np.isfinite(sigma2), "non-finite", InputError),
+        (sigma2 <= 0.0, "non-positive", nonpositive_error),
+    ):
+        if np.any(bad):
+            raise error(
+                f"{int(np.count_nonzero(bad))} {what} sigma^2 values, the first "
+                f"at index {int(np.flatnonzero(bad)[0])}"
+            )
 
 
 def integrate_price(
@@ -174,8 +278,7 @@ def integrate_price(
     sigma2 = np.asarray(sigma2_path, dtype=float)
     if sigma2.ndim != 1 or sigma2.size < 1:
         raise InputError("sigma2_path must be a non-empty 1-D sequence")
-    if np.any(sigma2 <= 0.0):
-        raise InputError("sigma2 path must be strictly positive")
+    _check_variance(sigma2, InputError)
     if not (fine_dt > 0.0 and delta > 0.0):
         raise ConfigError(f"need positive steps, got fine_dt={fine_dt}, delta={delta}")
     ratio_f = delta / fine_dt
@@ -189,15 +292,8 @@ def integrate_price(
             f"sigma2 path length {sigma2.size} is not a multiple of the "
             f"subgrid ratio {ratio}"
         )
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(sigma2.size)
-    steps = np.sqrt(sigma2) * np.sqrt(fine_dt) * z
-    if drift is not None:
-        t_left = np.arange(sigma2.size) * fine_dt
-        b = np.broadcast_to(np.asarray(drift(t_left), dtype=float), t_left.shape)
-        steps = steps + b * fine_dt
-    blocks = steps.reshape(-1, ratio)
-    return blocks.sum(axis=1) / np.sqrt(delta)
+    z = next(_normal_chunks(seed, sigma2.size, sigma2.size))
+    return _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +301,7 @@ class PathBundle:
     """One simulated realization: fine sigma^2 path plus price increments.
 
     fine_dt    : substep of the sigma^2 lattice.
-    sigma2     : sigma^2 at substep left endpoints, strictly positive.
+    sigma2     : sigma^2 at substep left endpoints, finite and strictly positive.
     increments : normalized price increments, one per delta interval.
     delta      : sampling interval; delta/fine_dt is a positive integer.
     seed       : master seed the bundle was generated from.
@@ -225,19 +321,37 @@ class PathBundle:
             raise ConfigError(
                 f"delta/fine_dt = {ratio_f} must be a positive integer"
             )
-        if np.any(np.asarray(self.sigma2) <= 0.0):
-            raise ConfigError("sigma2 entries must be strictly positive")
+        sigma2 = np.asarray(self.sigma2, dtype=float)
         expected = np.asarray(self.increments).size * self.subgrid_ratio
-        if np.asarray(self.sigma2).size != expected:
+        if sigma2.size != expected:
             raise ConfigError(
-                f"sigma2 length {np.asarray(self.sigma2).size} does not cover "
+                f"sigma2 length {sigma2.size} does not cover "
                 f"{np.asarray(self.increments).size} increments at ratio "
                 f"{self.subgrid_ratio}"
             )
+        if sigma2.size:
+            _check_variance(sigma2, ConfigError)
 
     @property
     def subgrid_ratio(self) -> int:
         return int(round(self.delta / self.fine_dt))
+
+
+def _read_ahead(pool, chunks):
+    """Yield from `chunks`, computing each next item on `pool` while the
+    caller works on the current one.  Only one item is in flight at a time,
+    so the stream advances in order and its items do not depend on timing."""
+    future = pool.submit(next, chunks, None)
+    while (item := future.result()) is not None:
+        future = pool.submit(next, chunks, None)
+        yield item
+
+
+def _require_integer(name: str, value, least: int, error: type) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value}")
 
 
 def simulate_bundle(
@@ -256,28 +370,47 @@ def simulate_bundle(
     exp(xi), so log sigma^2 = 2 xi and the estimand is the two-component
     mixture on that doubled scale.  Child streams of `seed`, in order:
     sigma path, price shocks.
+
+    The path is made _CHUNK increments at a time: two worker threads draw
+    the next chunk of normals for the log-variance path and for the price
+    shocks while this thread filters, exponentiates and sums the current
+    one.  Each stream is advanced by one thread at a time and in order, so
+    the bundle is simulate_ou -> exp -> integrate_price (or its regime
+    equivalent) bit for bit, whatever the chunk size or thread timing.
     """
-    if n < 1:
-        raise InputError(f"need n >= 1 increments, got {n}")
-    if subgrid_ratio < 10:
-        raise ConfigError(f"subgrid_ratio must be at least 10, got {subgrid_ratio}")
+    _require_integer("n", n, 1, InputError)
+    _require_integer("subgrid_ratio", subgrid_ratio, 10, ConfigError)
+    if isinstance(delta, bool) or not (
+        isinstance(delta, numbers.Real) and math.isfinite(delta) and delta > 0.0
+    ):
+        raise ConfigError(f"delta must be finite and positive, got {delta!r}")
+    model_params = {"ou": OUParams, "regime": RegimeSwitchParams}
+    if model not in model_params:
+        raise ConfigError(f"unknown model {model!r}; expected 'ou' or 'regime'")
+    if not isinstance(params, model_params[model]):
+        raise ConfigError(f"model {model!r} requires {model_params[model].__name__}")
+    from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
+
     fine_dt = delta / subgrid_ratio
     n_fine = n * subgrid_ratio
-    ss = np.random.SeedSequence(seed)
-    path_ss, noise_ss = ss.spawn(2)
-    if model == "ou":
-        if not isinstance(params, OUParams):
-            raise ConfigError("model 'ou' requires OUParams")
-        log_sigma2 = simulate_ou(params, n_fine, fine_dt, path_ss)
-        sigma2 = np.exp(log_sigma2)
-    elif model == "regime":
-        if not isinstance(params, RegimeSwitchParams):
-            raise ConfigError("model 'regime' requires RegimeSwitchParams")
-        xi = simulate_regime_switch(params, n_fine, fine_dt, path_ss)
-        sigma2 = np.exp(2.0 * xi)
-    else:
-        raise ConfigError(f"unknown model {model!r}; expected 'ou' or 'regime'")
-    increments = integrate_price(sigma2, fine_dt, delta, drift=drift, seed=noise_ss)
+    chunk = _CHUNK * subgrid_ratio
+    path_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    sigma2 = np.empty(n_fine)
+    increments = np.empty(n)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        ahead = functools.partial(_read_ahead, pool)
+        if model == "ou":
+            log_sigma2 = _ou_chunks(params, n_fine, fine_dt, path_ss, chunk, read=ahead)
+        else:
+            xi = _regime_chunks(params, n_fine, fine_dt, path_ss, chunk, read=ahead)
+            log_sigma2 = (2.0 * x for x in xi)
+        shocks = ahead(_normal_chunks(noise_ss, n_fine, chunk))
+        for start, log_s2, z in zip(range(0, n_fine, chunk), log_sigma2, shocks):
+            s2 = np.exp(log_s2, out=sigma2[start:start + log_s2.size])
+            first = start // subgrid_ratio
+            increments[first:first + s2.size // subgrid_ratio] = _price_block(
+                s2, z, fine_dt, delta, subgrid_ratio, drift, start
+            )
     return PathBundle(
         fine_dt=fine_dt,
         sigma2=sigma2,

@@ -210,3 +210,14 @@ def test_nan_time_is_reported(tmp_path, capsys):
         "--times", "1.0,nan", "--gamma", "9.0", "--grid=-5:5:11",
     ]) == 1
     assert "error: target times must be positive, got [nan]" in capsys.readouterr().err
+
+
+def test_simulate_names_a_bad_delta(tmp_path, capsys):
+    params = tmp_path / "ou.params"
+    params.write_text(PARAMS_OU)
+    assert main([
+        "simulate", "--model", "ou", "--params", str(params), "--n", "100",
+        "--delta", "inf", "--seed", "1", "--out", str(tmp_path / "inc.txt"),
+    ]) == 1
+    assert "error: delta must be finite and positive, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "inc.txt").exists()

@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo harness: configuration parsing, seed mixing,
 bookkeeping, error context, report files, and byte-level determinism."""
 
+import functools
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from voldeconv import (
     truth_for,
     truth_for_model,
 )
-from voldeconv import experiment
+from voldeconv import experiment, vol_sim
 from voldeconv.errors import ConfigError, InputError, NumericalFailure
 from voldeconv.estimator import DensityGrid
 from voldeconv.experiment import (
@@ -340,6 +342,28 @@ def test_bias_check_error_context():
     cfg = _small_config(subgrid_ratio=5, n_schedule=(500,), replications=2)
     with pytest.raises(ConfigError, match="stage 'simulate'.*n=500.*rep=0"):
         bias_check(cfg, truth_for(cfg))
+
+
+def test_drift_failure_mid_stream_surfaces_as_simulate_stage(monkeypatch):
+    # the drift is read chunk by chunk while worker threads draw ahead; its
+    # failure on the third chunk must name the stage and leave no thread
+    def drift(t):
+        if len(seen) == 2:
+            raise ArithmeticError("drift broke")
+        seen.append(t[0])
+        return 0.0
+
+    seen = []
+    monkeypatch.setattr(vol_sim, "_CHUNK", 64)
+    monkeypatch.setattr(
+        experiment, "simulate_bundle", functools.partial(vol_sim.simulate_bundle, drift=drift)
+    )
+    cfg = _small_config(n_schedule=(500,), replications=2)
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="stage 'simulate' failed at n=500, rep=0: drift broke"):
+        bias_check(cfg, truth_for(cfg))
+    assert len(seen) == 2
+    assert threading.active_count() == threads
 
 
 def test_error_context_keeps_residual(monkeypatch):

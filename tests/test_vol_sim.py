@@ -1,10 +1,17 @@
 """Tests for path simulation: the mean-reverting log-variance diffusion, the
 two-state switching process, price integration, and the bundled generator."""
 
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.stats as sst
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voldeconv import (
     OUParams,
@@ -16,6 +23,7 @@ from voldeconv import (
     simulate_ou,
     simulate_regime_switch,
 )
+from voldeconv import vol_sim
 from voldeconv.errors import ConfigError, InputError, NotFoundError
 
 
@@ -158,8 +166,18 @@ def test_integrate_price_ratio_guards():
         integrate_price(sigma2, 1e-3, 0.0153, seed=0)  # non-integer ratio
     with pytest.raises(ConfigError):
         integrate_price(np.ones(105), 1e-3, 0.01, seed=0)  # length not a multiple
-    with pytest.raises(InputError):
-        integrate_price(np.array([1.0, -1.0] * 50), 1e-3, 0.01, seed=0)  # negative variance
+    with pytest.raises(InputError, match="50 non-positive sigma\\^2 values, the first at index 1"):
+        integrate_price(np.array([1.0, -1.0] * 50), 1e-3, 0.01, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_variance_is_refused(bad):
+    # NaN passes a bare `sigma2 <= 0` test and would give NaN increments
+    sigma2 = np.array([1.0, bad] * 10)
+    with pytest.raises(InputError, match="10 non-finite sigma\\^2 values, the first at index 1"):
+        integrate_price(sigma2, 0.1, 1.0)
+    with pytest.raises(InputError, match="10 non-finite sigma\\^2 values, the first at index 1"):
+        PathBundle(fine_dt=0.1, sigma2=sigma2, increments=np.zeros(2), delta=1.0, seed=0)
 
 
 def test_bundle_shapes_and_determinism():
@@ -201,3 +219,120 @@ def test_bundle_validation():
         PathBundle(fine_dt=0.01, sigma2=np.ones(105), increments=np.ones(10), delta=0.1, seed=0)
     with pytest.raises(ConfigError):
         simulate_bundle("ou", OU, 100, 0.05, seed=1, subgrid_ratio=5)
+
+
+@pytest.mark.parametrize(
+    "overrides, error, message",
+    [
+        ({"delta": np.inf}, ConfigError, "delta must be finite and positive, got inf"),
+        ({"delta": np.nan}, ConfigError, "delta must be finite and positive, got nan"),
+        ({"delta": -0.1}, ConfigError, "delta must be finite and positive, got -0.1"),
+        ({"delta": "0.05"}, ConfigError, "delta must be finite and positive, got '0.05'"),
+        ({"n": 100.0}, InputError, "n must be an integer, got 100.0"),
+        ({"n": True}, InputError, "n must be an integer, got True"),
+        ({"n": 0}, InputError, "n must be at least 1, got 0"),
+        ({"subgrid_ratio": 50.5}, ConfigError, "subgrid_ratio must be an integer, got 50.5"),
+        ({"subgrid_ratio": 9}, ConfigError, "subgrid_ratio must be at least 10, got 9"),
+        ({"params": REGIME}, ConfigError, "model 'ou' requires OUParams"),
+    ],
+)
+def test_bundle_arguments_are_checked_first(overrides, error, message):
+    args = dict(model="ou", params=OU, n=100, delta=0.05, seed=1)
+    args.update(overrides)
+    with pytest.raises(error) as info:
+        simulate_bundle(**args)
+    assert str(info.value) == message
+
+
+def test_bundle_accepts_numpy_scalars():
+    a = simulate_bundle("ou", OU, np.int64(40), np.float64(0.05), seed=2, subgrid_ratio=np.int32(20))
+    b = simulate_bundle("ou", OU, 40, 0.05, seed=2, subgrid_ratio=20)
+    assert np.array_equal(a.increments, b.increments)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(["ou", "regime"]),
+    n=st.integers(1, 120),
+    chunk=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+    with_drift=st.booleans(),
+)
+def test_any_chunk_size_gives_the_same_bits(model, n, chunk, seed, with_drift):
+    params = OU if model == "ou" else REGIME
+    drift = (lambda t: 0.5 * np.sin(3.0 * t)) if with_drift else None
+    with mock.patch.object(vol_sim, "_CHUNK", n):
+        whole = simulate_bundle(model, params, n, 0.05, seed, subgrid_ratio=10, drift=drift)
+    with mock.patch.object(vol_sim, "_CHUNK", chunk):
+        pieces = simulate_bundle(model, params, n, 0.05, seed, subgrid_ratio=10, drift=drift)
+    assert np.array_equal(pieces.sigma2, whole.sigma2)
+    assert np.array_equal(pieces.increments, whole.increments)
+
+
+@pytest.mark.parametrize("model", ["ou", "regime"])
+def test_bundle_is_the_simulate_exp_integrate_composition(model):
+    # the unchunked pipeline written out: simulate the whole fine path, take
+    # sigma^2, integrate; 600 increments are 9 chunks of 64 and a partial one
+    n, delta, seed, ratio = 600, 0.05, 21, 50
+    fine_dt = delta / ratio
+    drift = lambda t: 0.3 * np.cos(t)  # noqa: E731
+    path_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
+    if model == "ou":
+        sigma2 = np.exp(simulate_ou(OU, n * ratio, fine_dt, path_ss))
+    else:
+        sigma2 = np.exp(2.0 * simulate_regime_switch(REGIME, n * ratio, fine_dt, path_ss))
+    increments = integrate_price(sigma2, fine_dt, delta, drift=drift, seed=noise_ss)
+    with mock.patch.object(vol_sim, "_CHUNK", 64):
+        bundle = simulate_bundle(model, OU if model == "ou" else REGIME, n, delta, seed, drift=drift)
+    assert np.array_equal(bundle.sigma2, sigma2)
+    assert np.array_equal(bundle.increments, increments)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.05 / 50, 0.1, 1.0 / 3.0, 7.3e-5])
+def test_switch_index_matches_a_search_of_the_grid(dt):
+    # jump times at, just below and just above every grid point, and past
+    # the end, where the plain ceil(time / dt) is often one step off
+    n_steps = 20_000
+    grid = np.arange(n_steps) * dt
+    times = np.concatenate([
+        grid, np.nextafter(grid, np.inf), np.nextafter(grid, -np.inf), [n_steps * dt, 2e9 * dt]
+    ])
+    expected = np.searchsorted(grid, times, side="left")
+    assert np.array_equal(vol_sim._first_at_or_after(times, dt, n_steps), expected)
+
+
+def test_concurrent_bundles_match_serial_ones():
+    # each call owns its threads: four calls at once, with thread switches
+    # forced often, give the serial bits
+    seeds = range(8)
+    with mock.patch.object(vol_sim, "_CHUNK", 7):
+        serial = [simulate_bundle("regime", REGIME, 200, 0.05, s).increments for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(simulate_bundle, "regime", REGIME, 200, 0.05, s) for s in seeds]
+                together = [f.result(timeout=60).increments for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, together))
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of sigma2 and increments for 9000 increments at delta 0.05, seed
+# 2024, recorded from the unchunked simulator (numpy 2.4, scipy 1.17, x86-64)
+PINNED = {
+    "ou": ("312f3f44db4d008085926b2e42da533d61878838a726e15332ac7e084d48c76c",
+           "1557d76fdd4d0148c2a9ec6ed4fcde2c5964c3493ea5db296e9d1524189c65b7"),
+    "regime": ("6a0a7989664527f2756fa0fdb252c6c9950af98c3e7cb584c6101f1cb74f4f55",
+               "aefd6f41b1c92d6ffc01606720c5652c539f3803510bf31ec0b4b41984133292"),
+}
+
+
+@pytest.mark.parametrize("model", ["ou", "regime"])
+def test_bundle_bits_are_pinned(model):
+    bundle = simulate_bundle(model, OU if model == "ou" else REGIME, 9000, 0.05, seed=2024)
+    assert (_digest(bundle.sigma2), _digest(bundle.increments)) == PINNED[model]
