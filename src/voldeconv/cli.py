@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .deconv_kernel import build_table, sup_bound
+from .deconv_kernel import build_table
 from .errors import ConfigError, InputError
 from .estimator import (
     EstimatorConfig,
@@ -38,7 +38,7 @@ from .experiment import (
     truth_for_model,
 )
 from .smoothing_kernel import builtin_kernel, eval_w
-from .vol_sim import simulate_bundle
+from .vol_sim import MODELS, simulate_bundle
 
 _TABLE_GRID_DEFAULT = "-40.0:40.0:4096"
 
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     kt.set_defaults(func=_cmd_kernel_table)
 
     sim = sub.add_parser("simulate", help="simulate increments for a model")
-    sim.add_argument("--model", required=True, choices=["ou", "regime"])
+    sim.add_argument("--model", required=True, choices=list(MODELS))
     sim.add_argument("--params", required=True, help="flat key = value file")
     sim.add_argument("--n", required=True, type=int)
     sim.add_argument("--delta", required=True, type=float)
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=_cmd_estimate)
 
     tr = sub.add_parser("truth", help="dump a closed-form target density")
-    tr.add_argument("--model", required=True, choices=["ou", "regime"])
+    tr.add_argument("--model", required=True, choices=list(MODELS))
     tr.add_argument("--params", required=True)
     tr.add_argument("--times", required=True)
     tr.add_argument("--grid", required=True, metavar="LO:HI:N[,LO:HI:N...]")

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import math
+import numbers
 
 
 class NotFoundError(LookupError):
@@ -30,3 +33,19 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """Malformed or insufficient input data."""
+
+
+def _require_integer(name: str, value, least: int, error: type) -> None:
+    """Refuse a value that is not an integer (bools included) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value}")
+
+
+def _require_finite_positive(name: str, value, error: type) -> None:
+    """Refuse a value that is not a finite positive real number (bools included)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
+    ):
+        raise error(f"{name} must be finite and positive, got {value!r}")

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .deconv_kernel import DeconvTable, eval_table
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _require_finite_positive
 
 _CLAMP_FLOOR_DEFAULT = 1e-12
 
@@ -61,9 +61,10 @@ def normalized_increments(prices, delta: float):
     """Price differences over one sampling interval, divided by sqrt(delta)."""
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 1 or prices.size < 2:
-        raise InputError("need at least 2 price points to form increments")
-    if not delta > 0.0:
-        raise InputError(f"delta must be positive, got {delta}")
+        raise InputError(
+            f"need at least 2 price points to form increments, got shape {prices.shape}"
+        )
+    _require_finite_positive("delta", delta, InputError)
     return np.diff(prices) / np.sqrt(delta)
 
 
@@ -83,13 +84,19 @@ def log_square_transform(x, clamp_floor: float = _CLAMP_FLOOR_DEFAULT):
     return vals, int(np.count_nonzero(clamped))
 
 
-def _check_times(t: np.ndarray) -> None:
+def _check_times(times) -> np.ndarray:
+    """times as a float array, refused unless a non-empty 1-D sequence of
+    positive finite values."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 1:
+        raise ConfigError(f"times must be a non-empty 1-D sequence, got {t.tolist()}")
     # "not t > 0" so that NaN fails too: every comparison with NaN is false
     bad = t[~(t > 0.0)]
     if bad.size:
         raise ConfigError(f"target times must be positive, got {bad.tolist()}")
     if np.any(np.isinf(t)):
         raise ConfigError(f"target times must be finite, got {t.tolist()}")
+    return t
 
 
 def _floor_index(t: float, delta: float) -> int:
@@ -121,8 +128,7 @@ class ObservationSet:
     axis_order: tuple = field(default=())
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        _require_finite_positive("delta", self.delta, ConfigError)
         bad = ~np.isfinite(np.asarray(self.log_sq, dtype=float))
         if np.any(bad):
             # one NaN would poison every estimate; reject it before any work
@@ -131,21 +137,24 @@ class ObservationSet:
                 f"{int(np.count_nonzero(bad))} non-finite log-squared "
                 f"increments, the first at index {first}"
             )
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ConfigError("times must be a non-empty 1-D sequence")
-        _check_times(t)
+        t = _check_times(self.times)
         if not np.all(np.diff(t) > 0.0):
             raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
         off = np.asarray(self.index_offsets)
         if off.size != t.size or np.any(np.diff(off) < 0):
-            raise ConfigError("index offsets must be nondecreasing, one per time")
+            raise ConfigError(
+                f"index offsets must be nondecreasing, one per time, got "
+                f"{off.tolist()} for {t.size} times"
+            )
         object.__setattr__(self, "times", tuple(float(v) for v in t))
         object.__setattr__(self, "index_offsets", tuple(int(v) for v in off))
         if not self.axis_order:
             object.__setattr__(self, "axis_order", tuple(range(t.size)))
         if self.m < 1:
-            raise InputError("series too short for requested time spread")
+            raise InputError(
+                f"series too short for requested time spread: n = {self.n} "
+                f"increments, index offsets span {off[-1] - off[0]}"
+            )
 
     @property
     def n(self) -> int:
@@ -170,10 +179,8 @@ class ObservationSet:
     ) -> "ObservationSet":
         """Build from normalized increments, sorting times and recording the
         caller's coordinate order."""
-        user_times = np.asarray(times, dtype=float)
-        if user_times.ndim != 1 or user_times.size < 1:
-            raise ConfigError("times must be a non-empty 1-D sequence")
-        _check_times(user_times)
+        _require_finite_positive("delta", delta, ConfigError)
+        user_times = _check_times(times)
         order = tuple(int(i) for i in np.argsort(user_times, kind="stable"))
         sorted_times = user_times[list(order)]
         log_sq, n_clamped = log_square_transform(increments, clamp_floor)
@@ -213,14 +220,11 @@ class EstimatorConfig:
     bandwidth_override: Optional[float] = None
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        _require_finite_positive("gamma", self.gamma, ConfigError)
         if not 0.0 < self.delta_exp < 1.0:
             raise ConfigError(f"delta_exp must be in (0, 1), got {self.delta_exp}")
-        if self.bandwidth_override is not None and not self.bandwidth_override > 0.0:
-            raise ConfigError(
-                f"bandwidth_override must be positive, got {self.bandwidth_override}"
-            )
+        if self.bandwidth_override is not None:
+            _require_finite_positive("bandwidth_override", self.bandwidth_override, ConfigError)
 
 
 def default_bandwidth(n: int, p: int, cfg: EstimatorConfig) -> float:
@@ -298,8 +302,6 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     target times were originally supplied in); the result carries the same
     orientation.  The bandwidth is the table's.
     """
-    if obs.m < 1:
-        raise InputError("series too short for requested time spread")
     p = obs.p
     axes = [np.asarray(a, dtype=float).ravel() for a in axes]
     if len(axes) != p:

@@ -30,7 +30,7 @@ from .analytic_truth import (
     scaled_truth,
 )
 from .deconv_kernel import build_table
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _require_integer
 from .estimator import (
     _CLAMP_FLOOR_DEFAULT,
     DensityGrid,
@@ -42,12 +42,11 @@ from .estimator import (
 )
 from .quadrature import gauss_legendre_box, tensor_quadrature
 from .smoothing_kernel import builtin_kernel, kernel_moments
-from .vol_sim import OUParams, RegimeSwitchParams, simulate_bundle
+from .vol_sim import MODELS, OUParams, RegimeSwitchParams, simulate_bundle
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
 _AUTO_POINTS = {1: 201, 2: 61, 3: 31}
 _LOG_SQ_FLOOR = 2.0 * np.log(_CLAMP_FLOOR_DEFAULT)  # floor of the log-square transform
-_PARAMS_TYPE = {"ou": OUParams, "regime": RegimeSwitchParams}
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,9 @@ class ExperimentConfig:
     subgrid_ratio: int = 50
 
     def __post_init__(self):
-        if self.model not in _PARAMS_TYPE:
+        if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}")
-        expected = _PARAMS_TYPE[self.model]
+        expected = MODELS[self.model]
         if not isinstance(self.params, expected):
             raise ConfigError(
                 f"model {self.model!r} needs {expected.__name__} params, "
@@ -82,8 +81,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"regimes must share a and b, got ou0 = {ou0}, ou1 = {ou1}"
                 )
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        _require_integer("replications", self.replications, 1, ConfigError)
         sched = tuple(int(n) for n in self.n_schedule)
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"n schedule must be strictly increasing, got {sched}")
@@ -355,7 +353,6 @@ class MonteCarloReport:
     records: Tuple[ExperimentRecord, ...]
     aggregate: Tuple[AggregateRow, ...]
     grids: dict
-    axes: tuple
     bandwidths: dict
     warnings: Tuple[str, ...]
     truncated_mass: float
@@ -499,7 +496,6 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
         records=tuple(records),
         aggregate=tuple(aggregate),
         grids=grids,
-        axes=tuple(np.asarray(a) for a in axes),
         bandwidths=bandwidths,
         warnings=tuple(notes),
         truncated_mass=truncated_mass,

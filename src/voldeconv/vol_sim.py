@@ -23,14 +23,12 @@ generators read as one chunk.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _require_finite_positive, _require_integer
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -85,6 +83,10 @@ class RegimeSwitchParams:
         return np.array([self.a1 / s, self.a0 / s])
 
 
+# the volatility models simulate_bundle knows, by name, with their params type
+MODELS = {"ou": OUParams, "regime": RegimeSwitchParams}
+
+
 def _normal_chunks(seed: SeedLike, size: int, chunk: int):
     """Yield default_rng(seed)'s first `size` standard normals in pieces of at
     most `chunk`; joined, they are the bits of one standard_normal(size)."""
@@ -127,10 +129,8 @@ def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
     eta_k ~ N(0, (b^2/2a)(1 - e^{-2 a dt})), and X_0 drawn stationary.  One
     standard-normal draw per step, in order, from default_rng(seed).
     """
-    if n_steps < 1:
-        raise InputError(f"n_steps must be at least 1, got {n_steps}")
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    _require_integer("n_steps", n_steps, 1, InputError)
+    _require_finite_positive("dt", dt, ConfigError)
     return next(_ou_chunks(params, n_steps, dt, seed, n_steps))
 
 
@@ -139,7 +139,7 @@ def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
     distribution at time t started from state j (columns sum to 1)."""
     if not (a0 > 0.0 and a1 > 0.0):
         raise ConfigError(f"intensities must be positive, got ({a0}, {a1})")
-    if t < 0.0:
+    if not t >= 0.0:  # NaN fails too
         raise ConfigError(f"t must be nonnegative, got {t}")
     s = a0 + a1
     d = np.exp(-s * t)
@@ -225,10 +225,8 @@ def simulate_regime_switch(
     are independent OU paths.  Child streams of `seed`, in order: chain,
     X^0, X^1.
     """
-    if n_steps < 1:
-        raise InputError(f"n_steps must be at least 1, got {n_steps}")
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    _require_integer("n_steps", n_steps, 1, InputError)
+    _require_finite_positive("dt", dt, ConfigError)
     return next(_regime_chunks(params, n_steps, dt, seed, n_steps))
 
 
@@ -245,16 +243,13 @@ def _price_block(sigma2, z, fine_dt, delta, ratio, drift, start):
     return steps.reshape(-1, ratio).sum(axis=1) / np.sqrt(delta)
 
 
-def _check_variance(sigma2: np.ndarray, nonpositive_error: type) -> None:
-    """Refuse NaN or infinite sigma^2 (InputError) and sigma^2 <= 0."""
+def _check_variance(sigma2: np.ndarray) -> None:
+    """Refuse NaN, infinite and non-positive sigma^2."""
     if sigma2.min() > 0.0 and sigma2.max() < np.inf:  # NaN fails both
         return
-    for bad, what, error in (
-        (~np.isfinite(sigma2), "non-finite", InputError),
-        (sigma2 <= 0.0, "non-positive", nonpositive_error),
-    ):
+    for bad, what in ((~np.isfinite(sigma2), "non-finite"), (sigma2 <= 0.0, "non-positive")):
         if np.any(bad):
-            raise error(
+            raise InputError(
                 f"{int(np.count_nonzero(bad))} {what} sigma^2 values, the first "
                 f"at index {int(np.flatnonzero(bad)[0])}"
             )
@@ -277,10 +272,12 @@ def integrate_price(
     """
     sigma2 = np.asarray(sigma2_path, dtype=float)
     if sigma2.ndim != 1 or sigma2.size < 1:
-        raise InputError("sigma2_path must be a non-empty 1-D sequence")
-    _check_variance(sigma2, InputError)
-    if not (fine_dt > 0.0 and delta > 0.0):
-        raise ConfigError(f"need positive steps, got fine_dt={fine_dt}, delta={delta}")
+        raise InputError(
+            f"sigma2_path must be a non-empty 1-D sequence, got shape {sigma2.shape}"
+        )
+    _check_variance(sigma2)
+    _require_finite_positive("fine_dt", fine_dt, ConfigError)
+    _require_finite_positive("delta", delta, ConfigError)
     ratio_f = delta / fine_dt
     ratio = int(round(ratio_f))
     if abs(ratio_f - ratio) > 1e-9 * max(1.0, ratio_f) or ratio < 10:
@@ -298,43 +295,37 @@ def integrate_price(
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    """One simulated realization: fine sigma^2 path plus price increments.
+    """One simulated realization: price increments plus the fine sigma^2 path.
 
-    fine_dt    : substep of the sigma^2 lattice.
-    sigma2     : sigma^2 at substep left endpoints, finite and strictly positive.
-    increments : normalized price increments, one per delta interval.
-    delta      : sampling interval; delta/fine_dt is a positive integer.
-    seed       : master seed the bundle was generated from.
+    increments    : normalized price increments, one per delta interval.
+    delta         : sampling interval, finite and positive.
+    subgrid_ratio : substeps per delta interval, an integer of at least 10.
+    sigma2        : sigma^2 at substep left endpoints, finite and strictly
+                    positive, subgrid_ratio of them per increment.
     """
 
-    fine_dt: float
-    sigma2: np.ndarray
     increments: np.ndarray
     delta: float
-    seed: int
+    subgrid_ratio: int
+    sigma2: np.ndarray
 
     def __post_init__(self):
-        if not (self.fine_dt > 0.0 and self.delta > 0.0):
-            raise ConfigError("fine_dt and delta must be positive")
-        ratio_f = self.delta / self.fine_dt
-        if abs(ratio_f - round(ratio_f)) > 1e-9 * max(1.0, ratio_f) or ratio_f < 1:
-            raise ConfigError(
-                f"delta/fine_dt = {ratio_f} must be a positive integer"
-            )
+        _require_finite_positive("delta", self.delta, ConfigError)
+        _require_integer("subgrid_ratio", self.subgrid_ratio, 10, ConfigError)
         sigma2 = np.asarray(self.sigma2, dtype=float)
-        expected = np.asarray(self.increments).size * self.subgrid_ratio
-        if sigma2.size != expected:
+        n = np.asarray(self.increments).size
+        if sigma2.size != n * self.subgrid_ratio:
             raise ConfigError(
-                f"sigma2 length {sigma2.size} does not cover "
-                f"{np.asarray(self.increments).size} increments at ratio "
-                f"{self.subgrid_ratio}"
+                f"sigma2 length {sigma2.size} does not cover {n} increments "
+                f"at ratio {self.subgrid_ratio}"
             )
         if sigma2.size:
-            _check_variance(sigma2, ConfigError)
+            _check_variance(sigma2)
 
     @property
-    def subgrid_ratio(self) -> int:
-        return int(round(self.delta / self.fine_dt))
+    def fine_dt(self) -> float:
+        """Substep of the sigma^2 lattice."""
+        return self.delta / self.subgrid_ratio
 
 
 def _read_ahead(pool, chunks):
@@ -345,13 +336,6 @@ def _read_ahead(pool, chunks):
     while (item := future.result()) is not None:
         future = pool.submit(next, chunks, None)
         yield item
-
-
-def _require_integer(name: str, value, least: int, error: type) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise error(f"{name} must be at least {least}, got {value}")
 
 
 def simulate_bundle(
@@ -380,15 +364,12 @@ def simulate_bundle(
     """
     _require_integer("n", n, 1, InputError)
     _require_integer("subgrid_ratio", subgrid_ratio, 10, ConfigError)
-    if isinstance(delta, bool) or not (
-        isinstance(delta, numbers.Real) and math.isfinite(delta) and delta > 0.0
-    ):
-        raise ConfigError(f"delta must be finite and positive, got {delta!r}")
-    model_params = {"ou": OUParams, "regime": RegimeSwitchParams}
-    if model not in model_params:
-        raise ConfigError(f"unknown model {model!r}; expected 'ou' or 'regime'")
-    if not isinstance(params, model_params[model]):
-        raise ConfigError(f"model {model!r} requires {model_params[model].__name__}")
+    _require_finite_positive("delta", delta, ConfigError)
+    if model not in MODELS:
+        expected = " or ".join(map(repr, MODELS))
+        raise ConfigError(f"unknown model {model!r}; expected {expected}")
+    if not isinstance(params, MODELS[model]):
+        raise ConfigError(f"model {model!r} requires {MODELS[model].__name__}")
     from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
 
     fine_dt = delta / subgrid_ratio
@@ -412,9 +393,8 @@ def simulate_bundle(
                 s2, z, fine_dt, delta, subgrid_ratio, drift, start
             )
     return PathBundle(
-        fine_dt=fine_dt,
-        sigma2=sigma2,
         increments=increments,
         delta=float(delta),
-        seed=int(seed),
+        subgrid_ratio=int(subgrid_ratio),
+        sigma2=sigma2,
     )

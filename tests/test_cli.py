@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 import os
 
 import numpy as np
@@ -221,3 +222,33 @@ def test_simulate_names_a_bad_delta(tmp_path, capsys):
     ]) == 1
     assert "error: delta must be finite and positive, got inf" in capsys.readouterr().err
     assert not (tmp_path / "inc.txt").exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "nan", "inf", "-inf", "-0.1"])
+def test_estimate_names_a_bad_delta(tmp_path, capsys, delta):
+    inc_file = tmp_path / "inc.txt"
+    inc_file.write_text("0.01\n-0.02\n0.03\n")
+    out = tmp_path / "est.csv"
+    assert main([
+        "estimate", "--input", str(inc_file), f"--delta={delta}", "--times", "0.01",
+        "--gamma", "9.0", "--grid=-5:5:11", "--out", str(out),
+    ]) == 1
+    message = f"error: delta must be finite and positive, got {float(delta)!r}"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "truth"])
+def test_unknown_model_lists_the_models(tmp_path, capsys, command):
+    params = tmp_path / "ou.params"
+    params.write_text(PARAMS_OU)
+    args = {
+        "simulate": ["--n", "100", "--delta", "0.05", "--seed", "1",
+                     "--out", str(tmp_path / "inc.txt")],
+        "truth": ["--times", "1.0", "--grid=-5:5:11"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--model", "garch", "--params", str(params), *args])
+    assert info.value.code == 2
+    assert re.search(r"invalid choice: 'garch' \(choose from '?ou'?, '?regime'?\)",
+                     capsys.readouterr().err)

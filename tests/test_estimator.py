@@ -425,3 +425,52 @@ def test_p1_interval_sums_match_direct_sum(case):
     # sup|v_h| / h, below which quadrature rounding sets the floor
     scale = max(np.max(np.abs(ref)), tbl.sup_bound / _H)
     assert np.max(np.abs(est - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("delta", [0.0, np.nan, np.inf, -np.inf, -0.1])
+def test_observation_set_refuses_a_bad_delta(delta):
+    message = f"delta must be finite and positive, got {delta!r}"
+    inc = np.linspace(0.1, 1.0, 50)
+    with pytest.raises(ConfigError) as info:
+        ObservationSet.from_increments(inc, delta, (1.0,))
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        ObservationSet(delta=delta, log_sq=np.zeros(50), times=(1.0,), index_offsets=(10,))
+    assert str(info.value) == message
+    with pytest.raises(InputError) as info:
+        normalized_increments(np.arange(5.0), delta)
+    assert str(info.value) == message
+
+
+def test_observation_errors_name_the_value():
+    cases = [
+        (lambda: _obs_from_values(np.zeros(4), 0.1, (0.1, 0.9)), InputError,
+         "series too short for requested time spread: n = 4 increments, index offsets span 8"),
+        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0, 2.0),
+                                index_offsets=(20, 10)), ConfigError,
+         "index offsets must be nondecreasing, one per time, got [20, 10] for 2 times"),
+        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(),
+                                index_offsets=()), ConfigError,
+         "times must be a non-empty 1-D sequence, got []"),
+        (lambda: ObservationSet.from_increments(np.ones(50), 0.1, [[1.0, 2.0]]), ConfigError,
+         "times must be a non-empty 1-D sequence, got [[1.0, 2.0]]"),
+        (lambda: normalized_increments([1.0], 0.1), InputError,
+         "need at least 2 price points to form increments, got shape (1,)"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"gamma": np.inf}, "gamma must be finite and positive, got inf"),
+        ({"bandwidth_override": np.inf}, "bandwidth_override must be finite and positive, got inf"),
+    ],
+)
+def test_estimator_config_refuses_infinite_scales(overrides, message):
+    with pytest.raises(ConfigError) as info:
+        EstimatorConfig(**{"gamma": 9.0, "delta_exp": 0.5, **overrides})
+    assert str(info.value) == message

@@ -505,3 +505,17 @@ def test_regime_bimodality_detected_at_small_bandwidth():
     h = 1.2
     assert abs(found[0][0] + 4.0) < h and abs(found[0][1] + 4.0) < h
     assert abs(found[1][0] - 4.0) < h and abs(found[1][1] - 4.0) < h
+
+
+@pytest.mark.parametrize(
+    "replications, message",
+    [
+        (2.0, "replications must be an integer, got 2.0"),
+        (True, "replications must be an integer, got True"),
+        (0, "replications must be at least 1, got 0"),
+    ],
+)
+def test_replications_must_be_a_positive_integer(replications, message):
+    with pytest.raises(ConfigError) as info:
+        _small_config(replications=replications)
+    assert str(info.value) == message

@@ -177,7 +177,7 @@ def test_non_finite_variance_is_refused(bad):
     with pytest.raises(InputError, match="10 non-finite sigma\\^2 values, the first at index 1"):
         integrate_price(sigma2, 0.1, 1.0)
     with pytest.raises(InputError, match="10 non-finite sigma\\^2 values, the first at index 1"):
-        PathBundle(fine_dt=0.1, sigma2=sigma2, increments=np.zeros(2), delta=1.0, seed=0)
+        PathBundle(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=sigma2)
 
 
 def test_bundle_shapes_and_determinism():
@@ -216,7 +216,7 @@ def test_bundle_unknown_model():
 
 def test_bundle_validation():
     with pytest.raises(ConfigError):
-        PathBundle(fine_dt=0.01, sigma2=np.ones(105), increments=np.ones(10), delta=0.1, seed=0)
+        PathBundle(increments=np.ones(10), delta=0.1, subgrid_ratio=10, sigma2=np.ones(105))
     with pytest.raises(ConfigError):
         simulate_bundle("ou", OU, 100, 0.05, seed=1, subgrid_ratio=5)
 
@@ -336,3 +336,70 @@ PINNED = {
 def test_bundle_bits_are_pinned(model):
     bundle = simulate_bundle(model, OU if model == "ou" else REGIME, 9000, 0.05, seed=2024)
     assert (_digest(bundle.sigma2), _digest(bundle.increments)) == PINNED[model]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"subgrid_ratio": 50.5}, "subgrid_ratio must be an integer, got 50.5"),
+        ({"subgrid_ratio": 9}, "subgrid_ratio must be at least 10, got 9"),
+        ({"subgrid_ratio": True}, "subgrid_ratio must be an integer, got True"),
+        ({"delta": np.inf}, "delta must be finite and positive, got inf"),
+        ({"delta": np.nan}, "delta must be finite and positive, got nan"),
+        ({"delta": 0.0}, "delta must be finite and positive, got 0.0"),
+        ({"delta": -0.1}, "delta must be finite and positive, got -0.1"),
+    ],
+)
+def test_path_bundle_arguments_are_checked(overrides, message):
+    args = dict(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=np.ones(20))
+    args.update(overrides)
+    with pytest.raises(ConfigError) as info:
+        PathBundle(**args)
+    assert str(info.value) == message
+
+
+def test_path_bundle_fine_dt_is_delta_over_ratio():
+    bundle = simulate_bundle("ou", OU, 30, 0.013, seed=5, subgrid_ratio=30)
+    assert (bundle.delta, bundle.subgrid_ratio) == (0.013, 30)
+    assert bundle.fine_dt == 0.013 / 30
+
+
+def test_path_bundle_refuses_negative_variance_as_input():
+    sigma2 = np.ones(20)
+    sigma2[3] = -1.0
+    with pytest.raises(InputError) as info:
+        PathBundle(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=sigma2)
+    assert str(info.value) == "1 non-positive sigma^2 values, the first at index 3"
+
+
+@pytest.mark.parametrize("simulate, params", [(simulate_ou, OU), (simulate_regime_switch, REGIME)])
+@pytest.mark.parametrize(
+    "n_steps, dt, error, message",
+    [
+        (10.0, 0.1, InputError, "n_steps must be an integer, got 10.0"),
+        (True, 0.1, InputError, "n_steps must be an integer, got True"),
+        (0, 0.1, InputError, "n_steps must be at least 1, got 0"),
+        (10, np.inf, ConfigError, "dt must be finite and positive, got inf"),
+        (10, np.nan, ConfigError, "dt must be finite and positive, got nan"),
+        (10, 0.0, ConfigError, "dt must be finite and positive, got 0.0"),
+    ],
+)
+def test_path_simulators_check_their_arguments(simulate, params, n_steps, dt, error, message):
+    with pytest.raises(error) as info:
+        simulate(params, n_steps, dt, seed=1)
+    assert str(info.value) == message
+
+
+def test_markov_transition_refuses_nan_time():
+    with pytest.raises(ConfigError) as info:
+        markov_transition(1.0, 1.0, np.nan)
+    assert str(info.value) == "t must be nonnegative, got nan"
+
+
+def test_integrate_price_names_a_bad_path_or_step():
+    with pytest.raises(InputError) as info:
+        integrate_price(np.ones((2, 10)), 0.1, 1.0)
+    assert str(info.value) == "sigma2_path must be a non-empty 1-D sequence, got shape (2, 10)"
+    with pytest.raises(ConfigError) as info:
+        integrate_price(np.ones(10), np.inf, 1.0)
+    assert str(info.value) == "fine_dt must be finite and positive, got inf"
