@@ -13,13 +13,16 @@ accumulation order is fixed, so a re-run reproduces results bit for bit.
 
 v_h is read from a DeconvTable, which is piecewise linear on a uniform
 lattice t_0 < ... < t_{L-1} of step dt.  For p >= 2 the sum is a sweep over
-observation blocks: G_1 + ... + G_p table lookups per observation, each by
-O(1) index arithmetic on the lattice (see eval_table), then one product of
-the per-axis factor matrices.  For p = 1 the sum is taken exactly per lattice
-interval instead.  With the m values sorted once and their prefix sums taken,
-the data falling in interval l for grid point x (those Y with (x - Y)/h in
-[t_l, t_{l+1})) are one contiguous run, found by np.searchsorted at the
-breakpoints x - h t_l; its count N_l and sum S_l give
+blocks of w observations: table lookups by O(1) index arithmetic on the
+lattice (see eval_table), then one product of the per-axis factor matrices.
+Coordinate k is the series at a lag, Y_{j,k} = log_sq[j + lag_k], so the
+factors of bit-equal axes are column shifts of one lookup matrix: per block
+a group of them costs G (w + span) lookups, not G w per axis.  For p = 1 the
+sum is taken exactly per lattice interval instead.  With the m values sorted
+once and their prefix sums taken, the data falling in interval l for grid
+point x (those Y with (x - Y)/h in [t_l, t_{l+1})) are one contiguous run,
+found by np.searchsorted at the breakpoints x - h t_l; its count N_l and sum
+S_l give
 
     sum_{j in l} T((x - Y_j)/h) = N_l v_l + slope_l (N_l (x/h - t_l) - S_l/h),
 
@@ -197,15 +200,6 @@ class ObservationSet:
         )
 
 
-def _observation_matrix(obs: ObservationSet) -> np.ndarray:
-    """All m observation vectors as an (m, p) matrix of lagged views."""
-    log_sq = np.asarray(obs.log_sq, dtype=float)
-    off = np.asarray(obs.index_offsets, dtype=int)
-    m = obs.m
-    cols = [log_sq[int(k - off[0]) : int(k - off[0]) + m] for k in off]
-    return np.stack(cols, axis=1)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Bandwidth and sampling-rate schedule knobs.
@@ -272,8 +266,10 @@ class DensityGrid:
             raise ConfigError(
                 f"values shape {self.values.shape} does not match axes {shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("grid values must be finite")
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            raise ConfigError(f"grid values must be finite, got {len(bad)} non-finite, "
+                              f"the first at index {tuple(bad[0].tolist())}")
 
     def mass(self) -> float:
         """Trapezoid integral of values over the grid box."""
@@ -289,7 +285,7 @@ def marginalize(grid: DensityGrid, axis: int) -> DensityGrid:
     if not 0 <= axis < p:
         raise ConfigError(f"axis {axis} out of range for p = {p}")
     if p == 1:
-        raise ConfigError("cannot marginalize a 1-D grid")
+        raise ConfigError(f"cannot marginalize axis {axis} of a 1-D grid, shape {grid.values.shape}")
     vals = np.trapezoid(grid.values, x=grid.axes[axis], axis=axis)
     axes = tuple(a for i, a in enumerate(grid.axes) if i != axis)
     return DensityGrid(axes=axes, values=vals)
@@ -307,39 +303,61 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     if len(axes) != p:
         raise ConfigError(f"got {len(axes)} grid axes for p = {p} target times")
     if p > 3:
-        raise ConfigError("p > 3 is not supported")
+        raise ConfigError(f"p > 3 is not supported, got p = {p}")
 
     h = table.bandwidth
-    ymat = _observation_matrix(obs)
-    m = ymat.shape[0]
+    m = obs.m
 
     # axes arrive in caller order; computation runs in sorted-time order
     order = list(obs.axis_order)
     sorted_axes = [axes[order[k]] for k in range(p)]
 
+    # coordinate k of vector j is log_sq[j + lag_k], lag_k = offset_k - offset_0
+    log_sq = np.asarray(obs.log_sq, dtype=float)
     if p == 1:
-        acc = _interval_sums(ymat[:, 0], sorted_axes[0], table)
+        acc = _interval_sums(log_sq[:m], sorted_axes[0], table)
         return DensityGrid(axes=tuple(axes), values=acc / (m * h))
 
-    shape = tuple(a.size for a in sorted_axes)
-    acc = np.zeros(shape)
+    lags = [off - obs.index_offsets[0] for off in obs.index_offsets]
+    groups = _lag_groups(sorted_axes, lags, log_sq, table)
+    acc = np.zeros(tuple(a.size for a in sorted_axes))
     for lo in range(0, m, _JCHUNK):
-        blk = ymat[lo : lo + _JCHUNK]
-        factors = [
-            eval_table(table, (sorted_axes[k][:, None] - blk[None, :, k]) / h)
-            for k in range(p)
-        ]
+        w = min(_JCHUNK, m - lo)
+        factors = [None] * p
+        for group in groups:
+            first = lags[group[0]]
+            args = sorted_axes[group[0]][:, None] - log_sq[lo + first : lo + w + lags[group[-1]]]
+            shared = eval_table(table, args / h)
+            for k in group:
+                factors[k] = shared[:, lags[k] - first : lags[k] - first + w]
         if p == 2:
             acc += factors[0] @ factors[1].T
         else:
             acc += np.einsum("am,bm,cm->abc", *factors)
-    values = acc / (m * h**p)
-
-    # transpose back to caller order: caller axis a sits at sorted slot
-    # inverse_order[a]
-    inv = np.argsort(order)
-    values = np.transpose(values, axes=inv)
+    # back to caller order: caller axis a sits at sorted slot argsort(order)[a]
+    values = np.transpose(acc / (m * h**p), axes=np.argsort(order))
     return DensityGrid(axes=tuple(axes), values=values)
+
+
+def _lag_groups(axes, lags, log_sq, table) -> list:
+    """Sorted-axis indices grouped to share one lookup matrix per block:
+    bit-equal axes at distinct lags less than _JCHUNK apart.  A repeated lag
+    stays alone (numpy would send a slice times its own transpose to BLAS
+    syrk, 6.9e-18 off gemm), as does an axis whose arguments (x - Y)/h, bounded
+    by the extreme ones, can leave the lattice (quadrature bits vary by batch).
+    """
+    h, t = table.bandwidth, table.grid_x
+    groups = []
+    for k, x in enumerate(axes):
+        on_lattice = x.size == 0 or (
+            (x.min() - log_sq.max()) / h >= t[0] and (x.max() - log_sq.min()) / h <= t[-1])
+        for g in groups if on_lattice else ():
+            if lags[g[-1]] < lags[k] < lags[g[0]] + _JCHUNK and np.array_equal(axes[g[0]], x):
+                g.append(k)
+                break
+        else:
+            groups.append([k])
+    return groups
 
 
 def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarray:

@@ -42,7 +42,7 @@ from .estimator import (
 )
 from .quadrature import gauss_legendre_box, tensor_quadrature
 from .smoothing_kernel import builtin_kernel, kernel_moments
-from .vol_sim import MODELS, OUParams, RegimeSwitchParams, simulate_bundle
+from .vol_sim import MIN_SUBGRID_RATIO, MODELS, OUParams, RegimeSwitchParams, simulate_bundle
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
 _AUTO_POINTS = {1: 201, 2: 61, 3: 31}
@@ -82,11 +82,12 @@ class ExperimentConfig:
                     f"regimes must share a and b, got ou0 = {ou0}, ou1 = {ou1}"
                 )
         _require_integer("replications", self.replications, 1, ConfigError)
+        _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
         sched = tuple(int(n) for n in self.n_schedule)
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"n schedule must be strictly increasing, got {sched}")
         if not self.times:
-            raise ConfigError("need at least one target time")
+            raise ConfigError(f"need at least one target time, got {self.times!r}")
         t = self.times
         if not all(0.0 < v < np.inf for v in t) or any(b <= a for a, b in zip(t, t[1:])):
             raise ConfigError(
@@ -233,13 +234,13 @@ def truth_for_model(model: str, params, times) -> TruthDensity:
             return ou_logsq_marginal(params)
         if p == 2:
             return ou_bivariate(params, times[0], times[1])
-        raise ConfigError("closed-form OU truth is shipped for p <= 2 only")
+        raise ConfigError(f"closed-form OU truth is shipped for p <= 2 only, got p = {p}")
     if model == "regime":
         if p == 1:
             return scaled_truth(regime_marginal(params), 2.0)
         if p == 2:
             return scaled_truth(regime_bivariate(params, times[0], times[1]), 2.0)
-        raise ConfigError("closed-form regime truth is shipped for p <= 2 only")
+        raise ConfigError(f"closed-form regime truth is shipped for p <= 2 only, got p = {p}")
     raise ConfigError(f"unknown model {model!r}")
 
 

@@ -34,6 +34,7 @@ SeedLike = Union[int, np.random.SeedSequence]
 
 # increments per simulate_bundle chunk; the output does not depend on it
 _CHUNK = 4096
+MIN_SUBGRID_RATIO = 10  # fewest fine substeps per delta interval
 
 
 @dataclass(frozen=True)
@@ -48,10 +49,10 @@ class OUParams:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ConfigError(f"mean-reversion rate a must be positive, got {self.a}")
-        if not self.b > 0.0:
-            raise ConfigError(f"diffusion b must be positive, got {self.b}")
+        _require_finite_positive("a", self.a, ConfigError)
+        _require_finite_positive("b", self.b, ConfigError)
+        if not np.isfinite(self.mu):
+            raise ConfigError(f"mu must be finite, got {self.mu!r}")
 
     @property
     def stationary_var(self) -> float:
@@ -72,10 +73,8 @@ class RegimeSwitchParams:
     ou1: "OUParams"
 
     def __post_init__(self):
-        if not (self.a0 > 0.0 and self.a1 > 0.0):
-            raise ConfigError(
-                f"transition intensities must be positive, got ({self.a0}, {self.a1})"
-            )
+        _require_finite_positive("a0", self.a0, ConfigError)
+        _require_finite_positive("a1", self.a1, ConfigError)
 
     @property
     def stationary_probs(self) -> np.ndarray:
@@ -137,8 +136,8 @@ def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
 def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
     """Transition matrix Q(t) of the two-state chain; column j is the
     distribution at time t started from state j (columns sum to 1)."""
-    if not (a0 > 0.0 and a1 > 0.0):
-        raise ConfigError(f"intensities must be positive, got ({a0}, {a1})")
+    _require_finite_positive("a0", a0, ConfigError)
+    _require_finite_positive("a1", a1, ConfigError)
     if not t >= 0.0:  # NaN fails too
         raise ConfigError(f"t must be nonnegative, got {t}")
     s = a0 + a1
@@ -280,9 +279,9 @@ def integrate_price(
     _require_finite_positive("delta", delta, ConfigError)
     ratio_f = delta / fine_dt
     ratio = int(round(ratio_f))
-    if abs(ratio_f - ratio) > 1e-9 * max(1.0, ratio_f) or ratio < 10:
+    if abs(ratio_f - ratio) > 1e-9 * max(1.0, ratio_f) or ratio < MIN_SUBGRID_RATIO:
         raise ConfigError(
-            f"delta/fine_dt = {ratio_f} must be an integer of at least 10"
+            f"delta/fine_dt = {ratio_f} must be an integer of at least {MIN_SUBGRID_RATIO}"
         )
     if sigma2.size % ratio != 0:
         raise ConfigError(
@@ -311,7 +310,7 @@ class PathBundle:
 
     def __post_init__(self):
         _require_finite_positive("delta", self.delta, ConfigError)
-        _require_integer("subgrid_ratio", self.subgrid_ratio, 10, ConfigError)
+        _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
         sigma2 = np.asarray(self.sigma2, dtype=float)
         n = np.asarray(self.increments).size
         if sigma2.size != n * self.subgrid_ratio:
@@ -363,7 +362,7 @@ def simulate_bundle(
     equivalent) bit for bit, whatever the chunk size or thread timing.
     """
     _require_integer("n", n, 1, InputError)
-    _require_integer("subgrid_ratio", subgrid_ratio, 10, ConfigError)
+    _require_integer("subgrid_ratio", subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
     _require_finite_positive("delta", delta, ConfigError)
     if model not in MODELS:
         expected = " or ".join(map(repr, MODELS))

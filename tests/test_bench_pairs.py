@@ -1,0 +1,83 @@
+"""Tests of the paired-benchmark summary in tools/bench_pairs.py."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = {
+    "ops_per_s": {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+}
+
+
+def _runs(metric, parent, change):
+    """One finished run per side and pair, the given values in pair order."""
+    runs = []
+    for side, values in (("parent", parent), ("change", change)):
+        for pair, value in enumerate(values):
+            result = {"metrics": {f"mc-joint.{metric}": {"value": value}}}
+            runs.append({"side": side, "pair": pair, "result": result})
+    return runs
+
+
+def _entry(metric, parent, change):
+    return bench_pairs.summarize(_runs(metric, parent, change), METRICS)[f"mc-joint.{metric}"]
+
+
+PARENT = [1.30, 1.35, 1.38, 1.33, 1.36, 1.40, 1.31, 1.37, 1.34, 1.39]
+
+
+def test_clear_win_is_resolved():
+    entry = _entry("ops_per_s", PARENT, [v * 1.2 for v in PARENT])
+    assert entry["change_wins"] == 10
+    assert entry["gain_resolved"] and entry["within_bound"]
+
+
+def test_tie_is_not_resolved_but_within_bound():
+    # the change wins 5 pairs by a hair, far inside the parent's spread
+    change = [v + (1e-3 if i % 2 else -1e-3) for i, v in enumerate(PARENT)]
+    entry = _entry("ops_per_s", PARENT, change)
+    assert entry["change_wins"] == 5
+    assert not entry["gain_resolved"]
+    assert entry["within_bound"]
+
+
+def test_nine_wins_inside_the_spread_are_not_resolved():
+    # 9/10 pairs won, but the median moves by less than the parent's q3 - q1
+    change = [v + 0.005 for v in PARENT[:9]] + [PARENT[9] - 0.005]
+    entry = _entry("ops_per_s", PARENT, change)
+    assert entry["change_wins"] == 9
+    assert not entry["gain_resolved"]
+
+
+@pytest.mark.parametrize(
+    "metric, factor, within",
+    [("ops_per_s", 0.76, True), ("ops_per_s", 0.74, False),
+     ("peak_rss_mb", 1.04, True), ("peak_rss_mb", 1.06, False)],
+)
+def test_regression_against_the_bound(metric, factor, within):
+    # ops_per_s may fall by 25 %, peak_rss_mb rise by 5 %
+    entry = _entry(metric, PARENT, [v * factor for v in PARENT])
+    assert entry["change_wins"] == 0
+    assert not entry["gain_resolved"]
+    assert entry["within_bound"] is within
+
+
+def test_lower_is_better_metrics_win_by_falling():
+    entry = _entry("peak_rss_mb", PARENT, [v * 0.8 for v in PARENT])
+    assert entry["change_wins"] == 10
+    assert entry["gain_resolved"] and entry["within_bound"]
+
+
+def test_failed_runs_and_metrics_without_a_direction_are_left_out():
+    runs = _runs("ops_per_s", PARENT, PARENT) + _runs("setup.s", PARENT, PARENT)
+    runs[12]["result"] = None  # the change's third run failed
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert summary["mc-joint.ops_per_s"]["pairs"] == 9
+    assert "gain_resolved" not in summary["mc-joint.setup.s"]

@@ -30,10 +30,19 @@ from voldeconv import (
     vh_quadrature,
 )
 from voldeconv.errors import ConfigError, InputError
-from voldeconv.estimator import _JCHUNK, DensityGrid, _observation_matrix
+from voldeconv.estimator import _JCHUNK, DensityGrid
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
 SPEC = builtin_kernel("poly3")
+
+
+def _observation_matrix(obs):
+    """All m observation vectors as an (m, p) matrix: column k is the
+    log-squared series read from lag index_offsets[k] - index_offsets[0]."""
+    log_sq = np.asarray(obs.log_sq, dtype=float)
+    off = np.asarray(obs.index_offsets, dtype=int)
+    cols = [log_sq[int(k - off[0]) : int(k - off[0]) + obs.m] for k in off]
+    return np.stack(cols, axis=1)
 
 
 def _obs_from_values(log_sq, delta, times):
@@ -474,3 +483,71 @@ def test_estimator_config_refuses_infinite_scales(overrides, message):
     with pytest.raises(ConfigError) as info:
         EstimatorConfig(**{"gamma": 9.0, "delta_exp": 0.5, **overrides})
     assert str(info.value) == message
+
+
+_DELTA = 0.1
+
+
+@st.composite
+def _lag_cases(draw):
+    """(table kind, times in caller order, n, per-sorted-axis grid pick, two
+    grids as (lo, width, size), seed) for the p >= 2 sweep."""
+    p = draw(st.integers(2, 3))
+    steps = draw(st.lists(
+        st.sampled_from([0, 1, 281, _JCHUNK - 1, _JCHUNK]) | st.integers(0, 3 * _JCHUNK),
+        min_size=p - 1, max_size=p - 1,
+    ))
+    offsets = np.cumsum([draw(st.integers(1, 30))] + steps)
+    # time k sits inside delta bin offsets[k], so equal offsets (lag 0)
+    # still give distinct increasing times
+    times = [(int(o) + 0.2 * (k + 1)) * _DELTA for k, o in enumerate(offsets)]
+    order = draw(st.permutations(range(p)))
+    m = draw(st.sampled_from([1, _JCHUNK - 1, _JCHUNK, 2 * _JCHUNK]) | st.integers(1, 2 * _JCHUNK + 99))
+    grids = draw(st.lists(
+        st.tuples(st.floats(-70.0, 10.0), st.floats(0.0, 60.0), st.integers(0, 6)),
+        min_size=2, max_size=2,
+    ))
+    return (
+        draw(st.sampled_from(("wide", "narrow"))),
+        tuple(times[k] for k in order),
+        m + int(offsets[-1] - offsets[0]),
+        draw(st.lists(st.integers(0, 1), min_size=p, max_size=p)),
+        grids,
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_lag_cases())
+# two times in one delta bin at p = 2: one lag-0 slice taken twice would make
+# numpy multiply a buffer by its own transpose (BLAS syrk, other bits)
+@example(("wide", (1.02, 1.04), _JCHUNK + 700, [0, 0], [(-9.0, 13.0, 6)] * 2, 11))
+# three reversed times on one grid, lags 0 and 2130: the first two share a
+# matrix, the third is _JCHUNK or more away and is looked up alone
+@example(("wide", (215.04, 2.06, 2.02), _JCHUNK + 300, [0, 0, 0],
+          [(-9.0, 13.0, 5), (-12.0, 9.0, 4)], 5))
+def test_lag_shared_lookups_match_interp_reference(case):
+    kind, times, n, picks, grids, seed = case
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal(n) * np.exp(rng.normal(0.0, 1.0, n))
+    obs = ObservationSet.from_increments(inc, _DELTA, times)
+    grid = [np.linspace(lo, lo + width, size) for lo, width, size in grids]
+    # obs.axis_order[k] is the caller position of sorted axis k
+    axes = [None] * obs.p
+    for k, caller in enumerate(obs.axis_order):
+        axes[caller] = grid[picks[k]]
+    est = estimate_density(obs, _table(kind), axes)
+    np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
+
+
+def test_grid_and_estimate_errors_name_the_value():
+    values = np.zeros((3, 4))
+    values[1, 2], values[2, 0] = np.nan, np.inf
+    with pytest.raises(ConfigError, match=r"finite, got 2 non-finite, the first at index \(1, 2\)"):
+        DensityGrid(axes=(np.arange(3.0), np.arange(4.0)), values=values)
+    line = DensityGrid(axes=(np.arange(5.0),), values=np.zeros(5))
+    with pytest.raises(ConfigError, match=r"marginalize axis 0 of a 1-D grid, shape \(5,\)"):
+        marginalize(line, 0)
+    obs = _obs_from_values(np.zeros(50), 0.1, (0.1, 0.2, 0.3, 0.4))
+    with pytest.raises(ConfigError, match="p > 3 is not supported, got p = 4"):
+        estimate_density(obs, _table("narrow"), [np.zeros(2)] * 4)

@@ -173,7 +173,8 @@ def test_mapping_round_trip_property(fields):
         bad_regimes = fields["model"] == "regime" and (
             (params.ou0.a, params.ou0.b) != (params.ou1.a, params.ou1.b)
         )
-        assert bad_times or bad_regimes
+        bad_ratio = fields["subgrid_ratio"] < vol_sim.MIN_SUBGRID_RATIO
+        assert bad_times or bad_regimes or bad_ratio
         return
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
 
@@ -331,17 +332,45 @@ def test_run_experiment_warning_recorded():
     assert any("gamma" in w for w in report.warnings)
 
 
-def test_run_experiment_error_context():
-    cfg = _small_config(subgrid_ratio=5, n_schedule=(500,), replications=1)
+def _simulate_at_ratio_5(*args, **kwargs):
+    # ExperimentConfig refuses a ratio below 10, so the bad one is put in here
+    return vol_sim.simulate_bundle(*args, **{**kwargs, "subgrid_ratio": 5})
+
+
+def test_run_experiment_error_context(monkeypatch):
+    monkeypatch.setattr(experiment, "simulate_bundle", _simulate_at_ratio_5)
+    cfg = _small_config(n_schedule=(500,), replications=1)
     with pytest.raises(ConfigError, match="stage 'simulate'.*n=500.*rep=0"):
         run_experiment(cfg)
 
 
-def test_bias_check_error_context():
+def test_bias_check_error_context(monkeypatch):
     # bias_check runs the same replication step as run_experiment
-    cfg = _small_config(subgrid_ratio=5, n_schedule=(500,), replications=2)
+    monkeypatch.setattr(experiment, "simulate_bundle", _simulate_at_ratio_5)
+    cfg = _small_config(n_schedule=(500,), replications=2)
     with pytest.raises(ConfigError, match="stage 'simulate'.*n=500.*rep=0"):
         bias_check(cfg, truth_for(cfg))
+
+
+@pytest.mark.parametrize(
+    "ratio, message",
+    [(5, "subgrid_ratio must be at least 10, got 5"),
+     (9, "subgrid_ratio must be at least 10, got 9"),
+     (50.0, "subgrid_ratio must be an integer, got 50.0")],
+)
+def test_config_refuses_a_bad_subgrid_ratio(ratio, message):
+    # refused at construction, before any truth, grid or table is built
+    with pytest.raises(ConfigError) as info:
+        _small_config(subgrid_ratio=ratio)
+    assert str(info.value) == message
+
+
+def test_config_and_truth_errors_name_the_value():
+    with pytest.raises(ConfigError, match=r"need at least one target time, got \(\)"):
+        _small_config(times=())
+    for model, params, name in (("ou", OU, "OU"), ("regime", REGIME, "regime")):
+        with pytest.raises(ConfigError, match=f"closed-form {name} truth .* p <= 2 only, got p = 3"):
+            truth_for_model(model, params, (1.0, 1.5, 2.0))
 
 
 def test_drift_failure_mid_stream_surfaces_as_simulate_stage(monkeypatch):

@@ -403,3 +403,30 @@ def test_integrate_price_names_a_bad_path_or_step():
     with pytest.raises(ConfigError) as info:
         integrate_price(np.ones(10), np.inf, 1.0)
     assert str(info.value) == "fine_dt must be finite and positive, got inf"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: OUParams(a=v, mu=0.0, b=1.0), "a"),
+        (lambda v: OUParams(a=1.0, mu=0.0, b=v), "b"),
+        (lambda v: RegimeSwitchParams(a0=v, a1=1.0, ou0=OU, ou1=OU), "a0"),
+        (lambda v: RegimeSwitchParams(a0=1.0, a1=v, ou0=OU, ou1=OU), "a1"),
+        (lambda v: markov_transition(v, 1.0, 0.5), "a0"),
+        (lambda v: markov_transition(1.0, v, 0.5), "a1"),
+    ],
+)
+def test_model_scales_must_be_finite(build, field, bad):
+    # an infinite rate once built a constant path (stationary_var 0.0) or
+    # stationary_probs [0, nan]
+    with pytest.raises(ConfigError) as info:
+        build(bad)
+    assert str(info.value) == f"{field} must be finite and positive, got {bad!r}"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_ou_mean_must_be_finite(bad):
+    with pytest.raises(ConfigError) as info:
+        OUParams(a=1.0, mu=bad, b=1.0)
+    assert str(info.value) == f"mu must be finite, got {bad!r}"

@@ -11,7 +11,13 @@ and the `# <workload> seed <s> environment:` lines (nproc, load average,
 versions, commit), plus the machine's load average around the run.  For
 every metric it gives each side's median and quartiles, and, per pair, the
 change's ratio to the parent and how many pairs the change wins, "better"
-being the direction BENCHMARK.json gives for the metric.
+being the direction BENCHMARK.json gives for the metric.  Two flags give the
+verdict on each end-to-end metric:
+
+  gain_resolved  the change wins at least 9 of 10 pairs and its median is
+                 better than the parent's by more than the parent's q3 - q1;
+  within_bound   the change's median is worse than the parent's by no more
+                 than the metric's relative bound in BENCHMARK.json.
 """
 from __future__ import annotations
 
@@ -78,10 +84,12 @@ def run_once(checkout: str) -> dict:
             "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
 
 
-def directions(checkout: str) -> dict:
+def end_to_end(checkout: str) -> dict:
+    """BENCHMARK.json's end-to-end metrics by name, each with its "better"
+    direction and relative "bound"."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def quartiles(values: list) -> dict:
@@ -92,7 +100,7 @@ def quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(runs: list, better: dict) -> dict:
+def summarize(runs: list, metrics: dict) -> dict:
     def values(side):
         out = {}  # metric -> {pair: value}, from the runs that finished
         for run in runs:
@@ -106,12 +114,17 @@ def summarize(runs: list, better: dict) -> dict:
     for key in sorted(set(parent) & set(change)):
         entry = {"parent": quartiles(list(parent[key].values())),
                  "change": quartiles(list(change[key].values()))}
-        direction = better.get(key.rsplit(".", 1)[-1])
+        spec = metrics.get(key.rsplit(".", 1)[-1])
         pairs = [(parent[key][i], change[key][i]) for i in sorted(parent[key]) if i in change[key]]
-        if direction and pairs:
-            wins = sum((c > p) if direction == "higher" else (c < p) for p, c in pairs)
-            entry.update(better=direction, pairs=len(pairs), change_wins=wins,
-                         ratio_change_to_parent=[c / p if p else None for p, c in pairs])
+        if spec and pairs:
+            sign = 1 if spec["better"] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in pairs)
+            base = entry["parent"]
+            gain = sign * (entry["change"]["median"] - base["median"])
+            entry.update(better=spec["better"], pairs=len(pairs), change_wins=wins,
+                         ratio_change_to_parent=[c / p if p else None for p, c in pairs],
+                         gain_resolved=wins >= 0.9 * len(pairs) and gain > base["q3"] - base["q1"],
+                         within_bound=-gain <= spec["bound"] * abs(base["median"]))
         summary[key] = entry
     return summary
 
@@ -132,7 +145,7 @@ def main(argv=None) -> int:
         "checkouts": {side: checkout_info(path) for side, path in sides.items()},
         "runs": [],
     }
-    better = directions(sides["change"])
+    metrics = end_to_end(sides["change"])
     for pair in range(args.pairs):
         for side in ("parent", "change")[:: 1 if pair % 2 == 0 else -1]:
             run = run_once(sides[side])
@@ -143,7 +156,7 @@ def main(argv=None) -> int:
                   flush=True)
             # rewritten after every run, so an interrupted session keeps its pairs
             record["finished_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            record["summary"] = summarize(record["runs"], better)
+            record["summary"] = summarize(record["runs"], metrics)
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)
                 fh.write("\n")
