@@ -54,13 +54,7 @@ from .experiment import (
     truth_for_model,
 )
 from .noise_model import noise_density, phi_k
-from .smoothing_kernel import (
-    KernelMoments,
-    KernelSpec,
-    builtin_kernel,
-    eval_w,
-    kernel_moments,
-)
+from .smoothing_kernel import KernelSpec, builtin_kernel, eval_w, kernel_moments
 from .vol_sim import (
     OUParams,
     PathBundle,
@@ -89,7 +83,7 @@ __all__ = [
     "compute_mise", "emit_report", "mix_seed", "run_experiment", "truth_for",
     "truth_for_model",
     "noise_density", "phi_k",
-    "KernelMoments", "KernelSpec", "builtin_kernel", "eval_w", "kernel_moments",
+    "KernelSpec", "builtin_kernel", "eval_w", "kernel_moments",
     "OUParams", "PathBundle", "RegimeSwitchParams", "integrate_price",
     "markov_transition", "simulate_bundle", "simulate_ou",
     "simulate_regime_switch",

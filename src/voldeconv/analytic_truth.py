@@ -61,9 +61,9 @@ class TruthDensity:
         pts = np.stack(mesh, axis=-1)
         return self.vector_eval(pts)
 
-    def mass(self, nodes_per_axis: int = 800) -> float:
-        """Mass over the truncation box by tensor Gauss-Legendre quadrature."""
-        xs, ws = gauss_legendre_box(self.truncation_box, nodes_per_axis)
+    def mass(self) -> float:
+        """Mass over the truncation box by tensor Gauss-Legendre quadrature, 800 nodes per axis."""
+        xs, ws = gauss_legendre_box(self.truncation_box, 800)
         return tensor_quadrature(self.grid_values(xs), ws)
 
 
@@ -165,8 +165,8 @@ def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
     Used to move xi-scale laws onto the log sigma^2 scale, where
     log sigma^2 = 2 xi.
     """
-    if factor == 0.0:
-        raise DomainError("scale factor must be nonzero")
+    if not 0.0 < abs(factor) < np.inf:  # NaN fails too
+        raise DomainError(f"scale factor must be finite and nonzero, got {factor}")
     p = truth.dimension
     jac = 1.0 / abs(factor) ** p
 
@@ -200,8 +200,12 @@ def invariant_density_1d(
 
     probe = np.linspace(max(lo, x0 - 50.0), min(hi, x0 + 50.0), 201)
     dvals = np.asarray([diff_fn(float(u)) for u in probe], dtype=float)
-    if np.any(dvals <= 0.0) or not np.all(np.isfinite(dvals)):
-        raise DomainError("diffusion coefficient must be positive on the interval")
+    bad = np.flatnonzero(~(np.isfinite(dvals) & (dvals > 0.0)))
+    if bad.size:
+        raise DomainError(
+            f"diffusion coefficient must be finite and positive on the interval, got "
+            f"{dvals[bad[0]]} at x = {probe[bad[0]]}"
+        )
 
     def exponent_integrand(y):
         d = diff_fn(y)
@@ -217,7 +221,10 @@ def invariant_density_1d(
 
     norm, norm_err = quad(unnormalized, lo, hi, limit=400, epsrel=1e-9)
     if not np.isfinite(norm) or norm <= 0.0 or norm_err > 1e-6 * norm:
-        raise DomainError("not positive recurrent on the given interval")
+        raise DomainError(
+            f"not positive recurrent on ({lo}, {hi}): normalizer {norm} "
+            f"(quadrature error estimate {norm_err})"
+        )
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)

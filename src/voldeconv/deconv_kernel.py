@@ -29,7 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure, RangeError
+from .errors import (
+    ConfigError, NumericalFailure, RangeError, _require_finite_positive, _require_integer
+)
 from .noise_model import T_MAX, phi_k
 from .quadrature import fourier_sum, gauss_legendre
 from .smoothing_kernel import KernelSpec
@@ -45,9 +47,8 @@ _SYM_TOL = 1e-9
 
 
 def _check_bandwidth(h: float) -> float:
+    _require_finite_positive("bandwidth", h, RangeError)
     h = float(h)
-    if not h > 0.0:
-        raise RangeError(f"bandwidth must be positive, got {h}")
     if 1.0 / h > T_MAX:
         raise RangeError(
             f"bandwidth {h} puts quadrature nodes at |t| = {1.0 / h:.1f}, "
@@ -80,6 +81,9 @@ def vh_quadrature(spec: KernelSpec, h: float, x):
     v_h(x) = (1/pi) * sum_{s_k > 0} [Re c_k cos(s_k x) + Im c_k sin(s_k x)]
     folds the full 512-node sum (1/2pi) * sum_k c_k exp(-i s_k x) onto s > 0;
     the two agree to 1e-14 of max |v_h| for |x| <= 290 (measured: 2.6e-15).
+    Through fourier_sum, a point's last bits depend on the rest of the batch
+    x; that is why estimator._lag_groups keeps alone an axis whose points can
+    leave a table's lattice, as regrouping it would change its batches.
 
     Raises RangeError if 1/h exceeds the noise model's evaluation window and
     NumericalFailure if the coefficients are not conjugate symmetric.
@@ -155,13 +159,12 @@ def build_table(
     interpolation error is governed by |v''| <= sup_bound and a lattice step
     of ~0.02 serves every admissible bandwidth.
     """
-    if n_points < 2:
-        raise ConfigError(f"n_points must be at least 2, got {n_points}")
+    _require_integer("n_points", n_points, 2, ConfigError)
     if not -np.inf < x_min < x_max < np.inf:  # refused before the quadrature
         raise ConfigError(f"need finite x_min < x_max, got [{x_min}, {x_max}]")
     h = _check_bandwidth(h)
     x_min, x_max = float(x_min), float(x_max)
-    values = vh_quadrature(spec, h, np.linspace(x_min, x_max, int(n_points)))
+    values = vh_quadrature(spec, h, np.linspace(x_min, x_max, n_points))
     return DeconvTable(
         bandwidth=h,
         kernel=spec,

@@ -173,20 +173,14 @@ class ObservationSet:
         return self.n - int(off[-1]) + int(off[0])
 
     @classmethod
-    def from_increments(
-        cls,
-        increments,
-        delta: float,
-        times,
-        clamp_floor: float = _CLAMP_FLOOR_DEFAULT,
-    ) -> "ObservationSet":
+    def from_increments(cls, increments, delta: float, times) -> "ObservationSet":
         """Build from normalized increments, sorting times and recording the
         caller's coordinate order."""
         _require_finite_positive("delta", delta, ConfigError)
         user_times = _check_times(times)
         order = tuple(int(i) for i in np.argsort(user_times, kind="stable"))
         sorted_times = user_times[list(order)]
-        log_sq, n_clamped = log_square_transform(increments, clamp_floor)
+        log_sq, n_clamped = log_square_transform(increments)
         offsets = np.array(
             [_floor_index(float(t), float(delta)) for t in sorted_times], dtype=int
         )

@@ -13,6 +13,7 @@ timings.csv sidecar instead of polluting the deterministic files.
 """
 from __future__ import annotations
 
+import numbers
 import os
 import time
 import warnings
@@ -42,10 +43,10 @@ from .estimator import (
 )
 from .quadrature import gauss_legendre_box, tensor_quadrature
 from .smoothing_kernel import builtin_kernel, kernel_moments
-from .vol_sim import MIN_SUBGRID_RATIO, MODELS, OUParams, RegimeSwitchParams, simulate_bundle
+from .vol_sim import MIN_SUBGRID_RATIO, OUParams, RegimeSwitchParams, _check_model, simulate_bundle
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
-_AUTO_POINTS = {1: 201, 2: 61, 3: 31}
+_AUTO_POINTS = {1: 201, 2: 61}  # grid points per axis for grid = auto
 _LOG_SQ_FLOOR = 2.0 * np.log(_CLAMP_FLOOR_DEFAULT)  # floor of the log-square transform
 
 
@@ -67,14 +68,7 @@ class ExperimentConfig:
     subgrid_ratio: int = 50
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ConfigError(f"unknown model {self.model!r}")
-        expected = MODELS[self.model]
-        if not isinstance(self.params, expected):
-            raise ConfigError(
-                f"model {self.model!r} needs {expected.__name__} params, "
-                f"got {type(self.params).__name__}"
-            )
+        _check_model(self.model, self.params)
         if self.model == "regime":  # the flat format has one a and one b
             ou0, ou1 = self.params.ou0, self.params.ou1
             if (ou0.a, ou0.b) != (ou1.a, ou1.b):
@@ -83,6 +77,8 @@ class ExperimentConfig:
                 )
         _require_integer("replications", self.replications, 1, ConfigError)
         _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
+        for n in self.n_schedule:
+            _require_integer("n_schedule entry", n, 2, ConfigError)
         sched = tuple(int(n) for n in self.n_schedule)
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"n schedule must be strictly increasing, got {sched}")
@@ -110,30 +106,27 @@ class ExperimentConfig:
     def to_mapping(self) -> dict:
         """Flat key = value view, invertible by from_mapping."""
         out = {"model": self.model}
-        out.update((k, repr(v)) for k, v in params_to_mapping(self.params).items())
-        out["n_schedule"] = ",".join(str(n) for n in self.n_schedule)
-        out["delta_exp"] = repr(self.delta_exp)
-        out["gamma"] = repr(self.gamma)
+        out.update((k, _fmt(v)) for k, v in params_to_mapping(self.params).items())
+        out["n_schedule"] = ",".join(map(_fmt, self.n_schedule))
+        out["delta_exp"] = _fmt(self.delta_exp)
+        out["gamma"] = _fmt(self.gamma)
         if self.bandwidth_override is not None:
-            out["bandwidth"] = repr(self.bandwidth_override)
-        out["times"] = ",".join(repr(t) for t in self.times)
+            out["bandwidth"] = _fmt(self.bandwidth_override)
+        out["times"] = ",".join(map(_fmt, self.times))
         out["grid"] = self.grid_spec
-        out["replications"] = str(self.replications)
-        out["seed"] = str(self.master_seed)
+        out["replications"] = _fmt(self.replications)
+        out["seed"] = _fmt(self.master_seed)
         out["kernel"] = self.kernel_name
-        out["subgrid_ratio"] = str(self.subgrid_ratio)
+        out["subgrid_ratio"] = _fmt(self.subgrid_ratio)
         return out
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = {
-            "model", "a", "mu", "b", "mu0", "mu1", "a0", "a1", "n_schedule",
-            "delta_exp", "gamma", "bandwidth", "times", "grid", "replications",
-            "seed", "kernel", "subgrid_ratio",
-        }
-        unknown = set(mapping) - known
+        model = _value(mapping, "model", str.strip)
+        params = params_from_mapping(model, mapping)
+        unknown = set(mapping) - _EXPERIMENT_KEYS - set(_PARAM_KEYS[model])
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys for model {model!r}: {sorted(unknown)}")
         mapping = {"kernel": "poly3", "subgrid_ratio": "50", **mapping}
 
         def ints(text):
@@ -142,10 +135,9 @@ class ExperimentConfig:
         def floats(text):
             return tuple(float(s) for s in text.split(","))
 
-        model = _value(mapping, "model", str.strip)
         return cls(
             model=model,
-            params=params_from_mapping(model, mapping),
+            params=params,
             n_schedule=_value(mapping, "n_schedule", ints),
             delta_exp=_value(mapping, "delta_exp"),
             gamma=_value(mapping, "gamma"),
@@ -159,6 +151,15 @@ class ExperimentConfig:
             ),
             subgrid_ratio=_value(mapping, "subgrid_ratio", int),
         )
+
+
+# the flat config's keys besides the model's params keys
+_EXPERIMENT_KEYS = {
+    "model", "n_schedule", "delta_exp", "gamma", "bandwidth", "times", "grid",
+    "replications", "seed", "kernel", "subgrid_ratio",
+}
+# each model's params keys, in the order params_from_mapping reads them
+_PARAM_KEYS = {"ou": ("a", "mu", "b"), "regime": ("a", "b", "a0", "a1", "mu0", "mu1")}
 
 
 def _value(mapping: dict, key: str, convert=float):
@@ -177,19 +178,13 @@ def _value(mapping: dict, key: str, convert=float):
 def params_from_mapping(model: str, mapping: dict):
     """OUParams or RegimeSwitchParams from a flat key = value mapping, such as
     a parsed config or params file; other keys are ignored."""
+    if model not in _PARAM_KEYS:
+        _check_model(model, None)  # raises: the model is unknown
+    v = {key: _value(mapping, key) for key in _PARAM_KEYS[model]}
     if model == "ou":
-        return OUParams(
-            a=_value(mapping, "a"), mu=_value(mapping, "mu"), b=_value(mapping, "b")
-        )
-    if model == "regime":
-        a, b = _value(mapping, "a"), _value(mapping, "b")
-        return RegimeSwitchParams(
-            a0=_value(mapping, "a0"),
-            a1=_value(mapping, "a1"),
-            ou0=OUParams(a=a, mu=_value(mapping, "mu0"), b=b),
-            ou1=OUParams(a=a, mu=_value(mapping, "mu1"), b=b),
-        )
-    raise ConfigError(f"unknown model {model!r}")
+        return OUParams(**v)
+    ou0, ou1 = (OUParams(a=v["a"], mu=v[mu], b=v["b"]) for mu in ("mu0", "mu1"))
+    return RegimeSwitchParams(a0=v["a0"], a1=v["a1"], ou0=ou0, ou1=ou1)
 
 
 def params_to_mapping(params) -> dict:
@@ -227,21 +222,16 @@ def truth_for_model(model: str, params, times) -> TruthDensity:
     OU: the simulated path is log sigma^2 itself.  Regime: sigma = exp(xi),
     so the xi-scale law is pushed through log sigma^2 = 2 xi.
     """
+    _check_model(model, params)
     times = tuple(float(t) for t in times)
     p = len(times)
+    if p not in (1, 2):
+        name = "OU" if model == "ou" else model
+        raise ConfigError(f"closed-form {name} truth is shipped for p <= 2 only, got p = {p}")
     if model == "ou":
-        if p == 1:
-            return ou_logsq_marginal(params)
-        if p == 2:
-            return ou_bivariate(params, times[0], times[1])
-        raise ConfigError(f"closed-form OU truth is shipped for p <= 2 only, got p = {p}")
-    if model == "regime":
-        if p == 1:
-            return scaled_truth(regime_marginal(params), 2.0)
-        if p == 2:
-            return scaled_truth(regime_bivariate(params, times[0], times[1]), 2.0)
-        raise ConfigError(f"closed-form regime truth is shipped for p <= 2 only, got p = {p}")
-    raise ConfigError(f"unknown model {model!r}")
+        return ou_logsq_marginal(params) if p == 1 else ou_bivariate(params, *times)
+    xi_law = regime_marginal(params) if p == 1 else regime_bivariate(params, *times)
+    return scaled_truth(xi_law, 2.0)
 
 
 def truth_for(cfg: ExperimentConfig) -> TruthDensity:
@@ -281,7 +271,8 @@ def parse_axis_spec(spec: str) -> np.ndarray:
             f"grid spec {spec!r} needs numbers lo:hi and an integer count"
         ) from None
     if count < 2 or not lo < hi or not np.isfinite(lo) or not np.isfinite(hi):
-        raise ConfigError(f"bad grid spec {spec!r}")
+        raise ConfigError(f"bad grid spec {spec!r}: need finite lo < hi and count >= 2, "
+                          f"got lo = {lo}, hi = {hi}, count = {count}")
     return np.linspace(lo, hi, count)
 
 
@@ -305,7 +296,7 @@ def resolve_grid(cfg: ExperimentConfig, truth: TruthDensity):
     """
     if cfg.grid_spec == "auto":
         means, sds = _truth_moments(truth)
-        count = _AUTO_POINTS.get(cfg.p, 31)
+        count = _AUTO_POINTS[cfg.p]
         axes = [
             np.linspace(m - 5.0 * s, m + 5.0 * s, count)
             for m, s in zip(means, sds)
@@ -552,7 +543,7 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     f_true = truth.evaluator(point)
     emp = float(np.mean(values)) - f_true
     se = float(np.std(values, ddof=1) / np.sqrt(cfg.replications))
-    mu2 = kernel_moments(builtin_kernel(cfg.kernel_name)).mu2
+    mu2 = kernel_moments(builtin_kernel(cfg.kernel_name))
     predicted = 0.5 * h * h * mu2 * _hessian_trace(truth, point)
     ratio = emp / predicted if predicted != 0.0 else np.inf
     return BiasReport(
@@ -567,8 +558,10 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x) -> str:
+    """A number as config and CSV text: an integer as one, anything else as
+    the shortest repr of its float, so numpy scalars read back as numbers."""
+    return str(int(x)) if isinstance(x, numbers.Integral) else repr(float(x))
 
 
 def grid_csv(axes, values) -> str:

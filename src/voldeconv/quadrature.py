@@ -46,7 +46,11 @@ def tensor_quadrature(values, weights) -> float:
 
 def fourier_sum(nodes, cos_coef, sin_coef, x):
     """sum_k cos_coef[k] cos(nodes[k] x) + sin_coef[k] sin(nodes[k] x), with
-    no sine terms if sin_coef is None, shaped like x (a float for a scalar)."""
+    no sine terms if sin_coef is None, shaped like x (a float for a scalar).
+
+    The sums are matrix products, so a point's last bits depend on the rest
+    of its batch x (by up to 2.4e-17 measured for v_h).
+    """
     x = np.asarray(x, dtype=float)
     xv = x.ravel()
     out = np.empty(xv.size)

@@ -80,19 +80,10 @@ def eval_w(spec: KernelSpec, x):
     return fourier_sum(nodes, weights * spec.phi_w(nodes), None, x) / (2.0 * np.pi)
 
 
-@dataclass(frozen=True)
-class KernelMoments:
-    """Kernel constants used by bias predictions.
-
-    mu2 : integral of u^2 w(u) du, equal to -phi_w''(0); the leading bias
-          term of the estimator is (h^2 / 2) * mu2 * (trace of the Hessian).
-    """
-
-    mu2: float
-
-
-def kernel_moments(spec: KernelSpec) -> KernelMoments:
-    """mu2 = -phi_w''(0) by a fourth-order central difference.
+def kernel_moments(spec: KernelSpec) -> float:
+    """mu2 = integral of u^2 w(u) du = -phi_w''(0), by a fourth-order central
+    difference; the leading bias term of the estimator is (h^2 / 2) * mu2 *
+    (trace of the Hessian).
 
     The step e = 3e-3 balances truncation against cancellation (about 1e-9
     in total for polynomial-like phi_w).
@@ -101,4 +92,4 @@ def kernel_moments(spec: KernelSpec) -> KernelMoments:
     stencil = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * e
     ph = spec.phi_w(stencil)
     second = (-ph[0] + 16 * ph[1] - 30 * ph[2] + 16 * ph[3] - ph[4]) / (12 * e * e)
-    return KernelMoments(mu2=float(-second))
+    return float(-second)

@@ -86,6 +86,18 @@ class RegimeSwitchParams:
 MODELS = {"ou": OUParams, "regime": RegimeSwitchParams}
 
 
+def _check_model(model: str, params) -> None:
+    """Refuse a model name outside MODELS, or params not of its type."""
+    if model not in MODELS:
+        expected = " or ".join(map(repr, MODELS))
+        raise ConfigError(f"unknown model {model!r}; expected {expected}")
+    if not isinstance(params, MODELS[model]):
+        raise ConfigError(
+            f"model {model!r} needs {MODELS[model].__name__} params, "
+            f"got {type(params).__name__}"
+        )
+
+
 def _normal_chunks(seed: SeedLike, size: int, chunk: int):
     """Yield default_rng(seed)'s first `size` standard normals in pieces of at
     most `chunk`; joined, they are the bits of one standard_normal(size)."""
@@ -364,11 +376,7 @@ def simulate_bundle(
     _require_integer("n", n, 1, InputError)
     _require_integer("subgrid_ratio", subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
     _require_finite_positive("delta", delta, ConfigError)
-    if model not in MODELS:
-        expected = " or ".join(map(repr, MODELS))
-        raise ConfigError(f"unknown model {model!r}; expected {expected}")
-    if not isinstance(params, MODELS[model]):
-        raise ConfigError(f"model {model!r} requires {MODELS[model].__name__}")
+    _check_model(model, params)
     from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
 
     fine_dt = delta / subgrid_ratio

@@ -223,8 +223,19 @@ def test_invariant_density_x0_invariance():
 def test_invariant_density_rejects_transient_dynamics():
     with pytest.raises(DomainError, match="not positive recurrent"):
         invariant_density_1d(lambda x: x, lambda x: 1.0, (-np.inf, np.inf), 0.0)
+    with pytest.raises(DomainError, match=r"recurrent on \(-3.0, 5.0\): normalizer inf"):
+        invariant_density_1d(lambda x: 1e3 * x, lambda x: 1.0, (-3.0, 5.0), 0.0)
 
 
 def test_invariant_density_rejects_degenerate_diffusion():
     with pytest.raises(DomainError):
         invariant_density_1d(lambda x: -x, lambda x: 0.0, (-np.inf, np.inf), 0.0)
+    # the probe lattice is -50, -49.5, ..., 50: the first bad point is 2.0
+    with pytest.raises(DomainError, match=r"positive on the interval, got -1.0 at x = 2.0"):
+        invariant_density_1d(lambda x: -x, lambda x: 1.0 if x < 2.0 else -1.0, (-np.inf, np.inf), 0.0)
+
+
+@pytest.mark.parametrize("factor", [0.0, np.nan, np.inf])
+def test_scaled_truth_names_a_bad_factor(factor):
+    with pytest.raises(DomainError, match=f"scale factor must be finite and nonzero, got {factor}"):
+        scaled_truth(ou_logsq_marginal(STD), factor)

@@ -44,6 +44,11 @@ def test_kernel_table_deconv(tmp_path):
     assert not np.allclose(vals[:, 1], vals[::-1, 1])
 
 
+def test_kernel_table_names_an_infinite_bandwidth(capsys):
+    assert main(["kernel-table", "--deconv", "-h", "inf", "--grid=-1:1:3"]) == 1
+    assert "bandwidth must be finite and positive, got inf" in capsys.readouterr().err
+
+
 def test_kernel_table_unknown_kernel(tmp_path, capsys):
     assert main(["kernel-table", "--kernel", "tricube", "--grid=-1:1:3"]) == 1
     assert "poly3" in capsys.readouterr().err

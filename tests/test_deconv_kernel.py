@@ -292,6 +292,14 @@ def test_build_table_config_errors():
             build_table(SPEC, 0.8, 0.0, np.inf, 100)
     with pytest.raises(ConfigError):
         build_table(SPEC, 0.8, -1.0, 1.0, 1)
+    with pytest.raises(ConfigError, match="n_points must be an integer, got 10.7"):
+        build_table(SPEC, 0.8, -1.0, 1.0, 10.7)
+
+
+@pytest.mark.parametrize("h", [np.inf, np.nan, -0.5])
+def test_build_table_names_a_bad_bandwidth(h):
+    with pytest.raises(RangeError, match=f"bandwidth must be finite and positive, got {h}"):
+        build_table(SPEC, h, -1.0, 1.0, 100)
 
 
 def _single_vector_estimate(tbl, y, axes):

@@ -125,6 +125,33 @@ def test_mapping_round_trip():
     assert ExperimentConfig.from_mapping(rcfg.to_mapping()) == rcfg
 
 
+def test_numpy_scalar_config_round_trips(tmp_path):
+    # numpy scalars are written as plain numbers, so the echo reads back
+    cfg = _small_config(
+        params=OUParams(a=np.float64(2.0), mu=np.float64(0.0), b=np.float64(2.0)),
+        n_schedule=(np.int64(500),),
+        gamma=np.float64(9.0),
+        times=(np.float64(1.0),),
+        replications=1,
+    )
+    mapping = cfg.to_mapping()
+    assert (mapping["a"], mapping["n_schedule"], mapping["times"]) == ("2.0", "500", "1.0")
+    assert ExperimentConfig.from_mapping(mapping) == cfg
+    emit_report(run_experiment(cfg), str(tmp_path))
+    echo = (tmp_path / "config.echo").read_text(encoding="utf-8")
+    assert ExperimentConfig.from_mapping(parse_config_text(echo)) == cfg
+
+
+def test_from_mapping_refuses_the_other_models_keys():
+    with pytest.raises(ConfigError, match=re.escape("for model 'ou': ['a1', 'mu0']")):
+        ExperimentConfig.from_mapping(parse_config_text(CONFIG_TEXT + "mu0 = 7\na1 = 3\n"))
+    regime = CONFIG_TEXT.replace("model = ou", "model = regime")
+    regime += "mu0 = -2.0\nmu1 = 2.0\na0 = 1.0\na1 = 1.0\n"
+    with pytest.raises(ConfigError, match=re.escape("for model 'regime': ['mu']")):
+        ExperimentConfig.from_mapping(parse_config_text(regime))
+    ExperimentConfig.from_mapping(parse_config_text(regime.replace("mu = 0.0\n", "")))
+
+
 _POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
 _REAL = st.floats(min_value=-1e3, max_value=1e3)
 
@@ -206,6 +233,20 @@ def test_config_validation():
         _small_config(model="regime", times=(1.0, 1.05))
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (1, "n_schedule entry must be at least 2, got 1"),
+        (1000.5, "n_schedule entry must be an integer, got 1000.5"),
+        (np.float64(1000.0), "n_schedule entry must be an integer, got np.float64(1000.0)"),
+    ],
+)
+def test_config_refuses_a_bad_n_schedule_entry(entry, message):
+    # refused at construction, before any truth, grid or simulation is built
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _small_config(n_schedule=(entry,))
+
+
 def test_target_times_must_be_positive_and_increasing():
     # refused at construction, before any truth, grid or simulation is built
     for times in [(0.0,), (-1.0, 1.0), (1.0, 1.0), (1.05, 1.0)]:
@@ -235,6 +276,13 @@ def test_truth_for_model_scales():
         truth_for_model("ou", OU, (1.0, 1.05, 1.1))
 
 
+def test_truth_for_model_checks_the_model():
+    with pytest.raises(ConfigError, match="model 'ou' needs OUParams params, got RegimeSwitchParams"):
+        truth_for_model("ou", REGIME, (1.0,))
+    with pytest.raises(ConfigError, match="unknown model 'garch'; expected 'ou' or 'regime'"):
+        truth_for_model("garch", OU, (1.0,))
+
+
 def test_parse_axis_spec():
     np.testing.assert_allclose(parse_axis_spec("-8:8:5"), [-8.0, -4.0, 0.0, 4.0, 8.0])
     with pytest.raises(ConfigError):
@@ -246,6 +294,9 @@ def test_parse_axis_spec():
     for spec in ("a:1:5", "1:2:5.5", "-inf:1:5", "0:inf:5", "nan:1:5"):
         with pytest.raises(ConfigError, match=spec):
             parse_axis_spec(spec)
+    message = "'2:1:5': need finite lo < hi and count >= 2, got lo = 2.0, hi = 1.0, count = 5"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_axis_spec("2:1:5")
 
 
 def test_parse_grid_spec():

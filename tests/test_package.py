@@ -2,12 +2,15 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
 import voldeconv
+from voldeconv.experiment import ExperimentConfig, parse_config_text
 
 SRC = pathlib.Path(voldeconv.__file__).parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_names_resolve():
@@ -15,11 +18,11 @@ def test_all_names_resolve():
         assert hasattr(voldeconv, name), name
     assert len(set(voldeconv.__all__)) == len(voldeconv.__all__)
     # deleted: the Lanczos gamma (scipy's loggamma replaced it), two helpers
-    # that duplicated estimate_density and _observation_matrix, and three
-    # that only tests called
+    # that duplicated estimate_density and _observation_matrix, three that
+    # only tests called, and the one-field KernelMoments record
     for gone in (
         "complex_gamma", "vh_multivariate", "make_observation_vectors",
-        "phi_k_abs", "tail_envelope", "sample_noise",
+        "phi_k_abs", "tail_envelope", "sample_noise", "KernelMoments",
     ):
         assert gone not in voldeconv.__all__
         assert not hasattr(voldeconv, gone)
@@ -52,3 +55,22 @@ def test_unused_import_check_sees_one():
 )
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _readme_blocks(lang: str) -> list:
+    """The bodies of README's fenced code blocks tagged lang ("" for none)."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    return [body for tag, body in blocks if tag == lang]
+
+
+def test_readme_quick_start_runs(capsys):
+    (code,) = _readme_blocks("python")
+    exec(compile(code, str(README), "exec"), {})
+    gap = float(capsys.readouterr().out)
+    assert gap < 0.5  # the text says about 0.33
+
+
+def test_readme_experiment_config_parses():
+    (text,) = [b for b in _readme_blocks("") if b.startswith("model = ")]
+    cfg = ExperimentConfig.from_mapping(parse_config_text(text))
+    assert (cfg.model, cfg.n_schedule, cfg.times) == ("ou", (1000, 10000), (1.0,))

@@ -87,7 +87,7 @@ def test_kernel_rules_bit_identical():
     assert eval_w(SPEC, np.array([0.0, 1.5, 40.0])).tolist() == [
         0.1455130908268758, 0.12822774667823306, -4.609193930372635e-06,
     ]
-    assert kernel_moments(SPEC).mu2 == 5.99999999938407
+    assert kernel_moments(SPEC) == 5.99999999938407
 
 
 def test_truth_rules_bit_identical():

@@ -71,7 +71,7 @@ def test_moments_mass():
 def test_moments_second_derivative_rule():
     # mu2 = -phi_w''(0) = 6 for the cubic window
     mom = kernel_moments(SPEC)
-    assert abs(mom.mu2 - 6.0) < 1e-6
+    assert abs(mom - 6.0) < 1e-6
 
 
 def test_edge_power_law():

@@ -233,7 +233,7 @@ def test_bundle_validation():
         ({"n": 0}, InputError, "n must be at least 1, got 0"),
         ({"subgrid_ratio": 50.5}, ConfigError, "subgrid_ratio must be an integer, got 50.5"),
         ({"subgrid_ratio": 9}, ConfigError, "subgrid_ratio must be at least 10, got 9"),
-        ({"params": REGIME}, ConfigError, "model 'ou' requires OUParams"),
+        ({"params": REGIME}, ConfigError, "model 'ou' needs OUParams params, got RegimeSwitchParams"),
     ],
 )
 def test_bundle_arguments_are_checked_first(overrides, error, message):
