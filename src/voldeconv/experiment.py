@@ -76,6 +76,8 @@ class ExperimentConfig:
                     f"regimes must share a and b, got ou0 = {ou0}, ou1 = {ou1}"
                 )
         _require_integer("replications", self.replications, 1, ConfigError)
+        _require_integer("master_seed", self.master_seed, 0, ConfigError)
+        builtin_kernel(self.kernel_name)
         _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
         for n in self.n_schedule:
             _require_integer("n_schedule entry", n, 2, ConfigError)

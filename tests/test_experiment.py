@@ -24,7 +24,7 @@ from voldeconv import (
     truth_for_model,
 )
 from voldeconv import experiment, vol_sim
-from voldeconv.errors import ConfigError, InputError, NumericalFailure
+from voldeconv.errors import ConfigError, InputError, NotFoundError, NumericalFailure
 from voldeconv.estimator import DensityGrid
 from voldeconv.experiment import (
     emit_report,
@@ -414,6 +414,25 @@ def test_config_refuses_a_bad_subgrid_ratio(ratio, message):
     with pytest.raises(ConfigError) as info:
         _small_config(subgrid_ratio=ratio)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "master_seed must be at least 0, got -1"),
+     (1.5, "master_seed must be an integer, got 1.5"),
+     (True, "master_seed must be an integer, got True")],
+)
+def test_config_refuses_a_bad_master_seed(seed, message):
+    # refused at construction, not by mix_seed after the truth and grid are built
+    with pytest.raises(ConfigError) as info:
+        _small_config(master_seed=seed)
+    assert str(info.value) == message
+
+
+def test_config_refuses_an_unknown_kernel():
+    # refused at construction, not by build_table after the truth and grid
+    with pytest.raises(NotFoundError, match="unknown kernel 'tricube'; available: poly3"):
+        _small_config(kernel_name="tricube")
 
 
 def test_config_and_truth_errors_name_the_value():

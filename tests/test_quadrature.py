@@ -4,9 +4,12 @@ numerically the same rules the kernel and truth quadratures always used."""
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voldeconv
 from voldeconv import (
@@ -18,8 +21,9 @@ from voldeconv import (
     sup_bound,
     vh_quadrature,
 )
+from voldeconv.deconv_kernel import _half_rule_coefficients
 from voldeconv.experiment import ExperimentConfig, resolve_grid, truth_for
-from voldeconv.quadrature import gauss_legendre
+from voldeconv.quadrature import _BLOCK, fourier_sum, gauss_legendre
 from voldeconv.vol_sim import RegimeSwitchParams
 
 SPEC = builtin_kernel("poly3")
@@ -110,3 +114,74 @@ def test_truth_rules_bit_identical():
     )
     assert resolve_grid(cfg2, truth_for(cfg2))[1] == 0.003951689739403852
     assert ou_logsq_marginal(OUParams(a=2.0, mu=0.0, b=2.0)).mass() == 1.0000000000000018
+
+
+def _serial_fourier_sum(nodes, cos_coef, sin_coef, x):
+    """fourier_sum's one-thread block loop, kept as its exact reference."""
+    x = np.asarray(x, dtype=float)
+    xv = x.ravel()
+    out = np.empty(xv.size)
+    for lo in range(0, xv.size, _BLOCK):
+        phase = np.outer(nodes, xv[lo : lo + _BLOCK])
+        blk = 0.0 if sin_coef is None else sin_coef @ np.sin(phase)
+        out[lo : lo + _BLOCK] = cos_coef @ np.cos(phase, out=phase) + blk
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _assert_same_as_serial(nodes, coef, x):
+    for sin_coef in (coef.imag, None):
+        got = fourier_sum(nodes, coef.real, sin_coef, x)
+        want = _serial_fourier_sum(nodes, coef.real, sin_coef, x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("h", [0.4, 2.46])
+@pytest.mark.parametrize(
+    "size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 29001]
+)
+def test_threaded_blocks_equal_the_serial_loop(h, size):
+    # one or two workers, partial last blocks, empty x: the serial bits
+    nodes, coef = _half_rule_coefficients(SPEC, h)
+    x = np.random.default_rng(size).uniform(-300.0, 300.0, size)
+    _assert_same_as_serial(nodes, coef, x)
+
+
+def test_threaded_blocks_keep_scalars_and_shapes():
+    nodes, coef = _half_rule_coefficients(SPEC, 1.0)
+    _assert_same_as_serial(nodes, coef, 0.7)
+    assert isinstance(fourier_sum(nodes, coef.real, None, 0.7), float)
+    x2 = np.random.default_rng(2).normal(0.0, 20.0, (3, 1500))
+    _assert_same_as_serial(nodes, coef, x2)
+    assert fourier_sum(nodes, coef.real, coef.imag, x2).shape == (3, 1500)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.sampled_from([0.25, 0.5, 1.0, 4.64]),
+    size=st.integers(0, 3 * _BLOCK + 100),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_threaded_blocks_equal_the_serial_loop_property(h, size, scale, seed):
+    nodes, coef = _half_rule_coefficients(SPEC, h)
+    x = np.random.default_rng(seed).normal(0.0, scale, size)
+    _assert_same_as_serial(nodes, coef, x)
+
+
+def test_concurrent_vh_calls_give_the_serial_bits():
+    # two callers at once, each with its own two block workers, with thread
+    # switches forced often: both results are the serial loop's bits
+    x = np.linspace(-290.0, 290.0, 29001)
+    nodes, coef = _half_rule_coefficients(SPEC, 0.4)
+    serial = _serial_fourier_sum(nodes, coef.real, coef.imag, x) / np.pi
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(vh_quadrature, SPEC, 0.4, x) for _ in range(2)]
+            together = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(v, serial) for v in together)
