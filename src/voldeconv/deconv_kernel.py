@@ -200,9 +200,12 @@ def eval_table(table: DeconvTable, x):
     np.fmax(guess, 0.0, out=guess)  # fmax also sends NaN to 0
     np.fmin(guess, last - 1, out=guess)
     j = guess.astype(np.intp)
+    del guess  # in place from here on: fewer live temporaries, the same bits
     j += xv >= t[j + 1]
     j -= xv < t[j]
-    out = slope[j] * (xv - t[j]) + v[j]
+    out = xv - t[j]
+    out *= slope[j]
+    out += v[j]
     outside = (xv < t[0]) | (xv > t[-1])
     if np.any(outside):
         out[outside] = vh_quadrature(table.kernel, table.bandwidth, xv[outside])

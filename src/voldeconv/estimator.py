@@ -17,7 +17,10 @@ blocks of w observations: table lookups by O(1) index arithmetic on the
 lattice (see eval_table), then one product of the per-axis factor matrices.
 Coordinate k is the series at a lag, Y_{j,k} = log_sq[j + lag_k], so the
 factors of bit-equal axes are column shifts of one lookup matrix: per block
-a group of them costs G (w + span) lookups, not G w per axis.  For p = 1 the
+a group of them costs G (w + span) lookups, not G w per axis.  Two worker
+threads make the blocks' lookup matrices, at most two blocks ahead, and the
+calling thread adds each block's product in block order, as one thread
+would, so the sum keeps its bits whatever the timing.  For p = 1 the
 sum is taken exactly per lattice interval instead.  With the m values sorted
 once and their prefix sums taken, the data falling in interval l for grid
 point x (those Y with (x - Y)/h in [t_l, t_{l+1})) are one contiguous run,
@@ -34,6 +37,8 @@ eval_table, which integrates them exactly.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,6 +49,10 @@ from .deconv_kernel import DeconvTable, eval_table
 from .errors import ConfigError, InputError, _require_finite_positive
 
 _CLAMP_FLOOR_DEFAULT = 1e-12
+
+# The p >= 2 sweep's workers call this reference: the benchmark's tracer,
+# which is not thread-safe, wraps the module's eval_table and not it.
+_untraced_eval_table = eval_table
 
 # Observation-block size for the grid sweep; keeps per-block factor matrices
 # in the tens of MB while preserving a fixed summation order.
@@ -290,14 +299,29 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
 
     axes are given in the caller's coordinate order (matching the order the
     target times were originally supplied in); the result carries the same
-    orientation.  The bandwidth is the table's.
+    orientation.  The bandwidth is the table's.  Each axis must be 1-D and
+    finite.
+
+    For p >= 2, two worker threads make the observation blocks' lookup
+    matrices at most two blocks ahead while this thread adds their products
+    in block order, as the serial sweep does, so the bits do not depend on
+    thread timing.  With one block, or arguments that can leave the table's
+    lattice (no worker may reach the direct quadrature), the sweep runs on
+    this thread alone.
     """
     p = obs.p
-    axes = [np.asarray(a, dtype=float).ravel() for a in axes]
+    axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != p:
         raise ConfigError(f"got {len(axes)} grid axes for p = {p} target times")
     if p > 3:
         raise ConfigError(f"p > 3 is not supported, got p = {p}")
+    for k, a in enumerate(axes):
+        if a.ndim != 1:
+            raise ConfigError(f"grid axis {k} must be 1-D, got shape {a.shape}")
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ConfigError(f"grid axis {k} must be finite, got {bad.size} non-finite, "
+                              f"the first at index {bad[0]}")
 
     h = table.bandwidth
     m = obs.m
@@ -313,45 +337,76 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
         return DensityGrid(axes=tuple(axes), values=acc / (m * h))
 
     lags = [off - obs.index_offsets[0] for off in obs.index_offsets]
-    groups = _lag_groups(sorted_axes, lags, log_sq, table)
-    acc = np.zeros(tuple(a.size for a in sorted_axes))
-    for lo in range(0, m, _JCHUNK):
+    groups, on_lattice = _lag_groups(sorted_axes, lags, log_sq, table)
+
+    def block(lo, lookup=eval_table):
+        # the factor matrices of observations lo .. lo + w - 1
         w = min(_JCHUNK, m - lo)
         factors = [None] * p
         for group in groups:
             first = lags[group[0]]
             args = sorted_axes[group[0]][:, None] - log_sq[lo + first : lo + w + lags[group[-1]]]
-            shared = eval_table(table, args / h)
+            # in place, the bits of args / h: with two lookups at once, the
+            # matrix this saves in each keeps the peak RSS near the serial sweep's
+            args /= h
+            shared = lookup(table, args)
             for k in group:
                 factors[k] = shared[:, lags[k] - first : lags[k] - first + w]
-        if p == 2:
-            acc += factors[0] @ factors[1].T
-        else:
-            acc += np.einsum("am,bm,cm->abc", *factors)
+        return factors
+
+    acc = np.zeros(tuple(a.size for a in sorted_axes))
+    starts = range(0, m, _JCHUNK)
+    with contextlib.ExitStack() as stack:
+        blocks = map(block, starts)
+        if len(starts) > 1 and on_lattice:
+            from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
+
+            table.slope  # cached here, so that the workers do not race to fill it
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=2))
+            blocks = _two_ahead(pool, functools.partial(block, lookup=_untraced_eval_table), starts)
+        for factors in blocks:
+            if p == 2:
+                acc += factors[0] @ factors[1].T
+            else:
+                acc += np.einsum("am,bm,cm->abc", *factors)
     # back to caller order: caller axis a sits at sorted slot argsort(order)[a]
     values = np.transpose(acc / (m * h**p), axes=np.argsort(order))
     return DensityGrid(axes=tuple(axes), values=values)
 
 
-def _lag_groups(axes, lags, log_sq, table) -> list:
-    """Sorted-axis indices grouped to share one lookup matrix per block:
-    bit-equal axes at distinct lags less than _JCHUNK apart.  A repeated lag
-    stays alone (numpy would send a slice times its own transpose to BLAS
-    syrk, 6.9e-18 off gemm), as does an axis whose arguments (x - Y)/h, bounded
-    by the extreme ones, can leave the lattice (quadrature bits vary by batch).
+def _two_ahead(pool, fn, items):
+    """Yield fn(item) for each item in order, computed on pool at most two
+    items ahead of the caller; the results do not depend on timing."""
+    futures = [pool.submit(fn, item) for item in items[:2]]
+    for i in range(len(items)):
+        if i + 2 < len(items):
+            futures.append(pool.submit(fn, items[i + 2]))
+        yield futures[i].result()
+        futures[i] = None  # the caller's reference is the last one
+
+
+def _lag_groups(axes, lags, log_sq, table):
+    """(groups, on_lattice): sorted-axis indices grouped to share one lookup
+    matrix per block, bit-equal axes at distinct lags less than _JCHUNK
+    apart; and whether every axis's arguments (x - Y)/h, bounded by the
+    extreme ones, stay on the lattice.  A repeated lag stays alone (numpy
+    would send a slice times its own transpose to BLAS syrk, 6.9e-18 off
+    gemm), as does an axis whose arguments can leave the lattice (quadrature
+    bits vary by batch).
     """
     h, t = table.bandwidth, table.grid_x
-    groups = []
+    groups, all_on = [], True
     for k, x in enumerate(axes):
         on_lattice = x.size == 0 or (
             (x.min() - log_sq.max()) / h >= t[0] and (x.max() - log_sq.min()) / h <= t[-1])
+        all_on = all_on and on_lattice
         for g in groups if on_lattice else ():
             if lags[g[-1]] < lags[k] < lags[g[0]] + _JCHUNK and np.array_equal(axes[g[0]], x):
                 g.append(k)
                 break
         else:
             groups.append([k])
-    return groups
+    return groups, all_on
 
 
 def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarray:

@@ -3,6 +3,8 @@ estimator: increment normalization, log-square transform, index arithmetic,
 bandwidth schedule, and grid evaluation."""
 
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from voldeconv import (
     simulate_bundle,
     vh_quadrature,
 )
+from voldeconv import deconv_kernel, estimator
 from voldeconv.errors import ConfigError, InputError
 from voldeconv.estimator import _JCHUNK, DensityGrid
 from voldeconv.vol_sim import integrate_price, simulate_ou
@@ -551,3 +554,140 @@ def test_grid_and_estimate_errors_name_the_value():
     obs = _obs_from_values(np.zeros(50), 0.1, (0.1, 0.2, 0.3, 0.4))
     with pytest.raises(ConfigError, match="p > 3 is not supported, got p = 4"):
         estimate_density(obs, _table("narrow"), [np.zeros(2)] * 4)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a lookup ran before the grid axes were checked")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_non_finite_grid_axes_refused_before_any_lookup(monkeypatch, p, bad):
+    table = _table("wide")
+    for owner, name in [(estimator, "eval_table"), (estimator, "_untraced_eval_table"),
+                        (estimator, "_interval_sums"), (deconv_kernel, "vh_quadrature")]:
+        monkeypatch.setattr(owner, name, _refuse)
+    obs = _obs_from_values(np.zeros(3 * _JCHUNK), 0.1, (0.1, 0.2, 0.3)[:p])
+    axes = [np.linspace(-1.0, 1.0, 7) for _ in range(p)]
+    axes[-1][[3, 5]] = bad
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match=f"grid axis {p - 1} must be finite, got 2 "
+                                          f"non-finite, the first at index 3"):
+        estimate_density(obs, table, axes)
+    assert threading.active_count() == threads
+
+
+def test_two_dimensional_grid_axis_refused(monkeypatch):
+    monkeypatch.setattr(estimator, "_interval_sums", _refuse)
+    obs = _obs_from_values(np.zeros(50), 0.1, (0.1,))
+    with pytest.raises(ConfigError, match=r"grid axis 0 must be 1-D, got shape \(2, 3\)"):
+        estimate_density(obs, _table("wide"), [np.zeros((2, 3))])
+
+
+def _sweep_case(p, blocks, seed):
+    """(obs, caller-order axes) with m spanning the given number of
+    _JCHUNK blocks; at p = 2 both axes share one grid (one lookup matrix per
+    block), at p = 3 two of the three do."""
+    m = {1: 500, 2: _JCHUNK + 1, 3: 2 * _JCHUNK + 7, 4: 4 * _JCHUNK, 7: 6 * _JCHUNK + 300}[blocks]
+    times = (0.52, 0.14) if p == 2 else (0.31, 1.02, 0.75)
+    offsets = [int(t / _DELTA) for t in times]
+    rng = np.random.default_rng(seed)
+    n = m + max(offsets) - min(offsets)
+    inc = rng.standard_normal(n) * np.exp(rng.normal(0.0, 1.0, n))
+    obs = ObservationSet.from_increments(inc, _DELTA, times)
+    assert obs.m == m
+    grid = np.linspace(-9.0, 4.0, 9)
+    return obs, [grid, grid] if p == 2 else [grid, np.linspace(-6.0, 3.0, 5), grid]
+
+
+def _worker_lookups(monkeypatch):
+    """Thread idents of the calls to the workers' eval_table reference."""
+    idents, real = [], estimator._untraced_eval_table
+
+    def record(table, x):
+        idents.append(threading.get_ident())
+        return real(table, x)
+
+    monkeypatch.setattr(estimator, "_untraced_eval_table", record)
+    return idents
+
+
+@pytest.mark.parametrize("kind", ["wide", "narrow"])
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("p", [2, 3])
+def test_threaded_sweep_matches_interp_reference(monkeypatch, p, blocks, kind):
+    idents = _worker_lookups(monkeypatch)
+    obs, axes = _sweep_case(p, blocks, seed=10 * p + blocks)
+    est = estimate_density(obs, _table(kind), axes)
+    np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
+    # the workers run with two or more blocks on the wide table's lattice,
+    # one lookup per block and shared group; the narrow table sends
+    # arguments off it, so its sweep runs inline
+    threaded = blocks > 1 and kind == "wide"
+    assert len(idents) == (blocks * (p - 1) if threaded else 0)
+    assert threading.get_ident() not in idents
+
+
+def test_concurrent_threaded_sweeps_match_reference():
+    cases = [_sweep_case(2, 7, seed=1), _sweep_case(3, 4, seed=2)]
+    expect = [_interp_sweep(obs, _table("wide"), axes) for obs, axes in cases]
+    results = [None] * len(cases)
+
+    def run(i):
+        obs, axes = cases[i]
+        results[i] = estimate_density(obs, _table("wide"), axes).values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(results, expect):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_failed_block_lookup_surfaces_and_stops_the_workers(monkeypatch):
+    # log_sq[j] is j's block index and the grid is the one point 0, so a
+    # block's largest argument (0 - b)/h names its block b
+    obs = _obs_from_values(np.arange(7 * _JCHUNK + 1) // _JCHUNK, _DELTA, (0.15, 0.25))
+    assert obs.m == 7 * _JCHUNK and obs.index_offsets == (1, 2)
+    real = estimator._untraced_eval_table
+
+    def fail_on_block_3(table, x):
+        if round(-x.max() * table.bandwidth) == 3:
+            raise RuntimeError("lookup failed on block 3")
+        return real(table, x)
+
+    monkeypatch.setattr(estimator, "_untraced_eval_table", fail_on_block_3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="lookup failed on block 3"):
+        estimate_density(obs, _table("wide"), [np.zeros(1), np.zeros(1)])
+    assert threading.active_count() == threads
+
+
+def test_traced_lookups_and_quadrature_stay_on_the_calling_thread(monkeypatch):
+    calls = {"eval_table": [], "vh_quadrature": []}
+    for owner, name in [(estimator, "eval_table"), (deconv_kernel, "vh_quadrature")]:
+        real = getattr(owner, name)
+
+        def record(*args, _real=real, _name=name):
+            calls[_name].append(threading.get_ident())
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, record)
+    idents = _worker_lookups(monkeypatch)
+    for p, blocks in [(2, 7), (3, 4)]:
+        obs, axes = _sweep_case(p, blocks, seed=p)
+        for kind in ("wide", "narrow"):
+            estimate_density(obs, _table(kind), axes)
+        estimate_density(ObservationSet(
+            delta=_DELTA, log_sq=obs.log_sq, times=(0.1,), index_offsets=(1,)
+        ), _table("narrow"), axes[:1])
+    assert any(i != threading.get_ident() for i in idents)  # the workers did run
+    assert calls["eval_table"] and calls["vh_quadrature"]
+    assert set(calls["eval_table"] + calls["vh_quadrature"]) == {threading.get_ident()}
