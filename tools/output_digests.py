@@ -61,11 +61,8 @@ def sha256(data: bytes) -> str:
 
 def blas_environment() -> list:
     lines = [f"# {var}={os.environ.get(var, 'unset')}" for var in BLAS_VARS]
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        lines.append(f"# numpy {np.__version__} blas {blas.get('name')} {blas.get('version')}")
-    except (TypeError, KeyError):  # numpy without the dict form of show_config
-        lines.append(f"# numpy {np.__version__}")
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    lines.append(f"# numpy {np.__version__} blas {blas.get('name')} {blas.get('version')}")
     lines.append(f"# cpu_count {os.cpu_count()}")
     return lines
 
