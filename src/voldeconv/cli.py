@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     kt.add_argument("--help", action="help", help="show this help message")
     kt.add_argument("--deconv", action="store_true", help="dump v_h instead of w")
     kt.add_argument("-h", "--bandwidth", type=float, default=None, metavar="H")
-    kt.add_argument("--kernel", default="poly3")
+    kt.add_argument("--kernel", default=ExperimentConfig.kernel_name)
     kt.add_argument("--grid", default=_TABLE_GRID_DEFAULT, metavar="LO:HI:N")
     kt.add_argument("--out", default=None)
     kt.set_defaults(func=_cmd_kernel_table)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--delta", required=True, type=float)
     sim.add_argument("--seed", required=True, type=int)
     sim.add_argument("--out", required=True)
-    sim.add_argument("--subgrid-ratio", type=int, default=50)
+    sim.add_argument("--subgrid-ratio", type=int, default=ExperimentConfig.subgrid_ratio)
     sim.set_defaults(func=_cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate the log sigma^2 density")
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--gamma", required=True, type=float)
     est.add_argument("--grid", required=True, metavar="LO:HI:N[,LO:HI:N...]")
     est.add_argument("--bandwidth", type=float, default=None)
-    est.add_argument("--kernel", default="poly3")
+    est.add_argument("--kernel", default=ExperimentConfig.kernel_name)
     est.add_argument("--out", default=None)
     est.set_defaults(func=_cmd_estimate)
 

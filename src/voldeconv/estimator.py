@@ -17,10 +17,7 @@ blocks of w observations: table lookups by O(1) index arithmetic on the
 lattice (see eval_table), then one product of the per-axis factor matrices.
 Coordinate k is the series at a lag, Y_{j,k} = log_sq[j + lag_k], so the
 factors of bit-equal axes are column shifts of one lookup matrix: per block
-a group of them costs G (w + span) lookups, not G w per axis.  Two worker
-threads make the blocks' lookup matrices, at most two blocks ahead, and the
-calling thread adds each block's product in block order, as one thread
-would, so the sum keeps its bits whatever the timing.  For p = 1 the
+a group of them costs G (w + span) lookups, not G w per axis.  For p = 1 the
 sum is taken exactly per lattice interval instead.  With the m values sorted
 once and their prefix sums taken, the data falling in interval l for grid
 point x (those Y with (x - Y)/h in [t_l, t_{l+1})) are one contiguous run,
@@ -38,15 +35,16 @@ eval_table, which integrates them exactly.
 from __future__ import annotations
 
 import contextlib
-import functools
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .deconv_kernel import DeconvTable, eval_table
 from .errors import ConfigError, InputError, _require_finite_positive
+from .quadrature import _in_order
 
 _CLAMP_FLOOR_DEFAULT = 1e-12
 
@@ -89,8 +87,7 @@ def log_square_transform(x, clamp_floor: float = _CLAMP_FLOOR_DEFAULT):
     non-finite values, which ObservationSet rejects.
     """
     x = np.asarray(x, dtype=float)
-    if not clamp_floor > 0.0:
-        raise ConfigError(f"clamp_floor must be positive, got {clamp_floor}")
+    _require_finite_positive("clamp_floor", clamp_floor, ConfigError)
     clamped = np.abs(x) < clamp_floor
     vals = 2.0 * np.log(np.maximum(np.abs(x), clamp_floor))
     return vals, int(np.count_nonzero(clamped))
@@ -141,6 +138,8 @@ class ObservationSet:
 
     def __post_init__(self):
         _require_finite_positive("delta", self.delta, ConfigError)
+        if np.ndim(self.log_sq) != 1:
+            raise InputError(f"log_sq must be 1-D, got shape {np.shape(self.log_sq)}")
         bad = ~np.isfinite(np.asarray(self.log_sq, dtype=float))
         if np.any(bad):
             # one NaN would poison every estimate; reject it before any work
@@ -153,6 +152,8 @@ class ObservationSet:
         if not np.all(np.diff(t) > 0.0):
             raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
         off = np.asarray(self.index_offsets)
+        if off.dtype.kind not in "iu" and not np.all(np.mod(off, 1.0) == 0.0):
+            raise ConfigError(f"index offsets must be integers, got {off.tolist()}")
         if off.size != t.size or np.any(np.diff(off) < 0):
             raise ConfigError(
                 f"index offsets must be nondecreasing, one per time, got "
@@ -302,12 +303,11 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     orientation.  The bandwidth is the table's.  Each axis must be 1-D and
     finite.
 
-    For p >= 2, two worker threads make the observation blocks' lookup
-    matrices at most two blocks ahead while this thread adds their products
-    in block order, as the serial sweep does, so the bits do not depend on
-    thread timing.  With one block, or arguments that can leave the table's
-    lattice (no worker may reach the direct quadrature), the sweep runs on
-    this thread alone.
+    For p >= 2, the blocks' lookup matrices are made two ahead on two
+    workers by _in_order, and this thread adds their products in block
+    order, so the bits are the serial sweep's.  With one block, or arguments
+    that can leave the table's lattice (no worker may reach the direct
+    quadrature), the sweep runs on this thread alone.
     """
     p = obs.p
     axes = [np.asarray(a, dtype=float) for a in axes]
@@ -363,7 +363,7 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
 
             table.slope  # cached here, so that the workers do not race to fill it
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=2))
-            blocks = _two_ahead(pool, functools.partial(block, lookup=_untraced_eval_table), starts)
+            blocks = _in_order(pool, partial(block, lookup=_untraced_eval_table), starts, 2)
         for factors in blocks:
             if p == 2:
                 acc += factors[0] @ factors[1].T
@@ -372,17 +372,6 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     # back to caller order: caller axis a sits at sorted slot argsort(order)[a]
     values = np.transpose(acc / (m * h**p), axes=np.argsort(order))
     return DensityGrid(axes=tuple(axes), values=values)
-
-
-def _two_ahead(pool, fn, items):
-    """Yield fn(item) for each item in order, computed on pool at most two
-    items ahead of the caller; the results do not depend on timing."""
-    futures = [pool.submit(fn, item) for item in items[:2]]
-    for i in range(len(items)):
-        if i + 2 < len(items):
-            futures.append(pool.submit(fn, items[i + 2]))
-        yield futures[i].result()
-        futures[i] = None  # the caller's reference is the last one
 
 
 def _lag_groups(axes, lags, log_sq, table):

@@ -43,7 +43,9 @@ from .estimator import (
 )
 from .quadrature import gauss_legendre_box, tensor_quadrature
 from .smoothing_kernel import builtin_kernel, kernel_moments
-from .vol_sim import MIN_SUBGRID_RATIO, OUParams, RegimeSwitchParams, _check_model, simulate_bundle
+from .vol_sim import (
+    _SUBGRID_RATIO, MIN_SUBGRID_RATIO, OUParams, RegimeSwitchParams, _check_model, simulate_bundle,
+)
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
 _AUTO_POINTS = {1: 201, 2: 61}  # grid points per axis for grid = auto
@@ -65,7 +67,7 @@ class ExperimentConfig:
     master_seed: int
     kernel_name: str = "poly3"
     bandwidth_override: Optional[float] = None
-    subgrid_ratio: int = 50
+    subgrid_ratio: int = _SUBGRID_RATIO
 
     def __post_init__(self):
         _check_model(self.model, self.params)
@@ -129,7 +131,7 @@ class ExperimentConfig:
         unknown = set(mapping) - _EXPERIMENT_KEYS - set(_PARAM_KEYS[model])
         if unknown:
             raise ConfigError(f"unknown config keys for model {model!r}: {sorted(unknown)}")
-        mapping = {"kernel": "poly3", "subgrid_ratio": "50", **mapping}
+        mapping = {"kernel": cls.kernel_name, "subgrid_ratio": cls.subgrid_ratio, **mapping}
 
         def ints(text):
             return tuple(int(s) for s in text.split(","))

@@ -17,8 +17,8 @@ bundle is reproducible from (seed, parameters) alone.
 Each stage is a private chunk generator.  simulate_bundle runs them a few
 thousand increments at a time, with the normal draws made a chunk ahead on
 two worker threads, so only sigma^2 is held at full length; the public
-simulate_ou, simulate_regime_switch and integrate_price are the same
-generators read as one chunk.
+simulate_ou and simulate_regime_switch are the same generators read as one
+chunk, and integrate_price is one block of the same price sum.
 """
 from __future__ import annotations
 
@@ -29,12 +29,14 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ConfigError, InputError, _require_finite_positive, _require_integer
+from .quadrature import _in_order
 
 SeedLike = Union[int, np.random.SeedSequence]
 
 # increments per simulate_bundle chunk; the output does not depend on it
 _CHUNK = 4096
 MIN_SUBGRID_RATIO = 10  # fewest fine substeps per delta interval
+_SUBGRID_RATIO = 50  # default fine substeps per delta interval
 
 
 @dataclass(frozen=True)
@@ -98,22 +100,15 @@ def _check_model(model: str, params) -> None:
         )
 
 
-def _normal_chunks(seed: SeedLike, size: int, chunk: int):
-    """Yield default_rng(seed)'s first `size` standard normals in pieces of at
-    most `chunk`; joined, they are the bits of one standard_normal(size)."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, size, chunk):
-        yield rng.standard_normal(min(chunk, size - start))
-
-
 def _ou_chunks(
-    params: OUParams, n_steps: int, dt: float, seed: SeedLike, chunk: int, read: Callable = iter
+    params: OUParams, n_steps: int, dt: float, seed: SeedLike, chunk: int, read: Callable = map
 ):
     """Yield simulate_ou's path in consecutive pieces of at most `chunk` steps.
 
-    The normals are default_rng(seed)'s, in order and read through `read`,
-    and the AR(1) state is carried between pieces by lfilter's zi, so the
-    pieces joined are the same bits whatever the chunk size.
+    The normals are default_rng(seed).standard_normal's, drawn a piece at a
+    time by read(draw, sizes): map, or _in_order on a pool.  The AR(1)
+    state is carried between pieces by lfilter's zi, so the pieces joined
+    are the same bits whatever the chunk size.
     """
     from scipy.signal import lfilter  # imported here: slow to import
 
@@ -121,11 +116,11 @@ def _ou_chunks(
     sd_stat = np.sqrt(params.stationary_var)
     scale = sd_stat * np.sqrt(1.0 - phi * phi)
     state = np.zeros(1)
-    normals = read(_normal_chunks(seed, n_steps, chunk))
-    for start, e in zip(range(0, n_steps, chunk), normals):
+    sizes = [min(chunk, n_steps - s) for s in range(0, n_steps, chunk)]
+    for k, e in enumerate(read(np.random.default_rng(seed).standard_normal, sizes)):
         first = e[0]
         e *= scale
-        if start == 0:
+        if k == 0:
             e[0] = first * sd_stat
         # AR(1) recursion x_k = phi x_{k-1} + e_k as a linear filter
         x, state = lfilter([1.0], [1.0, -phi], e, zi=state)
@@ -178,7 +173,7 @@ def _regime_chunks(
     dt: float,
     seed: SeedLike,
     chunk: int,
-    read: Callable = iter,
+    read: Callable = map,
 ):
     """Yield simulate_regime_switch's path in pieces of at most `chunk` steps.
 
@@ -300,7 +295,7 @@ def integrate_price(
             f"sigma2 path length {sigma2.size} is not a multiple of the "
             f"subgrid ratio {ratio}"
         )
-    z = next(_normal_chunks(seed, sigma2.size, sigma2.size))
+    z = np.random.default_rng(seed).standard_normal(sigma2.size)
     return _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
 
 
@@ -339,23 +334,13 @@ class PathBundle:
         return self.delta / self.subgrid_ratio
 
 
-def _read_ahead(pool, chunks):
-    """Yield from `chunks`, computing each next item on `pool` while the
-    caller works on the current one.  Only one item is in flight at a time,
-    so the stream advances in order and its items do not depend on timing."""
-    future = pool.submit(next, chunks, None)
-    while (item := future.result()) is not None:
-        future = pool.submit(next, chunks, None)
-        yield item
-
-
 def simulate_bundle(
     model: str,
     params,
     n: int,
     delta: float,
     seed: int,
-    subgrid_ratio: int = 50,
+    subgrid_ratio: int = _SUBGRID_RATIO,
     drift: Optional[Callable] = None,
 ) -> PathBundle:
     """Simulate n price increments under the named volatility model.
@@ -366,11 +351,10 @@ def simulate_bundle(
     mixture on that doubled scale.  Child streams of `seed`, in order:
     sigma path, price shocks.
 
-    The path is made _CHUNK increments at a time: two worker threads draw
-    the next chunk of normals for the log-variance path and for the price
-    shocks while this thread filters, exponentiates and sums the current
-    one.  Each stream is advanced by one thread at a time and in order, so
-    the bundle is simulate_ou -> exp -> integrate_price (or its regime
+    The path is made _CHUNK increments at a time: each stream's next chunk
+    of normals is drawn on two workers by _in_order, one call ahead, while
+    this thread filters, exponentiates and sums the current one.  So the
+    bundle is simulate_ou -> exp -> integrate_price (or its regime
     equivalent) bit for bit, whatever the chunk size or thread timing.
     """
     _require_integer("n", n, 1, InputError)
@@ -385,15 +369,17 @@ def simulate_bundle(
     path_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
     sigma2 = np.empty(n_fine)
     increments = np.empty(n)
+    starts = range(0, n_fine, chunk)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        ahead = functools.partial(_read_ahead, pool)
+        read = functools.partial(_in_order, pool, ahead=1)
         if model == "ou":
-            log_sigma2 = _ou_chunks(params, n_fine, fine_dt, path_ss, chunk, read=ahead)
+            log_sigma2 = _ou_chunks(params, n_fine, fine_dt, path_ss, chunk, read=read)
         else:
-            xi = _regime_chunks(params, n_fine, fine_dt, path_ss, chunk, read=ahead)
+            xi = _regime_chunks(params, n_fine, fine_dt, path_ss, chunk, read=read)
             log_sigma2 = (2.0 * x for x in xi)
-        shocks = ahead(_normal_chunks(noise_ss, n_fine, chunk))
-        for start, log_s2, z in zip(range(0, n_fine, chunk), log_sigma2, shocks):
+        sizes = [min(chunk, n_fine - s) for s in starts]
+        shocks = read(np.random.default_rng(noise_ss).standard_normal, sizes)
+        for start, log_s2, z in zip(starts, log_sigma2, shocks):
             s2 = np.exp(log_s2, out=sigma2[start:start + log_s2.size])
             first = start // subgrid_ratio
             increments[first:first + s2.size // subgrid_ratio] = _price_block(

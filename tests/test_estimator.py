@@ -475,6 +475,27 @@ def test_observation_errors_name_the_value():
         assert str(info.value) == message
 
 
+def test_two_dimensional_log_sq_refused_up_front():
+    with pytest.raises(InputError, match=r"log_sq must be 1-D, got shape \(4, 6\)"):
+        ObservationSet(delta=0.1, log_sq=np.zeros((4, 6)), times=(0.1,), index_offsets=(1,))
+    with pytest.raises(InputError, match=r"log_sq must be 1-D, got shape \(4, 6\)"):
+        ObservationSet.from_increments(np.ones((4, 6)), 0.1, (0.1, 0.2))
+
+
+def test_non_integer_index_offsets_refused():
+    with pytest.raises(ConfigError, match=r"index offsets must be integers, got \[1.7\]"):
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(0.17,), index_offsets=(1.7,))
+    obs = ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(0.1,), index_offsets=(1.0,))
+    assert obs.index_offsets == (1,)
+
+
+@pytest.mark.parametrize("floor", [np.inf, np.nan, 0.0, -1e-12, True])
+def test_bad_clamp_floor_refused(floor):
+    with pytest.raises(ConfigError) as info:
+        log_square_transform(np.ones(3), clamp_floor=floor)
+    assert str(info.value) == f"clamp_floor must be finite and positive, got {floor!r}"
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

@@ -1,10 +1,13 @@
 """Tests for the shared Gauss-Legendre rules: built lazily, read-only, and
-numerically the same rules the kernel and truth quadratures always used; and
-for fourier_sum's threaded blocks, which give the serial loop's bits."""
+numerically the same rules the kernel and truth quadratures always used;
+for fourier_sum's threaded blocks, which give the serial loop's bits; and for
+_in_order, the in-order two-worker helper every threaded stage runs on."""
 
 import os
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +27,7 @@ from voldeconv import (
 )
 from voldeconv.deconv_kernel import _half_rule_coefficients
 from voldeconv.experiment import ExperimentConfig, resolve_grid, truth_for
-from voldeconv.quadrature import _BLOCK, fourier_sum, gauss_legendre
+from voldeconv.quadrature import _BLOCK, _in_order, fourier_sum, gauss_legendre
 from voldeconv.vol_sim import RegimeSwitchParams
 
 SPEC = builtin_kernel("poly3")
@@ -185,3 +188,87 @@ def test_concurrent_vh_calls_give_the_serial_bits():
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(v, serial) for v in together)
+
+
+class _Recorder:
+    """A recording fn for _in_order, and the pool it submits to.
+
+    Each call's return sets an Event; a call for item i starts only after
+    item i - ahead's has returned, or a fault is logged.  An even item waits
+    (up to 50 ms) for its odd successor to return first, so that a worker
+    freed early would start a later item out of turn.
+    """
+
+    def __init__(self, pool, n, ahead, fail_at=None):
+        self.pool, self.ahead, self.fail_at = pool, ahead, fail_at
+        self.returned = [threading.Event() for _ in range(n)]
+        self.submitted, self.faults = [], []
+
+    def submit(self, fn, i):
+        in_flight = 1 + sum(not self.returned[j].is_set() for j in self.submitted)
+        if in_flight > self.ahead:
+            self.faults.append(f"{in_flight} calls in flight at item {i}")
+        self.submitted.append(i)
+        return self.pool.submit(fn, i)
+
+    def __call__(self, i):
+        try:
+            if i >= self.ahead and not self.returned[i - self.ahead].is_set():
+                self.faults.append(f"item {i} started before item {i - self.ahead} returned")
+            if self.ahead > 1 and i % 2 == 0 and i + 1 < len(self.returned):
+                self.returned[i + 1].wait(timeout=0.05)
+            if i == self.fail_at:
+                raise RuntimeError(f"item {i} failed")
+            return i
+        finally:
+            self.returned[i].set()
+
+
+@pytest.mark.parametrize("ahead", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_in_order_yields_in_item_order_within_ahead(n, ahead):
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        rec = _Recorder(pool, n, ahead)
+        got = []
+        for result in _in_order(rec, rec, range(n), ahead):
+            # nothing past the held result plus `ahead` was ever submitted
+            assert max(rec.submitted) <= result + ahead
+            got.append(result)
+    assert got == list(range(n))
+    assert rec.submitted == list(range(n))
+    assert rec.faults == []
+
+
+def test_in_order_advances_a_stateful_draw_in_order():
+    # with one call ahead, a draw that reads and then writes its state is
+    # never run twice at once, even with thread switches forced often
+    state = [0]
+
+    def draw(size):
+        start = state[0]
+        time.sleep(0)  # invite a thread switch between the read and the write
+        state[0] = start + size
+        return list(range(start, start + size))
+
+    sizes = [3, 1, 4, 1, 5, 9, 2, 6] * 25
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            drawn = [v for piece in _in_order(pool, draw, sizes, 1) for v in piece]
+    finally:
+        sys.setswitchinterval(interval)
+    assert drawn == list(range(sum(sizes)))
+
+
+def test_in_order_surfaces_a_failure_at_its_item_and_stops_the_workers():
+    threads = threading.active_count()
+    got = []
+    with pytest.raises(RuntimeError, match="item 3 failed"):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            rec = _Recorder(pool, 7, 2, fail_at=3)
+            for result in _in_order(rec, rec, range(7), 2):
+                got.append(result)
+    assert got == [0, 1, 2]
+    assert max(rec.submitted) <= 4  # item 5 waits for item 3, which failed
+    assert threading.active_count() == threads

@@ -2,11 +2,14 @@
 
     PYTHONPATH=src python3 tools/output_digests.py > digests.txt
 
-Prints `<sha256>  <name>` per artifact, after `#` lines that give the BLAS
-environment it ran under: p >= 2 estimates are BLAS matrix products, whose
-last bits depend on the BLAS thread count.  Two checkouts give the same bits
-when their outputs, run under the same BLAS setting with PYTHONPATH pointing
-at each checkout's src/, are the same (`diff`).  The artifacts:
+Prints `<sha256>  <name>` per artifact, after `#` lines that give what the
+bits depend on: the BLAS thread-count variables (p >= 2 estimates are BLAS
+matrix products, whose last bits depend on the BLAS thread count), the numpy,
+scipy and BLAS versions, and numpy's SIMD baseline and the SIMD extensions
+it found on this CPU.  Two checkouts give the same bits when their outputs,
+run under the same BLAS setting with PYTHONPATH pointing at each checkout's
+src/, are the same (`diff`).  tests/data/output_digests.txt pins the output
+under OPENBLAS_NUM_THREADS=1.  The artifacts:
 
   crit07-seed<s>/<file>  emit_report of the criterion-07 config (regime,
                          p = 2, n = 1e5) at master seeds 424242 and 7,
@@ -60,9 +63,17 @@ def sha256(data: bytes) -> str:
 
 
 def blas_environment() -> list:
+    import scipy
+
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
     lines = [f"# {var}={os.environ.get(var, 'unset')}" for var in BLAS_VARS]
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    lines.append(f"# numpy {np.__version__} blas {blas.get('name')} {blas.get('version')}")
+    lines.append(f"# numpy {np.__version__}")
+    lines.append(f"# scipy {scipy.__version__}")
+    lines.append(f"# blas {blas.get('name')} {blas.get('version')}")
+    lines.append(f"# simd baseline {' '.join(simd.get('baseline', []))} "
+                 f"found {' '.join(simd.get('found', []))}")
     lines.append(f"# cpu_count {os.cpu_count()}")
     return lines
 
