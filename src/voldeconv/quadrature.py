@@ -75,8 +75,8 @@ def fourier_sum(nodes, cos_coef, sin_coef, x):
     xv = x.ravel()
     out = np.empty(xv.size)
     starts = range(0, xv.size, _BLOCK)
-    # two phase buffers, allocated here (in the workers they measured 5 %
-    # more peak RSS): block i + 2 starts after block i returns, so reuses its
+    # two phase buffers, allocated here (in the workers: 5 % more peak RSS);
+    # block i + 2 starts only after block i returns, so it takes i's buffer
     buffers = [np.empty(nodes.size * min(xv.size, _BLOCK)) for _ in starts[:2]]
 
     def block(i):

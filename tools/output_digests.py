@@ -29,6 +29,7 @@ import sys
 import tempfile
 
 import numpy as np
+import scipy
 
 from voldeconv import (
     ExperimentConfig, OUParams, RegimeSwitchParams, build_table, builtin_kernel,
@@ -63,8 +64,6 @@ def sha256(data: bytes) -> str:
 
 
 def blas_environment() -> list:
-    import scipy
-
     config = np.show_config(mode="dicts")
     blas = config.get("Build Dependencies", {}).get("blas", {})
     simd = config.get("SIMD Extensions", {})
