@@ -109,15 +109,15 @@ class DeconvTable:
     """Cached lattice of v_h values for O(1) interpolated evaluation.
 
     bandwidth : float
-        The h the table was built at (log sigma^2 scale).
+        The h the table was built at (log sigma^2 scale), finite and positive.
     kernel : KernelSpec
         Smoothing kernel whose spectrum was deconvolved.
     x_min, x_max : float
         Ends of the lattice, finite with x_min < x_max.
     values : ndarray
-        v_h at grid_x, real, 1-D with at least 2 points.
+        v_h at grid_x, real and finite, 1-D with at least 2 points.
     sup_bound : float
-        Uniform bound on |v_h|, also its Lipschitz constant.
+        Uniform bound on |v_h|, also its Lipschitz constant; finite, >= 0.
 
     The lattice is linspace(x_min, x_max, values.size), so it is uniform and
     increasing by construction, as eval_table and the p = 1 interval sums
@@ -137,6 +137,13 @@ class DeconvTable:
                               f"{np.shape(self.values)}")
         if not -np.inf < self.x_min < self.x_max < np.inf:
             raise ConfigError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ConfigError(f"table values must be finite, got {bad.size} non-finite, "
+                              f"the first at index {bad[0]}")
+        _require_finite_positive("bandwidth", self.bandwidth, ConfigError)
+        if not 0.0 <= self.sup_bound < np.inf:
+            raise ConfigError(f"sup_bound must be finite and at least 0, got {self.sup_bound!r}")
 
     @cached_property
     def grid_x(self) -> np.ndarray:

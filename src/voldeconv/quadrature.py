@@ -1,29 +1,49 @@
-"""Gauss-Legendre rules, built on first use and shared for the process.
+"""Gauss-Legendre rules, read or built on first use and shared for the process.
 
-numpy's leggauss(n) costs seconds for n in the thousands, so every rule the
-package uses comes from one cache: nothing is built at import, and a rule is
-built at most once per process.
+numpy's leggauss(n) builds a rule by an n x n eigen-solve, about a second
+for the package's sizes together, so those sizes ship as package data,
+leggauss's bits for each (tools/gauss_legendre_rules.py writes the file).
+Every rule comes from one cache: nothing is read or built at import, and a
+rule is read or built at most once per process.
 """
 from __future__ import annotations
 
+import pathlib
 from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
+from .errors import ConfigError, _require_integer
+
 _BLOCK = 2048  # points per fourier_sum block, bounding its phase matrix
+_RULES = pathlib.Path(__file__).with_name("gauss_legendre_rules.npz")
 
 
-@lru_cache(maxsize=16)
 def gauss_legendre(n: int):
     """numpy's n-node Gauss-Legendre rule on [-1, 1] as (nodes, weights).
 
+    A shipped n is read from the rules file, any other built by leggauss.
     Every caller shares the cached arrays, so they are read-only.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    _require_integer("n", n, 1, ConfigError)  # before the cache: True == 1
+    return _rule(int(n))  # one cache entry for 512 and np.int64(512)
+
+
+@lru_cache(maxsize=16)
+def _rule(n: int):
+    with np.load(_RULES, allow_pickle=False) as shipped:
+        if f"nodes{n}" in shipped:
+            nodes, weights = shipped[f"nodes{n}"], shipped[f"weights{n}"]
+        else:
+            nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+gauss_legendre.cache_info = _rule.cache_info
+gauss_legendre.cache_clear = _rule.cache_clear
 
 
 def gauss_legendre_box(box, n: int):

@@ -273,6 +273,26 @@ def test_deconv_table_is_uniform_by_construction():
     assert table(-1.0, 1.0, np.zeros(2)).grid_x.tolist() == [-1.0, 1.0]
 
 
+def test_deconv_table_refuses_non_finite_values_and_bad_bandwidth_or_bound():
+    tbl = build_table(SPEC, 0.8, -10.0, 10.0, 101)
+
+    def table(bandwidth=tbl.bandwidth, values=tbl.values, bound=tbl.sup_bound):
+        return DeconvTable(bandwidth, SPEC, tbl.x_min, tbl.x_max, values, bound)
+
+    values = tbl.values.copy()
+    values[[7, 40]] = [np.nan, np.inf]
+    with pytest.raises(ConfigError, match="table values must be finite, got 2 non-finite, "
+                                          "the first at index 7"):
+        table(values=values)
+    for h in (-1.0, 0.0, np.nan, np.inf, True):
+        with pytest.raises(ConfigError, match=re.escape(f"bandwidth must be finite and positive, got {h!r}")):
+            table(bandwidth=h)
+    for bound in (np.inf, -1.0, np.nan):
+        with pytest.raises(ConfigError, match=re.escape(f"sup_bound must be finite and at least 0, got {bound!r}")):
+            table(bound=bound)
+    assert table(bound=0.0).sup_bound == 0.0
+
+
 @settings(max_examples=12, deadline=None)
 @given(st.floats(0.4, 4.64))
 def test_table_trapezoid_mass_is_one(h):

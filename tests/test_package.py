@@ -1,6 +1,7 @@
 """Tests of the package's public surface."""
 
 import ast
+import fnmatch
 import pathlib
 import re
 
@@ -10,7 +11,8 @@ import voldeconv
 from voldeconv.experiment import ExperimentConfig, parse_config_text
 
 SRC = pathlib.Path(voldeconv.__file__).parent
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_names_resolve():
@@ -74,3 +76,16 @@ def test_readme_experiment_config_parses():
     (text,) = [b for b in _readme_blocks("") if b.startswith("model = ")]
     cfg = ExperimentConfig.from_mapping(parse_config_text(text))
     assert (cfg.model, cfg.n_schedule, cfg.times) == ("ou", (1000, 10000), (1.0,))
+
+
+def test_rules_file_is_declared_package_data_beside_quadrature():
+    # an install without the file would fail at the first rule, not fall
+    # back to leggauss: so the wheel must carry it
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    from voldeconv import quadrature
+
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    patterns = config["tool"]["setuptools"]["package-data"]["voldeconv"]
+    assert any(fnmatch.fnmatch(quadrature._RULES.name, p) for p in patterns), patterns
+    assert quadrature._RULES.parent == pathlib.Path(quadrature.__file__).parent
+    assert quadrature._RULES.is_file()

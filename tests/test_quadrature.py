@@ -3,7 +3,10 @@ numerically the same rules the kernel and truth quadratures always used;
 for fourier_sum's threaded blocks, which give the serial loop's bits; and for
 _in_order, the in-order two-worker helper every threaded stage runs on."""
 
+import importlib.util
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -18,19 +21,28 @@ from hypothesis import strategies as st
 import voldeconv
 from voldeconv import (
     OUParams,
+    bias_check,
+    build_table,
     builtin_kernel,
     eval_w,
     kernel_moments,
     ou_logsq_marginal,
+    run_experiment,
     sup_bound,
     vh_quadrature,
 )
 from voldeconv.deconv_kernel import _half_rule_coefficients
+from voldeconv.errors import ConfigError
 from voldeconv.experiment import ExperimentConfig, resolve_grid, truth_for
-from voldeconv.quadrature import _BLOCK, _in_order, fourier_sum, gauss_legendre
+from voldeconv.quadrature import _BLOCK, _RULES, _in_order, fourier_sum, gauss_legendre
 from voldeconv.vol_sim import RegimeSwitchParams
 
 SPEC = builtin_kernel("poly3")
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gauss_legendre_rules.py"
+_TOOL_SPEC = importlib.util.spec_from_file_location("gauss_legendre_rules", _TOOL)
+_RULES_TOOL = importlib.util.module_from_spec(_TOOL_SPEC)
+_TOOL_SPEC.loader.exec_module(_RULES_TOOL)
 
 
 def _fresh_process_output(code):
@@ -118,6 +130,70 @@ def test_truth_rules_bit_identical():
     )
     assert resolve_grid(cfg2, truth_for(cfg2))[1] == 0.003951689739403852
     assert ou_logsq_marginal(OUParams(a=2.0, mu=0.0, b=2.0)).mass() == 1.0000000000000018
+
+
+def test_shipped_rules_are_leggauss_bit_for_bit():
+    # the rules file holds tools/gauss_legendre_rules.py's SIZES, each with
+    # the bits leggauss gave under the environment stored beside them
+    with np.load(_RULES, allow_pickle=False) as shipped:
+        stored = {name: shipped[name] for name in shipped.files}
+    assert sorted(stored) == sorted(
+        [*_RULES_TOOL.environment()]
+        + [f"{kind}{n}" for n in _RULES_TOOL.SIZES for kind in ("nodes", "weights")]
+    )
+    for field, value in _RULES_TOOL.environment().items():
+        if str(stored[field]) != value:
+            pytest.skip(f"{field} differs from the one the rules were made under: "
+                        f"{value!r}, stored {str(stored[field])!r}")
+    for n in _RULES_TOOL.SIZES:
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = gauss_legendre(n)
+        assert nodes.tobytes() == stored[f"nodes{n}"].tobytes() == ref_nodes.tobytes(), n
+        assert weights.tobytes() == stored[f"weights{n}"].tobytes() == ref_weights.tobytes(), n
+
+
+def test_every_rule_the_package_asks_for_is_shipped(monkeypatch):
+    # with leggauss unusable and the cache empty, the package's own paths
+    # must find every rule they need in the rules file
+    def refuse(n):
+        raise AssertionError(f"leggauss({n}) called: size {n} is not shipped")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    gauss_legendre.cache_clear()
+    ou = ExperimentConfig(
+        model="ou", params=OUParams(a=2.0, mu=0.0, b=2.0), n_schedule=(500,),
+        delta_exp=0.5, gamma=9.0, times=(1.0,), grid_spec="auto",
+        replications=2, master_seed=1,
+    )
+    regime = ExperimentConfig(
+        model="regime", params=RegimeSwitchParams(
+            a0=1.0, a1=1.0, ou0=OUParams(4.0, -2.0, 1.0), ou1=OUParams(4.0, 2.0, 1.0)
+        ), n_schedule=(500,), delta_exp=0.75, gamma=17.0, times=(1.0, 1.05),
+        grid_spec="auto", replications=1, master_seed=1,
+    )
+    for cfg in (ou, regime):
+        assert run_experiment(cfg).records
+    assert bias_check(ou, truth_for(ou)).replications == 2
+    build_table(SPEC, 0.8, -10.0, 10.0, 101)
+    eval_w(SPEC, np.array([0.0, 1.5]))
+    assert ou_logsq_marginal(OUParams(a=2.0, mu=0.0, b=2.0)).mass() > 0.99
+    assert gauss_legendre.cache_info().currsize == len(_RULES_TOOL.SIZES)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(True, "n must be an integer, got True"), (0, "n must be at least 1, got 0"),
+     (-3, "n must be at least 1, got -3"), (2.5, "n must be an integer, got 2.5"),
+     ("4", "n must be an integer, got '4'")],
+)
+def test_gauss_legendre_refuses_a_bad_n(n, message):
+    assert gauss_legendre(1)[0].tolist() == [0.0]  # True == 1 must not hit it
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        gauss_legendre(n)
+
+
+def test_gauss_legendre_shares_one_rule_across_integer_types():
+    assert gauss_legendre(np.int64(512))[0] is gauss_legendre(512)[0]
 
 
 def _serial_fourier_sum(nodes, cos_coef, sin_coef, x):

@@ -36,12 +36,13 @@ RUN_TIMEOUT_S = 1800
 
 
 def src_digest(checkout: str) -> str:
-    """sha256 over the relative paths and bytes of every .py file in src/."""
+    """sha256 over the relative paths and bytes of every .py and .npz file in
+    src/ (the code and its package data)."""
     digest = hashlib.sha256()
     src = os.path.join(checkout, "src")
     for root, dirs, files in os.walk(src):
         dirs[:] = sorted(d for d in dirs if d != "__pycache__")
-        for name in sorted(f for f in files if f.endswith(".py")):
+        for name in sorted(f for f in files if f.endswith((".py", ".npz"))):
             path = os.path.join(root, name)
             digest.update(os.path.relpath(path, src).encode())
             with open(path, "rb") as fh:
