@@ -1,7 +1,9 @@
-"""Tests for the shared Gauss-Legendre rules: built lazily, read-only, and
-numerically the same rules the kernel and truth quadratures always used;
-for fourier_sum's threaded blocks, which give the serial loop's bits; and for
-_in_order, the in-order two-worker helper every threaded stage runs on."""
+"""Tests for the shared Gauss-Legendre rules: read from the shipped file or
+built lazily, read-only, leggauss's bits, shipped for every size the package
+asks for, and numerically the same rules the kernel and truth quadratures
+always used; for fourier_sum's threaded blocks, which give the serial loop's
+bits; and for _in_order, the in-order two-worker helper every threaded stage
+runs on."""
 
 import importlib.util
 import os
