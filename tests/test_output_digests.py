@@ -48,6 +48,9 @@ def test_digest_lines_have_the_format_and_unique_names(tool_lines):
                 f"crit07-seed{seed}/grids/n100000_rep0.csv"} <= set(names)
     assert "crit06/grids/n100000_rep1.csv" in names
     assert {"vh-table-h0.4", "bundle-increments"} <= set(names)
+    assert "ou-n500-set/config.echo" in names
+    assert {"cli/kernel-table-w.csv", "cli/kernel-table-vh-h0.8.csv", "cli/simulate-n2000.txt",
+            "cli/simulate-n2000.txt.meta.json", "cli/estimate.csv", "cli/truth-p2.csv"} <= set(names)
     assert not any(name.endswith("timings.csv") for name in names)
 
 

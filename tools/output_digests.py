@@ -18,7 +18,14 @@ under OPENBLAS_NUM_THREADS=1.  The artifacts:
                          n = 1e3, 1e4, 1e5) with 2 replications each;
   vh-table-h0.4          the values of build_table(poly3, 0.4, -290, 290,
                          29001);
-  bundle-increments      the increments of one OU simulate_bundle, n = 1e5.
+  bundle-increments      the increments of one OU simulate_bundle, n = 1e5;
+  ou-n500-set/<file>     emit_report of an n = 500 OU config that sets
+                         bandwidth, kernel and subgrid_ratio = 10, so that
+                         config.echo carries every optional key;
+  cli/<file>             the files voldeconv.cli.main writes with --out:
+                         kernel-table (w, and v_h at -h 0.8), simulate
+                         (n = 2000 OU increments and their .meta.json),
+                         estimate on those increments, and truth at p = 2.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ from voldeconv import (
     ExperimentConfig, OUParams, RegimeSwitchParams, build_table, builtin_kernel,
     emit_report, run_experiment, simulate_bundle,
 )
+from voldeconv.cli import main as cli_main
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -56,6 +64,14 @@ def criterion_06() -> ExperimentConfig:
         model="ou", params=OU, n_schedule=(1_000, 10_000, 100_000), delta_exp=0.5,
         gamma=9.0, times=(1.0,), grid_spec="auto", replications=2,
         master_seed=20260816,
+    )
+
+
+def ou_optional_keys() -> ExperimentConfig:
+    return ExperimentConfig(
+        model="ou", params=OU, n_schedule=(500,), delta_exp=0.5, gamma=9.0,
+        times=(1.0,), grid_spec="auto", replications=2, master_seed=11,
+        kernel_name="poly3", bandwidth_override=0.5, subgrid_ratio=10,
     )
 
 
@@ -87,6 +103,29 @@ def report_digests(prefix: str, cfg: ExperimentConfig, tmp: str) -> list:
     ]
 
 
+def cli_digests(tmp: str) -> list:
+    out = pathlib.Path(tmp, "cli")
+    out.mkdir()
+    params = out / "ou.params"
+    params.write_text("a = 2.0\nmu = 0.0\nb = 2.0\n", encoding="utf-8")
+    inc = str(out / "simulate-n2000.txt")
+    runs = (
+        ["kernel-table", "--out", str(out / "kernel-table-w.csv")],
+        ["kernel-table", "--deconv", "-h", "0.8", "--out", str(out / "kernel-table-vh-h0.8.csv")],
+        ["simulate", "--model", "ou", "--params", str(params), "--n", "2000",
+         "--delta", "0.02", "--seed", "7", "--out", inc],
+        ["estimate", "--input", inc, "--delta", "0.02", "--times", "1.0", "--gamma", "9.0",
+         "--grid=-6:6:25", "--out", str(out / "estimate.csv")],
+        ["truth", "--model", "ou", "--params", str(params), "--times", "1.0,1.5",
+         "--grid=-3:3:21", "--out", str(out / "truth-p2.csv")],
+    )
+    for argv in runs:
+        if cli_main(argv) != 0:
+            raise RuntimeError(f"voldeconv {argv[0]} failed")
+    params.unlink()
+    return [(sha256(path.read_bytes()), f"cli/{path.name}") for path in sorted(out.iterdir())]
+
+
 def digests() -> list:
     """(sha256, name) per artifact, in a fixed order."""
     out = []
@@ -94,11 +133,12 @@ def digests() -> list:
         for seed in (424242, 7):
             out += report_digests(f"crit07-seed{seed}", criterion_07(seed), tmp)
         out += report_digests("crit06", criterion_06(), tmp)
+        later = report_digests("ou-n500-set", ou_optional_keys(), tmp) + cli_digests(tmp)
     table = build_table(builtin_kernel("poly3"), 0.4, -290.0, 290.0, 29001)
     out.append((sha256(table.values.tobytes()), "vh-table-h0.4"))
     bundle = simulate_bundle("ou", OU, 100_000, 100_000**-0.5, seed=20260816)
     out.append((sha256(bundle.increments.tobytes()), "bundle-increments"))
-    return out
+    return out + later
 
 
 def main() -> int:
