@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from .estimator import (
 from .experiment import (
     ExperimentConfig,
     _fmt,
+    csv_text,
     emit_report,
     grid_csv,
     params_from_mapping,
@@ -36,6 +38,7 @@ from .experiment import (
     run_experiment,
     table_for_axes,
     truth_for_model,
+    write_text,
 )
 from .smoothing_kernel import builtin_kernel, eval_w
 from .vol_sim import MODELS, simulate_bundle
@@ -44,16 +47,7 @@ _TABLE_GRID_DEFAULT = "-40.0:40.0:4096"
 
 
 def _read_mapping(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-def _write_text(path, text):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    return parse_config_text(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
 def _numbers(pairs, where: str) -> list:
@@ -74,18 +68,15 @@ def _cmd_kernel_table(args) -> int:
         if args.bandwidth is None:
             raise ConfigError("kernel-table --deconv requires -h <bandwidth>")
         table = build_table(spec, args.bandwidth, grid[0], grid[-1], grid.size)
-        header = (
+        text = csv_text(
             f"# kernel = {spec.name}, h = {_fmt(table.bandwidth)}, "
-            f"sup_bound = {_fmt(table.sup_bound)}"
+            f"sup_bound = {_fmt(table.sup_bound)}\nx,v_h",
+            zip(table.grid_x, table.values),
         )
-        rows = [header, "x,v_h"]
-        for x, v in zip(table.grid_x, table.values):
-            rows.append(f"{_fmt(x)},{_fmt(v)}")
     else:
-        rows = [f"# kernel = {spec.name}", "x,w,phi_w"]
-        for x, v, ph in zip(grid, eval_w(spec, grid), spec.phi_w(grid)):
-            rows.append(f"{_fmt(x)},{_fmt(v)},{_fmt(ph)}")
-    _write_text(args.out, "\n".join(rows) + "\n")
+        text = csv_text(f"# kernel = {spec.name}\nx,w,phi_w",
+                        zip(grid, eval_w(spec, grid), spec.phi_w(grid)))
+    write_text(args.out, text)
     return 0
 
 
@@ -95,7 +86,7 @@ def _cmd_simulate(args) -> int:
         args.model, params, args.n, args.delta, args.seed,
         subgrid_ratio=args.subgrid_ratio,
     )
-    _write_text(args.out, "".join(_fmt(v) + "\n" for v in bundle.increments))
+    write_text(args.out, "".join(_fmt(v) + "\n" for v in bundle.increments))
     sigma2 = np.asarray(bundle.sigma2)
     meta = {
         "model": args.model,
@@ -113,15 +104,13 @@ def _cmd_simulate(args) -> int:
             "n_fine": int(sigma2.size),
         },
     }
-    with open(args.out + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(args.out + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        lines = [(i, text) for i, text in enumerate(fh, start=1) if text.strip()]
+    text = pathlib.Path(args.input).read_text(encoding="utf-8")
+    lines = [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
     increments = np.array(_numbers(lines, f"{args.input}, line"), dtype=float)
     times = _numbers(enumerate(args.times.split(","), start=1), "--times field")
     obs = ObservationSet.from_increments(increments, args.delta, times)
@@ -135,7 +124,7 @@ def _cmd_estimate(args) -> int:
     axes = parse_grid_spec(args.grid, p)
     table = table_for_axes(args.kernel, h, axes)
     grid = estimate_density(obs, table, axes)
-    _write_text(args.out, grid_csv(grid.axes, grid.values))
+    write_text(args.out, grid_csv(grid.axes, grid.values))
     return 0
 
 
@@ -144,7 +133,7 @@ def _cmd_truth(args) -> int:
     times = _numbers(enumerate(args.times.split(","), start=1), "--times field")
     truth = truth_for_model(args.model, params, times)
     axes = parse_grid_spec(args.grid, len(times))
-    _write_text(args.out, grid_csv(axes, truth.grid_values(axes)))
+    write_text(args.out, grid_csv(axes, truth.grid_values(axes)))
     return 0
 
 

@@ -46,7 +46,7 @@ from .deconv_kernel import DeconvTable, eval_table
 from .errors import ConfigError, InputError, _require_finite_positive
 from .quadrature import _in_order
 
-_CLAMP_FLOOR_DEFAULT = 1e-12
+_CLAMP_FLOOR = 1e-12  # experiment.table_for_axes sizes its tables for this floor
 
 # The p >= 2 sweep's workers call this reference: the benchmark's tracer,
 # which is not thread-safe, wraps the module's eval_table and not it.
@@ -78,8 +78,8 @@ def normalized_increments(prices, delta: float):
     return np.diff(prices) / np.sqrt(delta)
 
 
-def log_square_transform(x, clamp_floor: float = _CLAMP_FLOOR_DEFAULT):
-    """log(x_i^2), with |x_i| < clamp_floor clamped to the floor first.
+def log_square_transform(x):
+    """log(x_i^2), with |x_i| < _CLAMP_FLOOR clamped to the floor first.
 
     Returns (values, n_clamped).  Exact zeros occur with probability zero but
     would produce -inf and poison every downstream average, so they are
@@ -87,9 +87,8 @@ def log_square_transform(x, clamp_floor: float = _CLAMP_FLOOR_DEFAULT):
     non-finite values, which ObservationSet rejects.
     """
     x = np.asarray(x, dtype=float)
-    _require_finite_positive("clamp_floor", clamp_floor, ConfigError)
-    clamped = np.abs(x) < clamp_floor
-    vals = 2.0 * np.log(np.maximum(np.abs(x), clamp_floor))
+    clamped = np.abs(x) < _CLAMP_FLOOR
+    vals = 2.0 * np.log(np.maximum(np.abs(x), _CLAMP_FLOOR))
     return vals, int(np.count_nonzero(clamped))
 
 

@@ -13,11 +13,13 @@ timings.csv sidecar instead of polluting the deterministic files.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 import os
+import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,10 +32,10 @@ from .analytic_truth import (
     regime_marginal,
     scaled_truth,
 )
-from .deconv_kernel import build_table
+from .deconv_kernel import _check_bandwidth, build_table
 from .errors import ConfigError, InputError, _require_integer
 from .estimator import (
-    _CLAMP_FLOOR_DEFAULT,
+    _CLAMP_FLOOR,
     DensityGrid,
     EstimatorConfig,
     ObservationSet,
@@ -49,7 +51,7 @@ from .vol_sim import (
 
 _TABLE_STEP = 0.02  # lattice step in kernel-argument units; valid for all h
 _AUTO_POINTS = {1: 201, 2: 61}  # grid points per axis for grid = auto
-_LOG_SQ_FLOOR = 2.0 * np.log(_CLAMP_FLOOR_DEFAULT)  # floor of the log-square transform
+_LOG_SQ_FLOOR = 2.0 * np.log(_CLAMP_FLOOR)  # floor of the log-square transform
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"target times must be positive, finite and strictly increasing, got {t}"
             )
-        # delta_exp/gamma ranges are enforced by EstimatorConfig
-        self.estimator_config()
+        # delta_exp/gamma ranges are enforced by EstimatorConfig, each n's h by _schedule
+        for n_index in range(len(sched)):
+            _schedule(self, n_index)
+        if self.grid_spec != "auto":
+            parse_grid_spec(self.grid_spec, self.p)
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(
@@ -108,59 +113,50 @@ class ExperimentConfig:
         return len(self.times)
 
     def to_mapping(self) -> dict:
-        """Flat key = value view, invertible by from_mapping."""
-        out = {"model": self.model}
-        out.update((k, _fmt(v)) for k, v in params_to_mapping(self.params).items())
-        out["n_schedule"] = ",".join(map(_fmt, self.n_schedule))
-        out["delta_exp"] = _fmt(self.delta_exp)
-        out["gamma"] = _fmt(self.gamma)
-        if self.bandwidth_override is not None:
-            out["bandwidth"] = _fmt(self.bandwidth_override)
-        out["times"] = ",".join(map(_fmt, self.times))
-        out["grid"] = self.grid_spec
-        out["replications"] = _fmt(self.replications)
-        out["seed"] = _fmt(self.master_seed)
-        out["kernel"] = self.kernel_name
-        out["subgrid_ratio"] = _fmt(self.subgrid_ratio)
+        """Flat key = value view, invertible by from_mapping: the _CONFIG_KEYS
+        in order, the model's params keys after model, bandwidth only if set."""
+        out = {}
+        for key, (name, _) in _CONFIG_KEYS.items():
+            value = getattr(self, name)
+            if isinstance(value, str):
+                out[key] = value
+            elif value is not None:  # a number or a sequence of numbers
+                out[key] = ",".join(map(_fmt, value if np.ndim(value) else [value]))
+            if key == "model":
+                out.update((k, _fmt(v)) for k, v in params_to_mapping(self.params).items())
         return out
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
+        """The config a flat mapping describes; a key the mapping leaves out
+        takes its field's default, and is missing when the field has none."""
         model = _value(mapping, "model", str.strip)
         params = params_from_mapping(model, mapping)
-        unknown = set(mapping) - _EXPERIMENT_KEYS - set(_PARAM_KEYS[model])
+        unknown = set(mapping) - set(_CONFIG_KEYS) - set(_PARAM_KEYS[model])
         if unknown:
             raise ConfigError(f"unknown config keys for model {model!r}: {sorted(unknown)}")
-        mapping = {"kernel": cls.kernel_name, "subgrid_ratio": cls.subgrid_ratio, **mapping}
-
-        def ints(text):
-            return tuple(int(s) for s in text.split(","))
-
-        def floats(text):
-            return tuple(float(s) for s in text.split(","))
-
-        return cls(
-            model=model,
-            params=params,
-            n_schedule=_value(mapping, "n_schedule", ints),
-            delta_exp=_value(mapping, "delta_exp"),
-            gamma=_value(mapping, "gamma"),
-            times=_value(mapping, "times", floats),
-            grid_spec=_value(mapping, "grid", str.strip),
-            replications=_value(mapping, "replications", int),
-            master_seed=_value(mapping, "seed", int),
-            kernel_name=_value(mapping, "kernel", str.strip),
-            bandwidth_override=(
-                _value(mapping, "bandwidth") if "bandwidth" in mapping else None
-            ),
-            subgrid_ratio=_value(mapping, "subgrid_ratio", int),
-        )
+        optional = {f.name for f in fields(cls) if f.default is not MISSING}
+        return cls(params=params, **{
+            name: _value(mapping, key, parse)
+            for key, (name, parse) in _CONFIG_KEYS.items()
+            if key in mapping or name not in optional
+        })
 
 
-# the flat config's keys besides the model's params keys
-_EXPERIMENT_KEYS = {
-    "model", "n_schedule", "delta_exp", "gamma", "bandwidth", "times", "grid",
-    "replications", "seed", "kernel", "subgrid_ratio",
+# the flat config's keys besides the model's params keys, in config.echo
+# order: key -> (ExperimentConfig field, parser of the key's text)
+_CONFIG_KEYS = {
+    "model": ("model", str.strip),
+    "n_schedule": ("n_schedule", lambda text: tuple(map(int, text.split(",")))),
+    "delta_exp": ("delta_exp", float),
+    "gamma": ("gamma", float),
+    "bandwidth": ("bandwidth_override", float),
+    "times": ("times", lambda text: tuple(map(float, text.split(",")))),
+    "grid": ("grid_spec", str.strip),
+    "replications": ("replications", int),
+    "seed": ("master_seed", int),
+    "kernel": ("kernel_name", str.strip),
+    "subgrid_ratio": ("subgrid_ratio", int),
 }
 # each model's params keys, in the order params_from_mapping reads them
 _PARAM_KEYS = {"ou": ("a", "mu", "b"), "regime": ("a", "b", "a0", "a1", "mu0", "mu1")}
@@ -367,17 +363,22 @@ def compute_mise(est: DensityGrid, truth: TruthDensity) -> float:
     return DensityGrid(est.axes, diff2).mass()
 
 
-def _with_context(exc: Exception, stage: str, n: int, rep: int) -> Exception:
-    msg = f"stage {stage!r} failed at n={n}, rep={rep}: {exc}"
+@contextlib.contextmanager
+def _stage(stage: str, n: int, rep: int):
+    """Re-raise a failure in the block naming the stage, n and rep, as its own
+    type (or RuntimeError) with its attributes and itself as the cause."""
     try:
-        new = type(exc)(msg)
-    except Exception:
-        new = RuntimeError(msg)
-    else:
-        # keep the original's attributes, such as NumericalFailure.residual
-        new.__dict__.update(vars(exc))
-    new.__cause__ = exc
-    return new
+        yield
+    except Exception as exc:
+        msg = f"stage {stage!r} failed at n={n}, rep={rep}: {exc}"
+        try:
+            new = type(exc)(msg)
+        except Exception:
+            new = RuntimeError(msg)
+        else:
+            # keep the original's attributes, such as NumericalFailure.residual
+            new.__dict__.update(vars(exc))
+        raise new from exc
 
 
 def table_for_axes(kernel_name: str, h: float, axes):
@@ -404,6 +405,7 @@ def _schedule(cfg: ExperimentConfig, n_index: int):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         h = default_bandwidth(n, cfg.p, est_cfg)
+    _check_bandwidth(h)
     return n, delta, h, [str(w.message) for w in caught]
 
 
@@ -412,18 +414,14 @@ def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, tabl
     observations, estimate); a failure is re-raised naming its stage, n and rep."""
     n = cfg.n_schedule[n_index]
     seed = mix_seed(cfg.master_seed, n_index, rep)
-    try:
+    with _stage("simulate", n, rep):
         # only the increments are kept: the sigma^2 path is freed here
         increments = simulate_bundle(
             cfg.model, cfg.params, n, delta, seed, subgrid_ratio=cfg.subgrid_ratio
         ).increments
-    except Exception as exc:
-        raise _with_context(exc, "simulate", n, rep)
-    try:
+    with _stage("estimate", n, rep):
         obs = ObservationSet.from_increments(increments, delta, cfg.times)
         est = estimate_density(obs, table, axes)
-    except Exception as exc:
-        raise _with_context(exc, "estimate", n, rep)
     return seed, obs, est
 
 
@@ -449,17 +447,13 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
         n, delta, h, caught = _schedule(cfg, n_index)
         notes.extend(f"n={n}: {text}" for text in caught)
         bandwidths[n] = h
-        try:
+        with _stage("build_table", n, -1):
             table = table_for_axes(cfg.kernel_name, h, axes)
-        except Exception as exc:
-            raise _with_context(exc, "build_table", n, -1)
         for rep in range(cfg.replications):
             t0 = time.perf_counter()
             seed, obs, est = _replicate(cfg, n_index, rep, delta, table, axes)
-            try:
+            with _stage("compare", n, rep):
                 mise = compute_mise(est, truth)
-            except Exception as exc:
-                raise _with_context(exc, "compare", n, rep)
             seconds = time.perf_counter() - t0
             bias_center = float(est.values[center_idx]) - truth_center
             records.append(
@@ -537,7 +531,8 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     n_index = len(cfg.n_schedule) - 1
     n, delta, h, _ = _schedule(cfg, n_index)
     point_axes = [np.array([v]) for v in point]
-    table = table_for_axes(cfg.kernel_name, h, point_axes)
+    with _stage("build_table", n, -1):
+        table = table_for_axes(cfg.kernel_name, h, point_axes)
 
     values = np.empty(cfg.replications)
     for rep in range(cfg.replications):
@@ -568,6 +563,25 @@ def _fmt(x) -> str:
     return str(int(x)) if isinstance(x, numbers.Integral) else repr(float(x))
 
 
+def csv_text(header: str, rows) -> str:
+    """CSV text: the header line(s), then each row of numbers through _fmt."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with \\n line ends, or to stdout when path
+    is None; an OSError names the path."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def grid_csv(axes, values) -> str:
     """A density on a tensor grid as CSV: one row per grid point, the
     coordinates (header x, or x1..xp for p > 1) then f_hat, in C order."""
@@ -575,23 +589,19 @@ def grid_csv(axes, values) -> str:
     names = ["x"] if p == 1 else [f"x{k + 1}" for k in range(p)]
     mesh = np.meshgrid(*axes, indexing="ij")
     cols = [m.ravel() for m in mesh] + [np.asarray(values).ravel()]
-    rows = [",".join(names + ["f_hat"])]
-    rows += [",".join(_fmt(v) for v in row) for row in zip(*cols)]
-    return "\n".join(rows) + "\n"
+    return csv_text(",".join(names + ["f_hat"]), zip(*cols))
 
 
 def emit_report(report: MonteCarloReport, out_dir: str) -> list:
     """Write records.csv, aggregate.csv, grids/*.csv, config.echo and the
-    timings.csv sidecar.  Everything except timings.csv is deterministic."""
+    timings.csv sidecar, returning their paths.  Everything except
+    timings.csv is deterministic."""
     cfg = report.config
     written = []
 
-    def _write(path, text):
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write report file {path}: {exc}") from exc
+    def _write(name, text):
+        path = os.path.join(out_dir, name)
+        write_text(path, text)
         written.append(path)
 
     try:
@@ -599,24 +609,15 @@ def emit_report(report: MonteCarloReport, out_dir: str) -> list:
     except OSError as exc:
         raise OSError(f"cannot create report directory {out_dir}: {exc}") from exc
 
-    lines = ["n,rep,mise,bias_center,clamps"]
-    for r in report.records:
-        lines.append(f"{r.n},{r.rep},{_fmt(r.mise)},{_fmt(r.bias_center)},{r.clamps}")
-    _write(os.path.join(out_dir, "records.csv"), "\n".join(lines) + "\n")
-
-    lines = ["n,mise_mean,mise_se"]
-    for a in report.aggregate:
-        lines.append(f"{a.n},{_fmt(a.mise_mean)},{_fmt(a.mise_se)}")
-    _write(os.path.join(out_dir, "aggregate.csv"), "\n".join(lines) + "\n")
-
-    lines = ["n,rep,seconds"]
-    for r in report.records:
-        lines.append(f"{r.n},{r.rep},{r.seconds:.6f}")
-    _write(os.path.join(out_dir, "timings.csv"), "\n".join(lines) + "\n")
+    _write("records.csv", csv_text("n,rep,mise,bias_center,clamps", (
+        (r.n, r.rep, r.mise, r.bias_center, r.clamps) for r in report.records)))
+    _write("aggregate.csv", csv_text("n,mise_mean,mise_se", (
+        (a.n, a.mise_mean, a.mise_se) for a in report.aggregate)))
+    timings = [f"{r.n},{r.rep},{r.seconds:.6f}" for r in report.records]
+    _write("timings.csv", "\n".join(["n,rep,seconds"] + timings) + "\n")
 
     for (n, rep), grid in sorted(report.grids.items()):
-        path = os.path.join(out_dir, "grids", f"n{n}_rep{rep}.csv")
-        _write(path, grid_csv(grid.axes, grid.values))
+        _write(os.path.join("grids", f"n{n}_rep{rep}.csv"), grid_csv(grid.axes, grid.values))
 
     echo = [f"{k} = {v}" for k, v in cfg.to_mapping().items()]
     echo.append(f"# truncated_truth_mass = {_fmt(report.truncated_mass)}")
@@ -626,5 +627,5 @@ def emit_report(report: MonteCarloReport, out_dir: str) -> list:
         echo.append(f"# mise_loglog_slope = {_fmt(report.mise_slope)}")
     for note in report.warnings:
         echo.append(f"# warning: {note}")
-    _write(os.path.join(out_dir, "config.echo"), "\n".join(echo) + "\n")
+    _write("config.echo", "\n".join(echo) + "\n")
     return written

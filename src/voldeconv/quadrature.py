@@ -43,10 +43,6 @@ def _rule(n: int):
     return nodes, weights
 
 
-gauss_legendre.cache_info = _rule.cache_info
-gauss_legendre.cache_clear = _rule.cache_clear
-
-
 def gauss_legendre_box(box, n: int):
     """Per-axis nodes and weights of the n-node rule mapped onto each
     (lo, hi) pair of box, for tensor quadrature over the box."""

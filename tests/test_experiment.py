@@ -5,6 +5,7 @@ import functools
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -24,15 +25,18 @@ from voldeconv import (
     truth_for_model,
 )
 from voldeconv import experiment, vol_sim
-from voldeconv.errors import ConfigError, InputError, NotFoundError, NumericalFailure
+from voldeconv.errors import ConfigError, InputError, NotFoundError, NumericalFailure, RangeError
 from voldeconv.estimator import DensityGrid
+from voldeconv.noise_model import T_MAX
 from voldeconv.experiment import (
+    _stage,
     emit_report,
     params_from_mapping,
     parse_axis_spec,
     parse_config_text,
     parse_grid_spec,
     resolve_grid,
+    write_text,
 )
 
 OU = OUParams(a=2.0, mu=0.0, b=2.0)
@@ -194,14 +198,18 @@ def test_mapping_round_trip_property(fields):
     # every config that is accepted reads back equal from its flat mapping
     try:
         cfg = ExperimentConfig(**fields)
-    except ConfigError:
+    except (ConfigError, RangeError):
         t, params = fields["times"], fields["params"]
         bad_times = min(t) <= 0.0 or any(b <= a for a, b in zip(t, t[1:]))
         bad_regimes = fields["model"] == "regime" and (
             (params.ou0.a, params.ou0.b) != (params.ou1.a, params.ou1.b)
         )
         bad_ratio = fields["subgrid_ratio"] < vol_sim.MIN_SUBGRID_RATIO
-        assert bad_times or bad_regimes or bad_ratio
+        bad_grid = fields["grid_spec"].count(",") + 1 not in (1, len(t))
+        bandwidths = [fields["bandwidth_override"] or fields["gamma"] * np.pi / np.log(n)
+                      for n in fields["n_schedule"]]
+        bad_bandwidth = any(1.0 / h > T_MAX for h in bandwidths)
+        assert bad_times or bad_regimes or bad_ratio or bad_grid or bad_bandwidth
         return
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
 
@@ -427,6 +435,69 @@ def test_config_refuses_a_bad_master_seed(seed, message):
     with pytest.raises(ConfigError) as info:
         _small_config(master_seed=seed)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("garbage", "grid spec 'garbage' is not of the form lo:hi:count"),
+     ("0:1:3,0:1:3", "got 2 grid specs for p = 1 target times")],
+)
+def test_config_refuses_a_bad_grid_spec(spec, message):
+    # refused at construction and by from_mapping, not after the truth is built
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _small_config(grid_spec=spec)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_mapping(
+            parse_config_text(CONFIG_TEXT.replace("grid = auto", f"grid = {spec}"))
+        )
+
+
+@pytest.mark.parametrize(
+    "overrides, h",
+    [({"gamma": 1e-4}, 1e-4 * np.pi / np.log(500)), ({"bandwidth_override": 0.001}, 0.001)],
+)
+def test_config_refuses_a_bandwidth_below_the_noise_window(overrides, h):
+    # refused at construction, not by build_table after the truth and grid
+    message = f"bandwidth {h} puts quadrature nodes at |t| = {1.0 / h:.1f}"
+    with pytest.raises(RangeError, match=re.escape(message)):
+        _small_config(**overrides)
+
+
+def test_config_keeps_the_schedule_warning_captured():
+    # gamma = 2 < 4p/delta = 8: construction checks each h without warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _small_config(gamma=2.0)
+
+
+def test_bias_check_table_error_context(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NumericalFailure("table broke", residual=0.25)
+
+    monkeypatch.setattr(experiment, "build_table", fail)
+    cfg = _small_config(n_schedule=(500,), replications=2)
+    with pytest.raises(NumericalFailure, match="stage 'build_table' failed at n=500, rep=-1: table broke") as info:
+        bias_check(cfg, truth_for(cfg))
+    assert info.value.residual == 0.25
+
+
+def test_stage_falls_back_to_runtime_error():
+    class TwoArgError(Exception):
+        def __init__(self, a, b):
+            super().__init__(f"{a} and {b}")
+
+    with pytest.raises(RuntimeError, match="stage 'compare' failed at n=7, rep=3: x and y") as info:
+        with _stage("compare", 7, 3):
+            raise TwoArgError("x", "y")
+    assert isinstance(info.value.__cause__, TwoArgError)
+
+
+def test_write_text_names_the_path(tmp_path, capsys):
+    write_text(None, "a,b\n")
+    assert capsys.readouterr().out == "a,b\n"
+    path = tmp_path / "missing" / "out.csv"
+    with pytest.raises(OSError, match=re.escape(f"cannot write {path}")):
+        write_text(str(path), "a,b\n")
 
 
 def test_config_refuses_an_unknown_kernel():

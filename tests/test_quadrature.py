@@ -36,7 +36,7 @@ from voldeconv import (
 from voldeconv.deconv_kernel import _half_rule_coefficients
 from voldeconv.errors import ConfigError
 from voldeconv.experiment import ExperimentConfig, resolve_grid, truth_for
-from voldeconv.quadrature import _BLOCK, _RULES, _in_order, fourier_sum, gauss_legendre
+from voldeconv.quadrature import _BLOCK, _RULES, _in_order, _rule, fourier_sum, gauss_legendre
 from voldeconv.vol_sim import RegimeSwitchParams
 
 SPEC = builtin_kernel("poly3")
@@ -60,8 +60,8 @@ def _fresh_process_output(code):
 def test_import_builds_no_rule():
     code = (
         "import voldeconv\n"
-        "from voldeconv.quadrature import gauss_legendre\n"
-        "print(gauss_legendre.cache_info().currsize)\n"
+        "from voldeconv.quadrature import _rule\n"
+        "print(_rule.cache_info().currsize)\n"
     )
     assert _fresh_process_output(code) == "0"
 
@@ -161,7 +161,7 @@ def test_every_rule_the_package_asks_for_is_shipped(monkeypatch):
         raise AssertionError(f"leggauss({n}) called: size {n} is not shipped")
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
-    gauss_legendre.cache_clear()
+    _rule.cache_clear()
     ou = ExperimentConfig(
         model="ou", params=OUParams(a=2.0, mu=0.0, b=2.0), n_schedule=(500,),
         delta_exp=0.5, gamma=9.0, times=(1.0,), grid_spec="auto",
@@ -179,7 +179,7 @@ def test_every_rule_the_package_asks_for_is_shipped(monkeypatch):
     build_table(SPEC, 0.8, -10.0, 10.0, 101)
     eval_w(SPEC, np.array([0.0, 1.5]))
     assert ou_logsq_marginal(OUParams(a=2.0, mu=0.0, b=2.0)).mass() > 0.99
-    assert gauss_legendre.cache_info().currsize == len(_RULES_TOOL.SIZES)
+    assert _rule.cache_info().currsize == len(_RULES_TOOL.SIZES)
 
 
 @pytest.mark.parametrize(
