@@ -25,7 +25,10 @@ under OPENBLAS_NUM_THREADS=1.  The artifacts:
   cli/<file>             the files voldeconv.cli.main writes with --out:
                          kernel-table (w, and v_h at -h 0.8), simulate
                          (n = 2000 OU increments and their .meta.json),
-                         estimate on those increments, and truth at p = 2.
+                         estimate on those increments, and truth at p = 2;
+  ou-n500-warn/<file>    emit_report of an n = 500 OU config with gamma = 2
+                         <= 4p/delta_exp = 8, so that config.echo carries a
+                         schedule `# warning:` line.
 """
 from __future__ import annotations
 
@@ -72,6 +75,13 @@ def ou_optional_keys() -> ExperimentConfig:
         model="ou", params=OU, n_schedule=(500,), delta_exp=0.5, gamma=9.0,
         times=(1.0,), grid_spec="auto", replications=2, master_seed=11,
         kernel_name="poly3", bandwidth_override=0.5, subgrid_ratio=10,
+    )
+
+
+def ou_schedule_warning() -> ExperimentConfig:
+    return ExperimentConfig(
+        model="ou", params=OU, n_schedule=(500,), delta_exp=0.5, gamma=2.0,
+        times=(1.0,), grid_spec="auto", replications=2, master_seed=13,
     )
 
 
@@ -134,6 +144,7 @@ def digests() -> list:
             out += report_digests(f"crit07-seed{seed}", criterion_07(seed), tmp)
         out += report_digests("crit06", criterion_06(), tmp)
         later = report_digests("ou-n500-set", ou_optional_keys(), tmp) + cli_digests(tmp)
+        later += report_digests("ou-n500-warn", ou_schedule_warning(), tmp)
     table = build_table(builtin_kernel("poly3"), 0.4, -290.0, 290.0, 29001)
     out.append((sha256(table.values.tobytes()), "vh-table-h0.4"))
     bundle = simulate_bundle("ou", OU, 100_000, 100_000**-0.5, seed=20260816)
