@@ -6,7 +6,9 @@ Prints `<sha256>  <name>` per artifact, after `#` lines that give what the
 bits depend on: the BLAS thread-count variables (p >= 2 estimates are BLAS
 matrix products, whose last bits depend on the BLAS thread count), the numpy,
 scipy and BLAS versions, and numpy's SIMD baseline and the SIMD extensions
-it found on this CPU.  Two checkouts give the same bits when their outputs,
+it found on this CPU (the numpy, BLAS and SIMD lines are
+gauss_legendre_rules.environment()'s, the fingerprint the rules file stores).
+Two checkouts give the same bits when their outputs,
 run under the same BLAS setting with PYTHONPATH pointing at each checkout's
 src/, are the same (`diff`).  tests/data/output_digests.txt pins the output
 under OPENBLAS_NUM_THREADS=1.  The artifacts:
@@ -38,8 +40,8 @@ import pathlib
 import sys
 import tempfile
 
-import numpy as np
 import scipy
+from gauss_legendre_rules import environment  # this directory, sys.path[0]
 
 from voldeconv import (
     ExperimentConfig, OUParams, RegimeSwitchParams, build_table, builtin_kernel,
@@ -90,15 +92,12 @@ def sha256(data: bytes) -> str:
 
 
 def blas_environment() -> list:
-    config = np.show_config(mode="dicts")
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    simd = config.get("SIMD Extensions", {})
+    env = environment()  # the numpy, BLAS and SIMD lines the rules file stores too
     lines = [f"# {var}={os.environ.get(var, 'unset')}" for var in BLAS_VARS]
-    lines.append(f"# numpy {np.__version__}")
+    lines.append(f"# numpy {env['numpy']}")
     lines.append(f"# scipy {scipy.__version__}")
-    lines.append(f"# blas {blas.get('name')} {blas.get('version')}")
-    lines.append(f"# simd baseline {' '.join(simd.get('baseline', []))} "
-                 f"found {' '.join(simd.get('found', []))}")
+    lines.append(f"# blas {env['blas']}")
+    lines.append(f"# simd {env['simd']}")
     lines.append(f"# cpu_count {os.cpu_count()}")
     return lines
 
