@@ -19,11 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .noise_model import SQRT_2PI
 from .quadrature import gauss_legendre_box, tensor_quadrature
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-
 
 @dataclass(frozen=True, eq=False)
 class TruthDensity:
@@ -68,7 +66,7 @@ class TruthDensity:
 
 
 def _gauss(u, var):
-    return np.exp(-0.5 * u * u / var) / (_SQRT_2PI * np.sqrt(var))
+    return np.exp(-0.5 * u * u / var) / (SQRT_2PI * np.sqrt(var))
 
 
 def ou_logsq_marginal(params: OUParams) -> TruthDensity:

@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConfigError, NumericalFailure, RangeError, _require_finite_positive, _require_integer
+    ConfigError, NumericalFailure, RangeError, _require_finite, _require_finite_positive,
+    _require_integer,
 )
 from .noise_model import T_MAX, phi_k
 from .quadrature import fourier_sum, gauss_legendre
@@ -137,10 +138,7 @@ class DeconvTable:
                               f"{np.shape(self.values)}")
         if not -np.inf < self.x_min < self.x_max < np.inf:
             raise ConfigError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        bad = np.flatnonzero(~np.isfinite(self.values))
-        if bad.size:
-            raise ConfigError(f"table values must be finite, got {bad.size} non-finite, "
-                              f"the first at index {bad[0]}")
+        _require_finite("table values", self.values, ConfigError)
         _require_finite_positive("bandwidth", self.bandwidth, ConfigError)
         if not 0.0 <= self.sup_bound < np.inf:
             raise ConfigError(f"sup_bound must be finite and at least 0, got {self.sup_bound!r}")

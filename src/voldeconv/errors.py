@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class NotFoundError(LookupError):
     """A named resource (e.g. a builtin kernel) does not exist."""
@@ -49,3 +51,12 @@ def _require_finite_positive(name: str, value, error: type) -> None:
         isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
     ):
         raise error(f"{name} must be finite and positive, got {value!r}")
+
+
+def _require_finite(name: str, values, error: type) -> None:
+    """Refuse an array holding a non-finite value, naming how many and where
+    the first is: an int index for 1-D input, a tuple for n-D input."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        first = int(bad[0, 0]) if bad.shape[1] == 1 else tuple(bad[0].tolist())
+        raise error(f"{name} must be finite, got {len(bad)} non-finite, the first at index {first}")

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .deconv_kernel import DeconvTable, eval_table
-from .errors import ConfigError, InputError, _require_finite_positive
+from .errors import ConfigError, InputError, _require_finite, _require_finite_positive
 from .quadrature import _in_order
 
 _CLAMP_FLOOR = 1e-12  # experiment.table_for_axes sizes its tables for this floor
@@ -92,9 +92,9 @@ def log_square_transform(x):
     return vals, int(np.count_nonzero(clamped))
 
 
-def _check_times(times) -> np.ndarray:
-    """times as a float array, refused unless a non-empty 1-D sequence of
-    positive finite values."""
+def _check_times(times, increasing: bool = True) -> tuple:
+    """times as a tuple of floats, refused unless a non-empty 1-D sequence of
+    positive finite values, strictly increasing unless increasing is False."""
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ConfigError(f"times must be a non-empty 1-D sequence, got {t.tolist()}")
@@ -104,7 +104,9 @@ def _check_times(times) -> np.ndarray:
         raise ConfigError(f"target times must be positive, got {bad.tolist()}")
     if np.any(np.isinf(t)):
         raise ConfigError(f"target times must be finite, got {t.tolist()}")
-    return t
+    if increasing and not np.all(np.diff(t) > 0.0):
+        raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
+    return tuple(map(float, t))
 
 
 def _floor_index(t: float, delta: float) -> int:
@@ -139,29 +141,21 @@ class ObservationSet:
         _require_finite_positive("delta", self.delta, ConfigError)
         if np.ndim(self.log_sq) != 1:
             raise InputError(f"log_sq must be 1-D, got shape {np.shape(self.log_sq)}")
-        bad = ~np.isfinite(np.asarray(self.log_sq, dtype=float))
-        if np.any(bad):
-            # one NaN would poison every estimate; reject it before any work
-            first = int(np.flatnonzero(bad)[0])
-            raise InputError(
-                f"{int(np.count_nonzero(bad))} non-finite log-squared "
-                f"increments, the first at index {first}"
-            )
-        t = _check_times(self.times)
-        if not np.all(np.diff(t) > 0.0):
-            raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
+        # one NaN would poison every estimate; reject it before any work
+        _require_finite("log-squared increments", self.log_sq, InputError)
+        times = _check_times(self.times)
         off = np.asarray(self.index_offsets)
         if off.dtype.kind not in "iu" and not np.all(np.mod(off, 1.0) == 0.0):
             raise ConfigError(f"index offsets must be integers, got {off.tolist()}")
-        if off.size != t.size or np.any(np.diff(off) < 0):
+        if off.size != len(times) or np.any(np.diff(off) < 0):
             raise ConfigError(
                 f"index offsets must be nondecreasing, one per time, got "
-                f"{off.tolist()} for {t.size} times"
+                f"{off.tolist()} for {len(times)} times"
             )
-        object.__setattr__(self, "times", tuple(float(v) for v in t))
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "index_offsets", tuple(int(v) for v in off))
         if not self.axis_order:
-            object.__setattr__(self, "axis_order", tuple(range(t.size)))
+            object.__setattr__(self, "axis_order", tuple(range(len(times))))
         if self.m < 1:
             raise InputError(
                 f"series too short for requested time spread: n = {self.n} "
@@ -186,7 +180,7 @@ class ObservationSet:
         """Build from normalized increments, sorting times and recording the
         caller's coordinate order."""
         _require_finite_positive("delta", delta, ConfigError)
-        user_times = _check_times(times)
+        user_times = np.array(_check_times(times, increasing=False))
         order = tuple(int(i) for i in np.argsort(user_times, kind="stable"))
         sorted_times = user_times[list(order)]
         log_sq, n_clamped = log_square_transform(increments)
@@ -269,10 +263,7 @@ class DensityGrid:
             raise ConfigError(
                 f"values shape {self.values.shape} does not match axes {shape}"
             )
-        bad = np.argwhere(~np.isfinite(self.values))
-        if bad.size:
-            raise ConfigError(f"grid values must be finite, got {len(bad)} non-finite, "
-                              f"the first at index {tuple(bad[0].tolist())}")
+        _require_finite("grid values", self.values, ConfigError)
 
     def mass(self) -> float:
         """Trapezoid integral of values over the grid box."""
@@ -317,10 +308,7 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     for k, a in enumerate(axes):
         if a.ndim != 1:
             raise ConfigError(f"grid axis {k} must be 1-D, got shape {a.shape}")
-        bad = np.flatnonzero(~np.isfinite(a))
-        if bad.size:
-            raise ConfigError(f"grid axis {k} must be finite, got {bad.size} non-finite, "
-                              f"the first at index {bad[0]}")
+        _require_finite(f"grid axis {k}", a, ConfigError)
 
     h = table.bandwidth
     m = obs.m

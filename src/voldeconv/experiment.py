@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import numbers
+import operator
 import os
 import sys
 import time
@@ -39,6 +40,7 @@ from .estimator import (
     DensityGrid,
     EstimatorConfig,
     ObservationSet,
+    _check_times,
     default_bandwidth,
     delta_schedule,
     estimate_density,
@@ -88,25 +90,14 @@ class ExperimentConfig:
         sched = tuple(int(n) for n in self.n_schedule)
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"n schedule must be strictly increasing, got {sched}")
-        if not self.times:
-            raise ConfigError(f"need at least one target time, got {self.times!r}")
-        t = self.times
-        if not all(0.0 < v < np.inf for v in t) or any(b <= a for a, b in zip(t, t[1:])):
-            raise ConfigError(
-                f"target times must be positive, finite and strictly increasing, got {t}"
-            )
+        # stored as checked, so that a config hashes and equals its mapping's
+        object.__setattr__(self, "n_schedule", sched)
+        object.__setattr__(self, "times", _check_times(self.times))
         # delta_exp/gamma ranges are enforced by EstimatorConfig, each n's h by _schedule
         for n_index in range(len(sched)):
             _schedule(self, n_index)
         if self.grid_spec != "auto":
             parse_grid_spec(self.grid_spec, self.p)
-
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            gamma=self.gamma,
-            delta_exp=self.delta_exp,
-            bandwidth_override=self.bandwidth_override,
-        )
 
     @property
     def p(self) -> int:
@@ -158,8 +149,12 @@ _CONFIG_KEYS = {
     "kernel": ("kernel_name", str.strip),
     "subgrid_ratio": ("subgrid_ratio", int),
 }
-# each model's params keys, in the order params_from_mapping reads them
-_PARAM_KEYS = {"ou": ("a", "mu", "b"), "regime": ("a", "b", "a0", "a1", "mu0", "mu1")}
+# each model's params keys, in config.echo order: key -> attribute of its params
+_PARAM_KEYS = {
+    "ou": {"a": "a", "mu": "mu", "b": "b"},
+    "regime": {"a": "ou0.a", "b": "ou0.b", "mu0": "ou0.mu", "mu1": "ou1.mu",
+               "a0": "a0", "a1": "a1"},
+}
 
 
 def _value(mapping: dict, key: str, convert=float):
@@ -190,16 +185,8 @@ def params_from_mapping(model: str, mapping: dict):
 def params_to_mapping(params) -> dict:
     """The flat key -> value view of OU or regime-switching parameters that
     params_from_mapping reads back, keys in config.echo order."""
-    if isinstance(params, OUParams):
-        return {"a": params.a, "mu": params.mu, "b": params.b}
-    return {
-        "a": params.ou0.a,
-        "b": params.ou0.b,
-        "mu0": params.ou0.mu,
-        "mu1": params.ou1.mu,
-        "a0": params.a0,
-        "a1": params.a1,
-    }
+    keys = _PARAM_KEYS["ou" if isinstance(params, OUParams) else "regime"]
+    return {key: operator.attrgetter(attr)(params) for key, attr in keys.items()}
 
 
 def parse_config_text(text: str) -> dict:
@@ -400,7 +387,7 @@ def table_for_axes(kernel_name: str, h: float, axes):
 def _schedule(cfg: ExperimentConfig, n_index: int):
     """(n, delta, h, warning texts) for the n_index-th sample size."""
     n = cfg.n_schedule[n_index]
-    est_cfg = cfg.estimator_config()
+    est_cfg = EstimatorConfig(cfg.gamma, cfg.delta_exp, cfg.bandwidth_override)
     delta = delta_schedule(n, est_cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

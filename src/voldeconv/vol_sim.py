@@ -360,6 +360,7 @@ def simulate_bundle(
     _require_integer("n", n, 1, InputError)
     _require_integer("subgrid_ratio", subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
     _require_finite_positive("delta", delta, ConfigError)
+    _require_integer("seed", seed, 0, ConfigError)
     _check_model(model, params)
     from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
 

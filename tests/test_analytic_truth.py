@@ -2,6 +2,8 @@
 two-time joint laws, the switching mixture, scale changes, and the 1-D
 stationary-density formula."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,11 @@ def test_evaluator_takes_one_point():
         truth.evaluator(np.zeros(2))
     with pytest.raises(ConfigError, match=r"point shape \(1, 2\) does not match dimension 2"):
         ou_bivariate(STD, 0.0, 1.0).evaluator(np.zeros((1, 2)))
+
+
+def test_grid_values_needs_one_axis_per_coordinate():
+    with pytest.raises(ConfigError, match="got 2 axes for a 1-dimensional density"):
+        ou_logsq_marginal(STD).grid_values((np.zeros(3), np.zeros(3)))
 
 
 def test_marginal_matches_simulation():
@@ -218,6 +225,21 @@ def test_invariant_density_x0_invariance():
     t2 = invariant_density_1d(drift, diff, (-np.inf, np.inf), 1.7)
     x = np.linspace(-6.0, 6.0, 121)
     assert np.max(np.abs(t1.vector_eval(x[:, None]) - t2.vector_eval(x[:, None]))) < 1e-10
+
+
+def test_invariant_density_on_a_finite_interval():
+    # drift -x, unit diffusion: exp(-x^2) normalized over (-3, 5), whose
+    # truncation box is the interval itself
+    truth = invariant_density_1d(lambda x: -x, lambda x: 1.0, (-3.0, 5.0), 0.0)
+    assert truth.truncation_box == ((-3.0, 5.0),)
+    norm = 0.5 * np.sqrt(np.pi) * (math.erf(3.0) + math.erf(5.0))
+    assert truth.evaluator(0.0) == pytest.approx(1.0 / norm, rel=1e-9)
+
+
+@pytest.mark.parametrize("x0", [-3.0, 5.0, 7.0])
+def test_invariant_density_needs_an_interior_x0(x0):
+    with pytest.raises(DomainError, match=rf"x0 = {x0} must be interior to \(-3.0, 5.0\)"):
+        invariant_density_1d(lambda x: -x, lambda x: 1.0, (-3.0, 5.0), x0)
 
 
 def test_invariant_density_rejects_transient_dynamics():

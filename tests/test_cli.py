@@ -49,6 +49,11 @@ def test_kernel_table_names_an_infinite_bandwidth(capsys):
     assert "bandwidth must be finite and positive, got inf" in capsys.readouterr().err
 
 
+def test_kernel_table_deconv_needs_a_bandwidth(capsys):
+    assert main(["kernel-table", "--deconv", "--grid=-1:1:3"]) == 1
+    assert "error: kernel-table --deconv requires -h <bandwidth>" in capsys.readouterr().err
+
+
 def test_kernel_table_unknown_kernel(tmp_path, capsys):
     assert main(["kernel-table", "--kernel", "tricube", "--grid=-1:1:3"]) == 1
     assert "poly3" in capsys.readouterr().err
@@ -130,6 +135,21 @@ def test_experiment_command(tmp_path, capsys):
     ]
     stdout = capsys.readouterr().out
     assert "n=400" in stdout and "n=800" in stdout
+
+
+def test_experiment_command_prints_schedule_warnings(tmp_path, capsys):
+    # gamma = 2 does not exceed 4p/delta_exp = 8
+    config = tmp_path / "exp.config"
+    config.write_text(
+        "model = ou\na = 2.0\nmu = 0.0\nb = 2.0\n"
+        "n_schedule = 400\ndelta_exp = 0.5\ngamma = 2.0\n"
+        "times = 1.0\ngrid = -5:5:51\nreplications = 1\nseed = 99\n"
+    )
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: n=400: gamma = 2.0 does not exceed 4p/delta_exp = 8; "
+        "variance control is not guaranteed\n"
+    )
 
 
 @pytest.mark.parametrize("model, times, grid", [
@@ -226,6 +246,17 @@ def test_simulate_names_a_bad_delta(tmp_path, capsys):
         "--delta", "inf", "--seed", "1", "--out", str(tmp_path / "inc.txt"),
     ]) == 1
     assert "error: delta must be finite and positive, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "inc.txt").exists()
+
+
+def test_simulate_names_a_bad_seed(tmp_path, capsys):
+    params = tmp_path / "ou.params"
+    params.write_text(PARAMS_OU)
+    assert main([
+        "simulate", "--model", "ou", "--params", str(params), "--n", "100",
+        "--delta", "0.05", "--seed", "-1", "--out", str(tmp_path / "inc.txt"),
+    ]) == 1
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "inc.txt").exists()
 
 

@@ -32,7 +32,7 @@ from voldeconv import (
     vh_quadrature,
 )
 from voldeconv import deconv_kernel, estimator
-from voldeconv.errors import ConfigError, InputError
+from voldeconv.errors import ConfigError, InputError, _require_finite
 from voldeconv.estimator import _JCHUNK, DensityGrid
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
@@ -165,6 +165,10 @@ def test_bandwidth_schedule():
     assert delta_schedule(10_000, EstimatorConfig(gamma=10.0, delta_exp=0.5)) == pytest.approx(0.01)
     cfg_override = EstimatorConfig(gamma=10.0, delta_exp=0.5, bandwidth_override=0.8)
     assert default_bandwidth(1_000_000, 1, cfg_override) == 0.8
+    with pytest.raises(ConfigError, match="need n >= 2 for the bandwidth schedule, got 1"):
+        default_bandwidth(1, 1, cfg)
+    with pytest.raises(ConfigError, match="need n >= 1, got 0"):
+        delta_schedule(0, cfg)
 
 
 def test_bandwidth_warning_when_gamma_too_small():
@@ -389,8 +393,20 @@ def test_marginalize_grid():
 def test_non_finite_increments_rejected_early():
     inc = np.linspace(-1.0, 1.0, 50)
     inc[[7, 20, 33]] = [np.nan, np.inf, -np.inf]
-    with pytest.raises(InputError, match="3 non-finite .* index 7"):
+    with pytest.raises(InputError, match="log-squared increments must be finite, got 3 "
+                                         "non-finite, the first at index 7"):
         ObservationSet.from_increments(inc, 0.1, (0.5,))
+
+
+@pytest.mark.parametrize("values, first", [
+    (np.array([0.0, np.nan, 1.0, np.inf]), "1"),
+    (np.array([[0.0, 1.0], [-np.inf, np.nan]]), "(1, 0)"),
+])
+def test_require_finite_names_the_count_and_the_first_index(values, first):
+    # an int index for 1-D input, a tuple for n-D input
+    with pytest.raises(InputError) as info:
+        _require_finite("values", values, InputError)
+    assert str(info.value) == f"values must be finite, got 2 non-finite, the first at index {first}"
 
 
 _H = 0.7
@@ -567,6 +583,9 @@ def test_grid_and_estimate_errors_name_the_value():
     line = DensityGrid(axes=(np.arange(5.0),), values=np.zeros(5))
     with pytest.raises(ConfigError, match=r"marginalize axis 0 of a 1-D grid, shape \(5,\)"):
         marginalize(line, 0)
+    obs = _obs_from_values(np.zeros(50), 0.1, (0.1, 0.2))
+    with pytest.raises(ConfigError, match="got 1 grid axes for p = 2 target times"):
+        estimate_density(obs, _table("narrow"), [np.zeros(2)])
     obs = _obs_from_values(np.zeros(50), 0.1, (0.1, 0.2, 0.3, 0.4))
     with pytest.raises(ConfigError, match="p > 3 is not supported, got p = 4"):
         estimate_density(obs, _table("narrow"), [np.zeros(2)] * 4)

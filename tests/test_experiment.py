@@ -108,8 +108,16 @@ def test_mapping_malformed_values():
     regime = {"a": "4", "b": "1", "mu0": "-2", "mu1": "two", "a0": "1", "a1": "1"}
     with pytest.raises(ConfigError, match="'mu1'.*'two'"):
         params_from_mapping("regime", regime)
+    # keys are read in config.echo order, mu1 before a0: a well-formed mu1
+    # lets the missing a0 be the first fault
+    regime["mu1"] = "2"
     with pytest.raises(ConfigError, match="missing key 'a0'"):
         params_from_mapping("regime", {k: v for k, v in regime.items() if k != "a0"})
+
+
+def test_params_from_mapping_refuses_an_unknown_model():
+    with pytest.raises(ConfigError, match="unknown model 'garch'; expected 'ou' or 'regime'"):
+        params_from_mapping("garch", {"a": "1"})
 
 
 def test_mapping_round_trip():
@@ -257,16 +265,29 @@ def test_config_refuses_a_bad_n_schedule_entry(entry, message):
 
 def test_target_times_must_be_positive_and_increasing():
     # refused at construction, before any truth, grid or simulation is built
-    for times in [(0.0,), (-1.0, 1.0), (1.0, 1.0), (1.05, 1.0)]:
-        with pytest.raises(ConfigError, match=re.escape(f"strictly increasing, got {times}")):
+    for times, message in [((0.0,), "positive, got [0.0]"), ((-1.0, 1.0), "positive, got [-1.0]"),
+                           ((1.0, 1.0), "distinct and increasing, got [1.0, 1.0]"),
+                           ((1.05, 1.0), "distinct and increasing, got [1.05, 1.0]")]:
+        with pytest.raises(ConfigError, match=re.escape(f"target times must be {message}")):
             _small_config(times=times)
 
 
 def test_target_times_must_be_finite():
     # refused at construction, not after replication 0 has been simulated
-    for times in [(np.inf,), (1.0, np.inf)]:
-        with pytest.raises(ConfigError, match=re.escape(f"finite and strictly increasing, got {times}")):
+    for times, shown in [((np.inf,), "[inf]"), ((1.0, np.inf), "[1.0, inf]")]:
+        with pytest.raises(ConfigError, match=re.escape(f"target times must be finite, got {shown}")):
             _small_config(times=times)
+
+
+def test_config_stores_checked_tuples():
+    # a numpy array of times is taken, and lists are stored as tuples, so
+    # the config hashes and equals its mapping's round trip
+    cfg = _small_config(times=np.array([1.0, 1.05]))
+    assert cfg.times == (1.0, 1.05) and type(cfg.times) is tuple
+    cfg = _small_config(n_schedule=[500, 1000], times=[1.0])
+    assert (cfg.n_schedule, cfg.times) == ((500, 1000), (1.0,))
+    again = ExperimentConfig.from_mapping(cfg.to_mapping())
+    assert again == cfg and hash(again) == hash(cfg)
 
 
 def test_truth_for_model_scales():
@@ -492,6 +513,15 @@ def test_stage_falls_back_to_runtime_error():
     assert isinstance(info.value.__cause__, TwoArgError)
 
 
+def test_emit_report_names_a_directory_it_cannot_create(tmp_path):
+    report = run_experiment(_small_config(n_schedule=(500,), replications=1))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "report"  # its parent is a regular file
+    with pytest.raises(OSError, match=re.escape(f"cannot create report directory {out}")):
+        emit_report(report, str(out))
+
+
 def test_write_text_names_the_path(tmp_path, capsys):
     write_text(None, "a,b\n")
     assert capsys.readouterr().out == "a,b\n"
@@ -507,7 +537,7 @@ def test_config_refuses_an_unknown_kernel():
 
 
 def test_config_and_truth_errors_name_the_value():
-    with pytest.raises(ConfigError, match=r"need at least one target time, got \(\)"):
+    with pytest.raises(ConfigError, match=r"times must be a non-empty 1-D sequence, got \[\]"):
         _small_config(times=())
     for model, params, name in (("ou", OU, "OU"), ("regime", REGIME, "regime")):
         with pytest.raises(ConfigError, match=f"closed-form {name} truth .* p <= 2 only, got p = 3"):

@@ -234,6 +234,10 @@ def test_bundle_validation():
         ({"subgrid_ratio": 50.5}, ConfigError, "subgrid_ratio must be an integer, got 50.5"),
         ({"subgrid_ratio": 9}, ConfigError, "subgrid_ratio must be at least 10, got 9"),
         ({"params": REGIME}, ConfigError, "model 'ou' needs OUParams params, got RegimeSwitchParams"),
+        # numpy would run True as seed 1 and refuse 1.5 and -1 without naming the seed
+        ({"seed": True}, ConfigError, "seed must be an integer, got True"),
+        ({"seed": 1.5}, ConfigError, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, ConfigError, "seed must be at least 0, got -1"),
     ],
 )
 def test_bundle_arguments_are_checked_first(overrides, error, message):
