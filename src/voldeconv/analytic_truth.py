@@ -23,6 +23,7 @@ from .noise_model import SQRT_2PI
 from .quadrature import gauss_legendre_box, tensor_quadrature
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 
+
 @dataclass(frozen=True, eq=False)
 class TruthDensity:
     """A reference density with a documented integration box.
