@@ -35,6 +35,7 @@ eval_table, which integrates them exactly.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -95,7 +96,10 @@ def log_square_transform(x):
 def _check_times(times, increasing: bool = True) -> tuple:
     """times as a tuple of floats, refused unless a non-empty 1-D sequence of
     positive finite values, strictly increasing unless increasing is False."""
-    t = np.asarray(times, dtype=float)
+    try:
+        t = np.asarray(times, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"times must be a sequence of numbers, got {times!r}") from None
     if t.ndim != 1 or t.size < 1:
         raise ConfigError(f"times must be a non-empty 1-D sequence, got {t.tolist()}")
     # "not t > 0" so that NaN fails too: every comparison with NaN is false
@@ -212,8 +216,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _require_finite_positive("gamma", self.gamma, ConfigError)
-        if not 0.0 < self.delta_exp < 1.0:
-            raise ConfigError(f"delta_exp must be in (0, 1), got {self.delta_exp}")
+        if not (isinstance(self.delta_exp, numbers.Real) and 0.0 < self.delta_exp < 1.0):
+            raise ConfigError(f"delta_exp must be in (0, 1), got {self.delta_exp!r}")
         if self.bandwidth_override is not None:
             _require_finite_positive("bandwidth_override", self.bandwidth_override, ConfigError)
 

@@ -85,9 +85,13 @@ class ExperimentConfig:
         _require_integer("master_seed", self.master_seed, 0, ConfigError)
         builtin_kernel(self.kernel_name)
         _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
-        for n in self.n_schedule:
+        try:
+            sched = tuple(self.n_schedule)
+        except TypeError:
+            raise ConfigError(f"n_schedule must be a sequence, got {self.n_schedule!r}") from None
+        for n in sched:
             _require_integer("n_schedule entry", n, 2, ConfigError)
-        sched = tuple(int(n) for n in self.n_schedule)
+        sched = tuple(map(int, sched))
         if not sched or any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"n schedule must be strictly increasing, got {sched}")
         # stored as checked, so that a config hashes and equals its mapping's
@@ -96,6 +100,8 @@ class ExperimentConfig:
         # delta_exp/gamma ranges are enforced by EstimatorConfig, each n's h by _schedule
         for n_index in range(len(sched)):
             _schedule(self, n_index)
+        if not isinstance(self.grid_spec, str):
+            raise ConfigError(f"grid_spec must be a string, got {self.grid_spec!r}")
         if self.grid_spec != "auto":
             parse_grid_spec(self.grid_spec, self.p)
 

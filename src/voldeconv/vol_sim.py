@@ -15,14 +15,20 @@ from independent, documented child streams of one master seed, so every
 bundle is reproducible from (seed, parameters) alone.
 
 Each stage is a private chunk generator.  simulate_bundle runs them a few
-thousand increments at a time, with the normal draws made a chunk ahead on
-two worker threads, so only sigma^2 is held at full length; the public
-simulate_ou and simulate_regime_switch are the same generators read as one
-chunk, and integrate_price is one block of the same price sum.
+thousand increments at a time, with each stream's next chunk made a call
+ahead on two worker threads, so only sigma^2 is held at full length.  The
+regime model's two OU paths are each drawn and filtered on a worker, and
+the calling thread splices, exponentiates and sums; the OU model's one
+path is filtered on the calling thread, so that the path's worker only
+draws, like the price shocks' (a filter there unbalanced the workers and
+made OU bundles 5-10 % slower).  The public simulate_ou and
+simulate_regime_switch are the same generators read as one chunk, and
+integrate_price is one block of the same price sum.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -178,8 +184,10 @@ def _regime_chunks(
     """Yield simulate_regime_switch's path in pieces of at most `chunk` steps.
 
     The chain's jump times over the whole horizon are drawn first; the two OU
-    paths are then streamed side by side, each through `read`, and every
-    piece takes X^1 where the chain is in state 1 and X^0 elsewhere.
+    paths are then streamed side by side, and every piece takes X^1 where
+    the chain is in state 1 and X^0 elsewhere.  Each path's pieces, drawn
+    and filtered, come from read(next, ...): on a pool both filters run on
+    the workers, one piece ahead of this thread, which only splices.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     chain_ss, ou0_ss, ou1_ss = ss.spawn(3)
@@ -205,12 +213,12 @@ def _regime_chunks(
     # a jump at time J is counted from the first grid point at or after J
     switch = _first_at_or_after(jumps, dt, n_steps)
 
-    paths = zip(
-        range(0, n_steps, chunk),
-        _ou_chunks(params.ou0, n_steps, dt, ou0_ss, chunk, read),
-        _ou_chunks(params.ou1, n_steps, dt, ou1_ss, chunk, read),
+    starts = range(0, n_steps, chunk)
+    x0s, x1s = (
+        read(next, itertools.repeat(_ou_chunks(ou, n_steps, dt, ou_ss, chunk), len(starts)))
+        for ou, ou_ss in ((params.ou0, ou0_ss), (params.ou1, ou1_ss))
     )
-    for start, x0, x1 in paths:
+    for start, x0, x1 in zip(starts, x0s, x1s):
         state = (state0 + np.searchsorted(switch, start, side="right")) % 2
         inside = switch[(switch > start) & (switch < start + x0.size)] - start
         edges = np.concatenate([[0], inside, [x0.size]])
@@ -351,10 +359,13 @@ def simulate_bundle(
     mixture on that doubled scale.  Child streams of `seed`, in order:
     sigma path, price shocks.
 
-    The path is made _CHUNK increments at a time: each stream's next chunk
-    of normals is drawn on two workers by _in_order, one call ahead, while
-    this thread filters, exponentiates and sums the current one.  So the
-    bundle is simulate_ou -> exp -> integrate_price (or its regime
+    The path is made _CHUNK increments at a time, each stream's next chunk
+    one call ahead on two workers by _in_order, while this thread finishes
+    the current one.  For "ou" the workers draw the path's normals and the
+    shocks, and this thread filters, exponentiates and sums; for "regime"
+    they also filter both OU paths, and this thread splices, exponentiates
+    and sums.  Each stream is advanced one call at a time, in order, so
+    the bundle is simulate_ou -> exp -> integrate_price (or its regime
     equivalent) bit for bit, whatever the chunk size or thread timing.
     """
     _require_integer("n", n, 1, InputError)

@@ -536,6 +536,18 @@ def test_config_refuses_an_unknown_kernel():
         _small_config(kernel_name="tricube")
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("n_schedule", 500, "n_schedule must be a sequence, got 500"),
+    ("delta_exp", "0.5", "delta_exp must be in (0, 1), got '0.5'"),
+    ("times", ("a",), "times must be a sequence of numbers, got ('a',)"),
+    ("grid_spec", 5, "grid_spec must be a string, got 5"),
+])
+def test_config_names_a_malformed_field(field, bad, message):
+    # each raised a TypeError, numpy's ValueError or an AttributeError
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _small_config(**{field: bad})
+
+
 def test_config_and_truth_errors_name_the_value():
     with pytest.raises(ConfigError, match=r"times must be a non-empty 1-D sequence, got \[\]"):
         _small_config(times=())

@@ -6,6 +6,7 @@ bits; and for _in_order, the in-order two-worker helper every threaded stage
 runs on."""
 
 import importlib.util
+import itertools
 import os
 import pathlib
 import re
@@ -319,7 +320,9 @@ def test_in_order_yields_in_item_order_within_ahead(n, ahead):
 
 def test_in_order_advances_a_stateful_draw_in_order():
     # with one call ahead, a draw that reads and then writes its state is
-    # never run twice at once, even with thread switches forced often
+    # never run twice at once, and neither is next on a generator (which
+    # would raise "generator already executing"), even with two generators
+    # sharing the pool, as the regime paths do, and thread switches forced often
     state = [0]
 
     def draw(size):
@@ -328,15 +331,28 @@ def test_in_order_advances_a_stateful_draw_in_order():
         state[0] = start + size
         return list(range(start, start + size))
 
+    def pieces(sign):
+        start = 0
+        for size in sizes:
+            time.sleep(0)  # invite a thread switch inside the generator
+            yield [sign * v for v in range(start, start + size)]
+            start += size
+
     sizes = [3, 1, 4, 1, 5, 9, 2, 6] * 25
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
             drawn = [v for piece in _in_order(pool, draw, sizes, 1) for v in piece]
+            up, down = (
+                _in_order(pool, next, itertools.repeat(pieces(sign), len(sizes)), 1)
+                for sign in (1, -1)
+            )
+            paired = [(a, b) for x, y in zip(up, down) for a, b in zip(x, y)]
     finally:
         sys.setswitchinterval(interval)
     assert drawn == list(range(sum(sizes)))
+    assert paired == [(v, -v) for v in range(sum(sizes))]
 
 
 def test_in_order_surfaces_a_failure_at_its_item_and_stops_the_workers():

@@ -3,6 +3,7 @@ two-state switching process, price integration, and the bundled generator."""
 
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -320,6 +321,30 @@ def test_concurrent_bundles_match_serial_ones():
         finally:
             sys.setswitchinterval(interval)
     assert all(np.array_equal(a, b) for a, b in zip(serial, together))
+
+
+# K: most chunk arrays (8 * _CHUNK * subgrid_ratio bytes each) a bundle may
+# hold beyond the sigma2 and increments it returns.  Measured peaks, equal at
+# n = 20 000 and 60 000: 6.05 for OU, 10.06 for regime (11.03 with thread
+# switches forced every 10 us); K is each rounded up, plus one.  Streams
+# whose pieces piled up would hold about one more array per piece.
+PEAK_CHUNK_ARRAYS = {"ou": 8, "regime": 13}
+
+
+@pytest.mark.parametrize("n", [20_000, 60_000])
+@pytest.mark.parametrize("model", ["ou", "regime"])
+def test_bundle_memory_stays_within_a_few_chunks(model, n):
+    params = OU if model == "ou" else REGIME
+    simulate_bundle(model, params, 100, 0.1, seed=5)  # first-use imports, untraced
+    tracemalloc.start()
+    try:
+        bundle = simulate_bundle(model, params, n, n**-0.5, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = 8 * vol_sim._CHUNK * bundle.subgrid_ratio
+    beyond = peak - bundle.sigma2.nbytes - bundle.increments.nbytes
+    assert beyond <= PEAK_CHUNK_ARRAYS[model] * chunk_bytes, beyond / chunk_bytes
 
 
 def _digest(a):
