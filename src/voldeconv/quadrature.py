@@ -63,22 +63,27 @@ def tensor_quadrature(values, weights) -> float:
 
 
 def _in_order(pool, fn, items, ahead: int):
-    """Yield fn(item) for each item, in order, each call run on pool.
+    """An iterator of fn(item) for each item, in order, each call run on pool.
 
-    The call for item i + ahead is submitted only once item i's has
-    returned, so at most `ahead` calls run past the result the caller holds.
-    At ahead = 1 no two calls overlap, so a stateful fn (a draw, or next on
-    a generator) is advanced in item order; at ahead >= 2 the calls for
-    i + 1 ... i + ahead run at once, so fn must not carry state between
-    them.  The results are consumed in order, so they do not depend on
-    thread timing.
+    The first `ahead` calls are submitted here, not at the first next, so
+    streams set up one after another start together.  The call for item
+    i + ahead is submitted only once item i's has returned, so at most
+    `ahead` calls run past the result the caller holds.  At ahead = 1 no
+    two calls overlap, so a stateful fn (a draw, or next on a generator) is
+    advanced in item order; at ahead >= 2 the calls for i + 1 ... i + ahead
+    run at once, so fn must not carry state between them.  The results are
+    consumed in order, so they do not depend on thread timing.
     """
     items = iter(items)
     futures = [pool.submit(fn, item) for item in islice(items, ahead)]
-    while futures:
-        result = futures.pop(0).result()
-        futures += [pool.submit(fn, item) for item in islice(items, 1)]
-        yield result
+
+    def results():
+        while futures:
+            result = futures.pop(0).result()
+            futures.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
+
+    return results()
 
 
 def fourier_sum(nodes, cos_coef, sin_coef, x):
