@@ -309,7 +309,10 @@ def test_in_order_yields_in_item_order_within_ahead(n, ahead):
     with ThreadPoolExecutor(max_workers=2) as pool:
         rec = _Recorder(pool, n, ahead)
         got = []
-        for result in _in_order(rec, rec, range(n), ahead):
+        results = _in_order(rec, rec, range(n), ahead)
+        # the first calls start when the stream is set up, not at its first next
+        assert rec.submitted == list(range(min(n, ahead)))
+        for result in results:
             # nothing past the held result plus `ahead` was ever submitted
             assert max(rec.submitted) <= result + ahead
             got.append(result)
