@@ -3,8 +3,8 @@
 Pipeline: price increments are normalized by sqrt(delta), log-squared (which
 turns multiplicative volatility into an additive signal-plus-noise problem),
 assembled into p-dimensional observation vectors whose components are lagged
-by the target-time index offsets, and averaged against the deconvolution
-product kernel:
+by the index offsets i_k = floor(t_k / delta) of the target times
+t_1 < ... < t_p, and averaged against the deconvolution product kernel:
 
     f_hat(x) = (1/(m h^p)) sum_{j=1}^m prod_k v_h((x_k - Y_{j,k}) / h),
 
@@ -37,14 +37,16 @@ from __future__ import annotations
 import contextlib
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .deconv_kernel import DeconvTable, eval_table
-from .errors import ConfigError, InputError, _require_finite, _require_finite_positive
+from .errors import (
+    ConfigError, InputError, _require_finite, _require_finite_positive, _require_integer,
+)
 from .quadrature import _in_order
 
 _CLAMP_FLOOR = 1e-12  # experiment.table_for_axes sizes its tables for this floor
@@ -93,13 +95,15 @@ def log_square_transform(x):
     return vals, int(np.count_nonzero(clamped))
 
 
-def _check_times(times, increasing: bool = True) -> tuple:
+def _check_times(times) -> tuple:
     """times as a tuple of floats, refused unless a non-empty 1-D sequence of
-    positive finite values, strictly increasing unless increasing is False."""
+    positive finite values, strictly increasing."""
     try:
         t = np.asarray(times, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"times must be a sequence of numbers, got {times!r}") from None
+        t = None
+    if t is None or t.ndim == 0:
+        raise ConfigError(f"times must be a sequence of numbers, got {times!r}")
     if t.ndim != 1 or t.size < 1:
         raise ConfigError(f"times must be a non-empty 1-D sequence, got {t.tolist()}")
     # "not t > 0" so that NaN fails too: every comparison with NaN is false
@@ -108,7 +112,7 @@ def _check_times(times, increasing: bool = True) -> tuple:
         raise ConfigError(f"target times must be positive, got {bad.tolist()}")
     if np.any(np.isinf(t)):
         raise ConfigError(f"target times must be finite, got {t.tolist()}")
-    if increasing and not np.all(np.diff(t) > 0.0):
+    if not np.all(np.diff(t) > 0.0):
         raise ConfigError(f"target times must be distinct and increasing, got {t.tolist()}")
     return tuple(map(float, t))
 
@@ -125,13 +129,9 @@ class ObservationSet:
 
     delta         : sampling interval.
     log_sq        : n log-squared normalized increments.
-    times         : target times, stored sorted increasing.
-    index_offsets : floor(t_k / delta) per sorted target time.
+    times         : target times, strictly increasing.
+    index_offsets : floor(t_k / delta) per target time.
     n_clamped     : how many increments hit the clamp floor.
-    axis_order    : permutation mapping sorted-coordinate position -> the
-                    position the caller gave that time in; identity when the
-                    caller's times were already sorted.  Lets results be
-                    reported in the caller's coordinate order.
     """
 
     delta: float
@@ -139,7 +139,6 @@ class ObservationSet:
     times: tuple
     index_offsets: tuple
     n_clamped: int = 0
-    axis_order: tuple = field(default=())
 
     def __post_init__(self):
         _require_finite_positive("delta", self.delta, ConfigError)
@@ -158,8 +157,6 @@ class ObservationSet:
             )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "index_offsets", tuple(int(v) for v in off))
-        if not self.axis_order:
-            object.__setattr__(self, "axis_order", tuple(range(len(times))))
         if self.m < 1:
             raise InputError(
                 f"series too short for requested time spread: n = {self.n} "
@@ -181,23 +178,16 @@ class ObservationSet:
 
     @classmethod
     def from_increments(cls, increments, delta: float, times) -> "ObservationSet":
-        """Build from normalized increments, sorting times and recording the
-        caller's coordinate order."""
+        """Build from normalized increments at strictly increasing times."""
         _require_finite_positive("delta", delta, ConfigError)
-        user_times = np.array(_check_times(times, increasing=False))
-        order = tuple(int(i) for i in np.argsort(user_times, kind="stable"))
-        sorted_times = user_times[list(order)]
+        times = _check_times(times)
         log_sq, n_clamped = log_square_transform(increments)
-        offsets = np.array(
-            [_floor_index(float(t), float(delta)) for t in sorted_times], dtype=int
-        )
         return cls(
             delta=float(delta),
             log_sq=log_sq,
-            times=sorted_times,
-            index_offsets=offsets,
+            times=times,
+            index_offsets=tuple(_floor_index(t, float(delta)) for t in times),
             n_clamped=n_clamped,
-            axis_order=order,
         )
 
 
@@ -228,8 +218,8 @@ def default_bandwidth(n: int, p: int, cfg: EstimatorConfig) -> float:
     Either way the schedule condition gamma > 4 p / delta_exp is checked and
     a ScheduleWarning recorded on violation.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2 for the bandwidth schedule, got {n}")
+    _require_integer("n", n, 2, ConfigError)
+    _require_integer("p", p, 1, ConfigError)
     required = 4.0 * p / cfg.delta_exp
     if not cfg.gamma > required:
         warnings.warn(
@@ -245,8 +235,7 @@ def default_bandwidth(n: int, p: int, cfg: EstimatorConfig) -> float:
 
 def delta_schedule(n: int, cfg: EstimatorConfig) -> float:
     """Companion sampling interval delta = n^{-delta_exp}."""
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got {n}")
+    _require_integer("n", n, 1, ConfigError)
     return float(n) ** (-cfg.delta_exp)
 
 
@@ -254,7 +243,7 @@ def delta_schedule(n: int, cfg: EstimatorConfig) -> float:
 class DensityGrid:
     """Estimate (or truth) sampled on a tensor grid.
 
-    axes   : p abscissa arrays, in the caller's coordinate order.
+    axes   : p abscissa arrays, axis k for coordinate k.
     values : p-dimensional array, values[i1, ..., ip] at (axes[0][i1], ...).
     """
 
@@ -292,10 +281,8 @@ def marginalize(grid: DensityGrid, axis: int) -> DensityGrid:
 def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGrid:
     """Evaluate the deconvolution estimator on a tensor grid.
 
-    axes are given in the caller's coordinate order (matching the order the
-    target times were originally supplied in); the result carries the same
-    orientation.  The bandwidth is the table's.  Each axis must be 1-D and
-    finite.
+    Axis k is the grid for target time k, and the result's axis k is the
+    same.  The bandwidth is the table's.  Each axis must be 1-D and finite.
 
     For p >= 2, the blocks' lookup matrices are made two ahead on two
     workers by _in_order, and this thread adds their products in block
@@ -317,18 +304,14 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     h = table.bandwidth
     m = obs.m
 
-    # axes arrive in caller order; computation runs in sorted-time order
-    order = list(obs.axis_order)
-    sorted_axes = [axes[order[k]] for k in range(p)]
-
     # coordinate k of vector j is log_sq[j + lag_k], lag_k = offset_k - offset_0
     log_sq = np.asarray(obs.log_sq, dtype=float)
     if p == 1:
-        acc = _interval_sums(log_sq[:m], sorted_axes[0], table)
+        acc = _interval_sums(log_sq[:m], axes[0], table)
         return DensityGrid(axes=tuple(axes), values=acc / (m * h))
 
     lags = [off - obs.index_offsets[0] for off in obs.index_offsets]
-    groups, on_lattice = _lag_groups(sorted_axes, lags, log_sq, table)
+    groups, on_lattice = _lag_groups(axes, lags, log_sq, table)
 
     def block(lo, lookup=eval_table):
         # the factor matrices of observations lo .. lo + w - 1
@@ -336,7 +319,7 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
         factors = [None] * p
         for group in groups:
             first = lags[group[0]]
-            args = sorted_axes[group[0]][:, None] - log_sq[lo + first : lo + w + lags[group[-1]]]
+            args = axes[group[0]][:, None] - log_sq[lo + first : lo + w + lags[group[-1]]]
             # in place, the bits of args / h: with two lookups at once, the
             # matrix this saves in each keeps the peak RSS near the serial sweep's
             args /= h
@@ -345,7 +328,7 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
                 factors[k] = shared[:, lags[k] - first : lags[k] - first + w]
         return factors
 
-    acc = np.zeros(tuple(a.size for a in sorted_axes))
+    acc = np.zeros(tuple(a.size for a in axes))
     starts = range(0, m, _JCHUNK)
     with contextlib.ExitStack() as stack:
         blocks = map(block, starts)
@@ -360,17 +343,15 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
                 acc += factors[0] @ factors[1].T
             else:
                 acc += np.einsum("am,bm,cm->abc", *factors)
-    # back to caller order: caller axis a sits at sorted slot argsort(order)[a]
-    values = np.transpose(acc / (m * h**p), axes=np.argsort(order))
-    return DensityGrid(axes=tuple(axes), values=values)
+    return DensityGrid(axes=tuple(axes), values=acc / (m * h**p))
 
 
 def _lag_groups(axes, lags, log_sq, table):
-    """(groups, on_lattice): sorted-axis indices grouped to share one lookup
+    """(groups, on_lattice): axis indices grouped to share one lookup
     matrix per block, bit-equal axes at distinct lags less than _JCHUNK
     apart; and whether every axis's arguments (x - Y)/h, bounded by the
     extreme ones, stay on the lattice.  A repeated lag stays alone (numpy
-    would send a slice times its own transpose to BLAS syrk, 6.9e-18 off
+    would send the product S S^T of one slice S to BLAS syrk, 6.9e-18 off
     gemm), as does an axis whose arguments can leave the lattice (quadrature
     bits vary by batch).
     """

@@ -216,7 +216,7 @@ def truth_for_model(model: str, params, times) -> TruthDensity:
     so the xi-scale law is pushed through log sigma^2 = 2 xi.
     """
     _check_model(model, params)
-    times = tuple(float(t) for t in times)
+    times = _check_times(times)
     p = len(times)
     if p not in (1, 2):
         name = "OU" if model == "ou" else model

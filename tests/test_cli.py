@@ -231,11 +231,15 @@ def test_malformed_times_field_is_reported(tmp_path, capsys):
 def test_nan_time_is_reported(tmp_path, capsys):
     inc_file = tmp_path / "inc.txt"
     inc_file.write_text("0.01\n-0.02\n0.03\n")
-    assert main([
-        "estimate", "--input", str(inc_file), "--delta", "0.02",
-        "--times", "1.0,nan", "--gamma", "9.0", "--grid=-5:5:11",
-    ]) == 1
-    assert "error: target times must be positive, got [nan]" in capsys.readouterr().err
+    for times, message in [
+        ("1.0,nan", "error: target times must be positive, got [nan]"),
+        ("1.25,1.0", "error: target times must be distinct and increasing, got [1.25, 1.0]"),
+    ]:
+        assert main([
+            "estimate", "--input", str(inc_file), "--delta", "0.02",
+            "--times", times, "--gamma", "9.0", "--grid=-5:5:11",
+        ]) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_names_a_bad_delta(tmp_path, capsys):

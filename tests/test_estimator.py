@@ -148,16 +148,6 @@ def test_nan_and_infinite_times_rejected():
         ObservationSet.from_increments(inc, 0.1, (0.5, np.inf))
 
 
-def test_observation_set_sorts_times():
-    inc = np.linspace(0.1, 1.0, 30)
-    a = ObservationSet.from_increments(inc, 0.1, (1.5, 0.4))
-    b = ObservationSet.from_increments(inc, 0.1, (0.4, 1.5))
-    assert a.times == b.times == (0.4, 1.5)
-    assert a.axis_order == (1, 0)
-    assert b.axis_order == (0, 1)
-    np.testing.assert_array_equal(a.log_sq, b.log_sq)
-
-
 def test_bandwidth_schedule():
     cfg = EstimatorConfig(gamma=10.0, delta_exp=0.5)
     h = default_bandwidth(22026, 1, cfg)  # n = e^10 rounded
@@ -165,10 +155,17 @@ def test_bandwidth_schedule():
     assert delta_schedule(10_000, EstimatorConfig(gamma=10.0, delta_exp=0.5)) == pytest.approx(0.01)
     cfg_override = EstimatorConfig(gamma=10.0, delta_exp=0.5, bandwidth_override=0.8)
     assert default_bandwidth(1_000_000, 1, cfg_override) == 0.8
-    with pytest.raises(ConfigError, match="need n >= 2 for the bandwidth schedule, got 1"):
+    with pytest.raises(ConfigError, match="n must be at least 2, got 1"):
         default_bandwidth(1, 1, cfg)
-    with pytest.raises(ConfigError, match="need n >= 1, got 0"):
+    with pytest.raises(ConfigError, match="n must be at least 1, got 0"):
         delta_schedule(0, cfg)
+    for n, p, message in [(np.nan, 1, "n must be an integer, got nan"),
+                          (2.5, 1, "n must be an integer, got 2.5"),
+                          (100, 0, "p must be at least 1, got 0")]:
+        with pytest.raises(ConfigError, match=message):
+            default_bandwidth(n, p, cfg)
+    with pytest.raises(ConfigError, match="n must be an integer, got nan"):
+        delta_schedule(np.nan, cfg)
 
 
 def test_bandwidth_warning_when_gamma_too_small():
@@ -233,39 +230,6 @@ def test_duplication_leaves_estimate_unchanged():
     np.testing.assert_allclose(one.values, two.values, rtol=1e-13)
 
 
-def test_swapped_times_transpose():
-    h = 1.1
-    tbl = build_table(SPEC, h, -40.0, 40.0, 4097)
-    bundle = simulate_bundle("ou", OUParams(a=2.0, mu=0.0, b=2.0), 400, 0.05, seed=21)
-    x1 = np.linspace(-5.0, 5.0, 11)
-    x2 = np.linspace(-4.0, 6.0, 9)
-    fwd = ObservationSet.from_increments(bundle.increments, bundle.delta, (1.0, 1.25))
-    rev = ObservationSet.from_increments(bundle.increments, bundle.delta, (1.25, 1.0))
-    est_fwd = estimate_density(fwd, tbl, (x1, x2))
-    est_rev = estimate_density(rev, tbl, (x2, x1))
-    np.testing.assert_array_equal(est_rev.values, est_fwd.values.T)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    p=st.integers(2, 3),
-    seed=st.integers(0, 2**32 - 1),
-    times=st.lists(st.floats(0.05, 3.0), min_size=3, max_size=3, unique=True),
-    sizes=st.lists(st.integers(1, 9), min_size=3, max_size=3),
-)
-def test_reversed_times_give_transposed_grid(p, seed, times, sizes):
-    rng = np.random.default_rng(seed)
-    inc = rng.standard_normal(300) * np.exp(rng.normal(0.0, 1.0, 300))
-    times = times[:p]
-    axes = [np.sort(rng.uniform(-12.0, 6.0, sizes[k])) for k in range(p)]
-    fwd = ObservationSet.from_increments(inc, 0.05, times)
-    rev = ObservationSet.from_increments(inc, 0.05, times[::-1])
-    tbl = _table("wide")
-    est_fwd = estimate_density(fwd, tbl, axes)
-    est_rev = estimate_density(rev, tbl, axes[::-1])
-    np.testing.assert_array_equal(est_rev.values, est_fwd.values.T)
-
-
 def _interp_sweep(obs, table, axes):
     """The p >= 2 estimate with np.interp as the on-lattice lookup, in the
     estimator's block and summation order."""
@@ -279,23 +243,24 @@ def _interp_sweep(obs, table, axes):
         return out
 
     ymat = _observation_matrix(obs)
-    axes = [np.asarray(axes[k], dtype=float) for k in obs.axis_order]
+    axes = [np.asarray(a, dtype=float) for a in axes]
     acc = np.zeros(tuple(a.size for a in axes))
     for lo in range(0, ymat.shape[0], _JCHUNK):
         blk = ymat[lo : lo + _JCHUNK]
         f = [lookup((axes[k][:, None] - blk[None, :, k]) / h) for k in range(obs.p)]
         acc += f[0] @ f[1].T if obs.p == 2 else np.einsum("am,bm,cm->abc", *f)
-    return np.transpose(acc / (ymat.shape[0] * h**obs.p), np.argsort(obs.axis_order))
+    return acc / (ymat.shape[0] * h**obs.p)
 
 
-@pytest.mark.parametrize("times", [(1.0, 1.25), (1.25, 0.5, 1.0)])
+@pytest.mark.parametrize("times", [(1.0, 1.25), (0.5, 1.0, 1.25)])
 def test_sweep_matches_interp_reference(times):
     # m spans two observation blocks; the narrow table sends the far grid
     # points' arguments off the lattice onto the quadrature
     bundle = simulate_bundle("ou", OUParams(a=2.0, mu=0.0, b=2.0), _JCHUNK + 700, 0.05, seed=3)
     obs = ObservationSet.from_increments(bundle.increments, bundle.delta, times)
     assert obs.m > _JCHUNK
-    axes = [np.linspace(-9.0 + k, 4.0 + k, 9 + 2 * k) for k in range(len(times))]
+    shifts = (0, 1) if len(times) == 2 else (1, 2, 0)
+    axes = [np.linspace(-9.0 + k, 4.0 + k, 9 + 2 * k) for k in shifts]
     for kind in ("wide", "narrow"):
         est = estimate_density(obs, _table(kind), axes)
         np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
@@ -484,6 +449,13 @@ def test_observation_errors_name_the_value():
          "times must be a non-empty 1-D sequence, got []"),
         (lambda: ObservationSet.from_increments(np.ones(50), 0.1, [[1.0, 2.0]]), ConfigError,
          "times must be a non-empty 1-D sequence, got [[1.0, 2.0]]"),
+        (lambda: ObservationSet.from_increments(np.ones(50), 0.1, None), ConfigError,
+         "times must be a sequence of numbers, got None"),
+        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=1.0,
+                                index_offsets=(10,)), ConfigError,
+         "times must be a sequence of numbers, got 1.0"),
+        (lambda: ObservationSet.from_increments(np.ones(50), 0.1, (1.25, 1.0)), ConfigError,
+         "target times must be distinct and increasing, got [1.25, 1.0]"),
         (lambda: normalized_increments([1.0], 0.1), InputError,
          "need at least 2 price points to form increments, got shape (1,)"),
     ]
@@ -525,8 +497,8 @@ _DELTA = 0.1
 
 @st.composite
 def _lag_cases(draw):
-    """(table kind, times in caller order, n, per-sorted-axis grid pick, two
-    grids as (lo, width, size), seed) for the p >= 2 sweep."""
+    """(table kind, increasing times, n, per-axis grid pick, two grids as
+    (lo, width, size), seed) for the p >= 2 sweep."""
     p = draw(st.integers(2, 3))
     steps = draw(st.lists(
         st.sampled_from([0, 1, 281, _JCHUNK - 1, _JCHUNK]) | st.integers(0, 3 * _JCHUNK),
@@ -536,7 +508,6 @@ def _lag_cases(draw):
     # time k sits inside delta bin offsets[k], so equal offsets (lag 0)
     # still give distinct increasing times
     times = [(int(o) + 0.2 * (k + 1)) * _DELTA for k, o in enumerate(offsets)]
-    order = draw(st.permutations(range(p)))
     m = draw(st.sampled_from([1, _JCHUNK - 1, _JCHUNK, 2 * _JCHUNK]) | st.integers(1, 2 * _JCHUNK + 99))
     grids = draw(st.lists(
         st.tuples(st.floats(-70.0, 10.0), st.floats(0.0, 60.0), st.integers(0, 6)),
@@ -544,7 +515,7 @@ def _lag_cases(draw):
     ))
     return (
         draw(st.sampled_from(("wide", "narrow"))),
-        tuple(times[k] for k in order),
+        tuple(times),
         m + int(offsets[-1] - offsets[0]),
         draw(st.lists(st.integers(0, 1), min_size=p, max_size=p)),
         grids,
@@ -557,9 +528,9 @@ def _lag_cases(draw):
 # two times in one delta bin at p = 2: one lag-0 slice taken twice would make
 # numpy multiply a buffer by its own transpose (BLAS syrk, other bits)
 @example(("wide", (1.02, 1.04), _JCHUNK + 700, [0, 0], [(-9.0, 13.0, 6)] * 2, 11))
-# three reversed times on one grid, lags 0 and 2130: the first two share a
-# matrix, the third is _JCHUNK or more away and is looked up alone
-@example(("wide", (215.04, 2.06, 2.02), _JCHUNK + 300, [0, 0, 0],
+# three times on one grid, lags 0, 0 and 2130: the repeated lag is looked
+# up alone, and so is the third, _JCHUNK or more away
+@example(("wide", (2.02, 2.06, 215.04), _JCHUNK + 300, [0, 0, 0],
           [(-9.0, 13.0, 5), (-12.0, 9.0, 4)], 5))
 def test_lag_shared_lookups_match_interp_reference(case):
     kind, times, n, picks, grids, seed = case
@@ -567,10 +538,7 @@ def test_lag_shared_lookups_match_interp_reference(case):
     inc = rng.standard_normal(n) * np.exp(rng.normal(0.0, 1.0, n))
     obs = ObservationSet.from_increments(inc, _DELTA, times)
     grid = [np.linspace(lo, lo + width, size) for lo, width, size in grids]
-    # obs.axis_order[k] is the caller position of sorted axis k
-    axes = [None] * obs.p
-    for k, caller in enumerate(obs.axis_order):
-        axes[caller] = grid[picks[k]]
+    axes = [grid[pick] for pick in picks]
     est = estimate_density(obs, _table(kind), axes)
     np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
 
@@ -620,11 +588,11 @@ def test_two_dimensional_grid_axis_refused(monkeypatch):
 
 
 def _sweep_case(p, blocks, seed):
-    """(obs, caller-order axes) with m spanning the given number of
+    """(obs, axes) with m spanning the given number of
     _JCHUNK blocks; at p = 2 both axes share one grid (one lookup matrix per
     block), at p = 3 two of the three do."""
     m = {1: 500, 2: _JCHUNK + 1, 3: 2 * _JCHUNK + 7, 4: 4 * _JCHUNK, 7: 6 * _JCHUNK + 300}[blocks]
-    times = (0.52, 0.14) if p == 2 else (0.31, 1.02, 0.75)
+    times = (0.14, 0.52) if p == 2 else (0.31, 0.75, 1.02)
     offsets = [int(t / _DELTA) for t in times]
     rng = np.random.default_rng(seed)
     n = m + max(offsets) - min(offsets)
@@ -632,7 +600,7 @@ def _sweep_case(p, blocks, seed):
     obs = ObservationSet.from_increments(inc, _DELTA, times)
     assert obs.m == m
     grid = np.linspace(-9.0, 4.0, 9)
-    return obs, [grid, grid] if p == 2 else [grid, np.linspace(-6.0, 3.0, 5), grid]
+    return obs, [grid, grid] if p == 2 else [grid, grid, np.linspace(-6.0, 3.0, 5)]
 
 
 def _worker_lookups(monkeypatch):

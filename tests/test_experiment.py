@@ -554,6 +554,11 @@ def test_config_and_truth_errors_name_the_value():
     for model, params, name in (("ou", OU, "OU"), ("regime", REGIME, "regime")):
         with pytest.raises(ConfigError, match=f"closed-form {name} truth .* p <= 2 only, got p = 3"):
             truth_for_model(model, params, (1.0, 1.5, 2.0))
+    for times, message in [(1.0, "times must be a sequence of numbers, got 1.0"),
+                           ((np.nan,), r"target times must be positive, got \[nan\]"),
+                           ((1.5, 1.0), r"distinct and increasing, got \[1.5, 1.0\]")]:
+        with pytest.raises(ConfigError, match=message):
+            truth_for_model("ou", OU, times)
 
 
 def test_drift_failure_mid_stream_surfaces_as_simulate_stage(monkeypatch):
