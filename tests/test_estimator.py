@@ -259,6 +259,7 @@ def test_sweep_matches_interp_reference(times):
     bundle = simulate_bundle("ou", OUParams(a=2.0, mu=0.0, b=2.0), _JCHUNK + 700, 0.05, seed=3)
     obs = ObservationSet.from_increments(bundle.increments, bundle.delta, times)
     assert obs.m > _JCHUNK
+    # a different grid per axis, so that a mixed-up axis shows
     shifts = (0, 1) if len(times) == 2 else (1, 2, 0)
     axes = [np.linspace(-9.0 + k, 4.0 + k, 9 + 2 * k) for k in shifts]
     for kind in ("wide", "narrow"):
