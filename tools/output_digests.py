@@ -27,8 +27,10 @@ under OPENBLAS_NUM_THREADS=1.  The artifacts:
   cli/<file>             the files voldeconv.cli.main writes with --out:
                          kernel-table (w, and v_h at -h 0.8), simulate
                          (n = 2000 OU increments and their .meta.json),
-                         estimate on those increments at p = 1 and at
-                         p = 2, and truth at p = 2;
+                         estimate on those increments at p = 1, at p = 2
+                         and at p = 1 with gamma = 2 under a --bandwidth
+                         override (a schedule warning on stderr), and
+                         truth at p = 2;
   ou-n500-warn/<file>    emit_report of an n = 500 OU config with gamma = 2
                          <= 4p/delta_exp = 8, so that config.echo carries a
                          schedule `# warning:` line.
@@ -128,6 +130,8 @@ def cli_digests(tmp: str) -> list:
          "--grid=-6:6:25", "--out", str(out / "estimate.csv")],
         ["estimate", "--input", inc, "--delta", "0.02", "--times", "1.0,1.25", "--gamma", "16.0",
          "--grid=-6:6:13,-5:5:11", "--out", str(out / "estimate-p2.csv")],
+        ["estimate", "--input", inc, "--delta", "0.02", "--times", "1.0", "--gamma", "2.0",
+         "--bandwidth", "1.5", "--grid=-6:6:25", "--out", str(out / "estimate-override.csv")],
         ["truth", "--model", "ou", "--params", str(params), "--times", "1.0,1.5",
          "--grid=-3:3:21", "--out", str(out / "truth-p2.csv")],
     )
