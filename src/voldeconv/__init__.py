@@ -31,11 +31,8 @@ from .errors import (
 )
 from .estimator import (
     DensityGrid,
-    EstimatorConfig,
     ObservationSet,
-    ScheduleWarning,
-    default_bandwidth,
-    delta_schedule,
+    bandwidth_schedule,
     estimate_density,
     log_square_transform,
     marginalize,
@@ -75,8 +72,7 @@ __all__ = [
     "vh_quadrature",
     "ConfigError", "DomainError", "InputError", "NotFoundError",
     "NumericalFailure", "RangeError",
-    "DensityGrid", "EstimatorConfig", "ObservationSet", "ScheduleWarning",
-    "default_bandwidth", "delta_schedule", "estimate_density",
+    "DensityGrid", "ObservationSet", "bandwidth_schedule", "estimate_density",
     "log_square_transform", "marginalize",
     "normalized_increments",
     "BiasReport", "ExperimentConfig", "MonteCarloReport", "bias_check",

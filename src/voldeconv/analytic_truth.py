@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .noise_model import SQRT_2PI
-from .quadrature import gauss_legendre_box, tensor_quadrature
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 
 
@@ -59,11 +58,6 @@ class TruthDensity:
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         return self.vector_eval(pts)
-
-    def mass(self) -> float:
-        """Mass over the truncation box by tensor Gauss-Legendre quadrature, 800 nodes per axis."""
-        xs, ws = gauss_legendre_box(self.truncation_box, 800)
-        return tensor_quadrature(self.grid_values(xs), ws)
 
 
 def _gauss(u, var):

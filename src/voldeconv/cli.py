@@ -18,12 +18,7 @@ import numpy as np
 
 from .deconv_kernel import build_table
 from .errors import ConfigError, InputError
-from .estimator import (
-    EstimatorConfig,
-    ObservationSet,
-    default_bandwidth,
-    estimate_density,
-)
+from .estimator import ObservationSet, bandwidth_schedule, estimate_density
 from .experiment import (
     ExperimentConfig,
     _fmt,
@@ -117,10 +112,9 @@ def _cmd_estimate(args) -> int:
     n, p = obs.n, obs.p
     # the implied schedule exponent: delta = n^{-delta_exp}
     delta_exp = min(max(-np.log(args.delta) / np.log(n), 1e-6), 1.0 - 1e-6)
-    cfg = EstimatorConfig(
-        gamma=args.gamma, delta_exp=delta_exp, bandwidth_override=args.bandwidth
-    )
-    h = default_bandwidth(n, p, cfg)
+    _, h, warning = bandwidth_schedule(n, p, args.gamma, delta_exp, args.bandwidth)
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
     axes = parse_grid_spec(args.grid, p)
     table = table_for_axes(args.kernel, h, axes)
     grid = estimate_density(obs, table, axes)

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import contextlib
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .deconv_kernel import DeconvTable, eval_table
+from .deconv_kernel import DeconvTable, _check_bandwidth, eval_table
 from .errors import (
     ConfigError, InputError, _require_finite, _require_finite_positive, _require_integer,
 )
@@ -64,10 +63,6 @@ _JCHUNK = 2048
 # data.  Larger blocks ran no faster and, by fragmenting the heap between
 # replications, raised a Monte Carlo run's peak RSS (by 7 MB at 1 << 16).
 _BREAKPOINT_BLOCK = 1 << 14
-
-
-class ScheduleWarning(UserWarning):
-    """Bandwidth/sampling schedule violates the variance-control condition."""
 
 
 def normalized_increments(prices, delta: float):
@@ -191,52 +186,32 @@ class ObservationSet:
         )
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Bandwidth and sampling-rate schedule knobs.
+def bandwidth_schedule(n: int, p: int, gamma: float, delta_exp: float,
+                       bandwidth_override: Optional[float] = None):
+    """(delta, h, warning): the sampling interval delta = n^{-delta_exp} and
+    the bandwidth h = gamma * pi / log n, unless bandwidth_override pins h,
+    for n increments and p target times.
 
-    gamma scales the bandwidth h = gamma * pi / log n; delta_exp sets the
-    sampling interval delta = n^{-delta_exp}.  Variance control needs
-    gamma > 4 p / delta_exp; violations warn but do not stop the run.
-    """
-
-    gamma: float
-    delta_exp: float
-    bandwidth_override: Optional[float] = None
-
-    def __post_init__(self):
-        _require_finite_positive("gamma", self.gamma, ConfigError)
-        if not (isinstance(self.delta_exp, numbers.Real) and 0.0 < self.delta_exp < 1.0):
-            raise ConfigError(f"delta_exp must be in (0, 1), got {self.delta_exp!r}")
-        if self.bandwidth_override is not None:
-            _require_finite_positive("bandwidth_override", self.bandwidth_override, ConfigError)
-
-
-def default_bandwidth(n: int, p: int, cfg: EstimatorConfig) -> float:
-    """h = gamma * pi / log n, unless the config pins an override.
-
-    Either way the schedule condition gamma > 4 p / delta_exp is checked and
-    a ScheduleWarning recorded on violation.
+    Variance control needs gamma > 4 p / delta_exp; warning is the text
+    saying it fails, or None.  h is refused below pi/600, where the noise
+    characteristic function's evaluation window ends.
     """
     _require_integer("n", n, 2, ConfigError)
     _require_integer("p", p, 1, ConfigError)
-    required = 4.0 * p / cfg.delta_exp
-    if not cfg.gamma > required:
-        warnings.warn(
-            f"gamma = {cfg.gamma} does not exceed 4p/delta_exp = {required:g}; "
-            f"variance control is not guaranteed",
-            ScheduleWarning,
-            stacklevel=2,
-        )
-    if cfg.bandwidth_override is not None:
-        return float(cfg.bandwidth_override)
-    return cfg.gamma * np.pi / np.log(n)
-
-
-def delta_schedule(n: int, cfg: EstimatorConfig) -> float:
-    """Companion sampling interval delta = n^{-delta_exp}."""
-    _require_integer("n", n, 1, ConfigError)
-    return float(n) ** (-cfg.delta_exp)
+    _require_finite_positive("gamma", gamma, ConfigError)
+    if not (isinstance(delta_exp, numbers.Real) and 0.0 < delta_exp < 1.0):
+        raise ConfigError(f"delta_exp must be in (0, 1), got {delta_exp!r}")
+    if bandwidth_override is None:
+        h = gamma * np.pi / np.log(n)
+    else:
+        _require_finite_positive("bandwidth_override", bandwidth_override, ConfigError)
+        h = float(bandwidth_override)
+    _check_bandwidth(h)
+    required = 4.0 * p / delta_exp
+    warning = None if gamma > required else (
+        f"gamma = {gamma} does not exceed 4p/delta_exp = {required:g}; "
+        f"variance control is not guaranteed")
+    return float(n) ** (-delta_exp), h, warning
 
 
 @dataclass(frozen=True, eq=False)

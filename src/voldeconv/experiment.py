@@ -19,7 +19,6 @@ import operator
 import os
 import sys
 import time
-import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Tuple
 
@@ -33,16 +32,14 @@ from .analytic_truth import (
     regime_marginal,
     scaled_truth,
 )
-from .deconv_kernel import _check_bandwidth, build_table
+from .deconv_kernel import build_table
 from .errors import ConfigError, InputError, _require_integer
 from .estimator import (
     _CLAMP_FLOOR,
     DensityGrid,
-    EstimatorConfig,
     ObservationSet,
     _check_times,
-    default_bandwidth,
-    delta_schedule,
+    bandwidth_schedule,
     estimate_density,
 )
 from .quadrature import gauss_legendre_box, tensor_quadrature
@@ -97,9 +94,8 @@ class ExperimentConfig:
         # stored as checked, so that a config hashes and equals its mapping's
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "times", _check_times(self.times))
-        # delta_exp/gamma ranges are enforced by EstimatorConfig, each n's h by _schedule
-        for n_index in range(len(sched)):
-            _schedule(self, n_index)
+        for n in sched:  # gamma, delta_exp, the bandwidth and each n's h
+            _schedule(self, n)
         if not isinstance(self.grid_spec, str):
             raise ConfigError(f"grid_spec must be a string, got {self.grid_spec!r}")
         if self.grid_spec != "auto":
@@ -308,6 +304,9 @@ def mix_seed(master_seed: int, n_index: int, rep_index: int) -> int:
     """Replication seed: master seed mixed with (n-index, rep-index) through
     a SeedSequence spawn key.  Fixed and documented so any single record can
     be reproduced without running the others."""
+    _require_integer("master_seed", master_seed, 0, ConfigError)
+    _require_integer("n_index", n_index, 0, ConfigError)
+    _require_integer("rep_index", rep_index, 0, ConfigError)
     ss = np.random.SeedSequence(master_seed, spawn_key=(n_index, rep_index))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -390,16 +389,9 @@ def table_for_axes(kernel_name: str, h: float, axes):
     return build_table(spec, h, lo, hi, n_points)
 
 
-def _schedule(cfg: ExperimentConfig, n_index: int):
-    """(n, delta, h, warning texts) for the n_index-th sample size."""
-    n = cfg.n_schedule[n_index]
-    est_cfg = EstimatorConfig(cfg.gamma, cfg.delta_exp, cfg.bandwidth_override)
-    delta = delta_schedule(n, est_cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        h = default_bandwidth(n, cfg.p, est_cfg)
-    _check_bandwidth(h)
-    return n, delta, h, [str(w.message) for w in caught]
+def _schedule(cfg: ExperimentConfig, n: int):
+    """bandwidth_schedule's (delta, h, warning) for n increments under cfg."""
+    return bandwidth_schedule(n, cfg.p, cfg.gamma, cfg.delta_exp, cfg.bandwidth_override)
 
 
 def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, table, axes):
@@ -436,9 +428,10 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     grids = {}
     bandwidths = {}
     notes = []
-    for n_index in range(len(cfg.n_schedule)):
-        n, delta, h, caught = _schedule(cfg, n_index)
-        notes.extend(f"n={n}: {text}" for text in caught)
+    for n_index, n in enumerate(cfg.n_schedule):
+        delta, h, warning = _schedule(cfg, n)
+        if warning is not None:
+            notes.append(f"n={n}: {warning}")
         bandwidths[n] = h
         with _stage("build_table", n, -1):
             table = table_for_axes(cfg.kernel_name, h, axes)
@@ -522,7 +515,8 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     axes, _ = resolve_grid(cfg, truth)
     point = np.array([float(a[a.size // 2]) for a in axes])
     n_index = len(cfg.n_schedule) - 1
-    n, delta, h, _ = _schedule(cfg, n_index)
+    n = cfg.n_schedule[n_index]
+    delta, h, _ = _schedule(cfg, n)
     point_axes = [np.array([v]) for v in point]
     with _stage("build_table", n, -1):
         table = table_for_axes(cfg.kernel_name, h, point_axes)

@@ -106,6 +106,12 @@ def _check_model(model: str, params) -> None:
         )
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is neither a SeedSequence nor an integer of at least 0."""
+    if not isinstance(seed, np.random.SeedSequence):
+        _require_integer("seed", seed, 0, ConfigError)
+
+
 def _ou_chunks(
     params: OUParams, n_steps: int, dt: float, seed: SeedLike, chunk: int, read: Callable = map
 ):
@@ -143,6 +149,7 @@ def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
     """
     _require_integer("n_steps", n_steps, 1, InputError)
     _require_finite_positive("dt", dt, ConfigError)
+    _check_seed(seed)
     return next(_ou_chunks(params, n_steps, dt, seed, n_steps))
 
 
@@ -241,6 +248,7 @@ def simulate_regime_switch(
     """
     _require_integer("n_steps", n_steps, 1, InputError)
     _require_finite_positive("dt", dt, ConfigError)
+    _check_seed(seed)
     return next(_regime_chunks(params, n_steps, dt, seed, n_steps))
 
 
@@ -303,6 +311,7 @@ def integrate_price(
             f"sigma2 path length {sigma2.size} is not a multiple of the "
             f"subgrid ratio {ratio}"
         )
+    _check_seed(seed)
     z = np.random.default_rng(seed).standard_normal(sigma2.size)
     return _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
 

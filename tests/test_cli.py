@@ -152,6 +152,24 @@ def test_experiment_command_prints_schedule_warnings(tmp_path, capsys):
     )
 
 
+def test_estimate_prints_the_schedule_warning(tmp_path, capsys):
+    # delta = 0.05 = 400^{-1/2}, so gamma = 2 does not exceed 4p/delta_exp = 8;
+    # the warning is one line of text, not a Python warning with its source line
+    inc_file = tmp_path / "inc.txt"
+    increments = np.random.default_rng(5).standard_normal(400).tolist()
+    inc_file.write_text("".join(f"{v!r}\n" for v in increments))
+    assert main([
+        "estimate", "--input", str(inc_file), "--delta", "0.05", "--times", "1.0",
+        "--gamma", "2.0", "--grid=-5:5:11", "--out", str(tmp_path / "est.csv"),
+    ]) == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: gamma = 2.0 does not exceed 4p/delta_exp = 8; "
+        "variance control is not guaranteed\n"
+    )
+    assert "ScheduleWarning" not in err
+
+
 @pytest.mark.parametrize("model, times, grid", [
     ("ou", "1.0", "-5:5:41"),
     ("regime", "1.0,1.05", "-8:8:9,-7:7:8"),

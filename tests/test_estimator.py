@@ -14,14 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voldeconv import (
-    EstimatorConfig,
     ObservationSet,
     OUParams,
-    ScheduleWarning,
+    bandwidth_schedule,
     build_table,
     builtin_kernel,
-    default_bandwidth,
-    delta_schedule,
     estimate_density,
     eval_table,
     eval_w,
@@ -32,7 +29,7 @@ from voldeconv import (
     vh_quadrature,
 )
 from voldeconv import deconv_kernel, estimator
-from voldeconv.errors import ConfigError, InputError, _require_finite
+from voldeconv.errors import ConfigError, InputError, RangeError, _require_finite
 from voldeconv.estimator import _JCHUNK, DensityGrid
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
@@ -149,43 +146,44 @@ def test_nan_and_infinite_times_rejected():
 
 
 def test_bandwidth_schedule():
-    cfg = EstimatorConfig(gamma=10.0, delta_exp=0.5)
-    h = default_bandwidth(22026, 1, cfg)  # n = e^10 rounded
+    _, h, _ = bandwidth_schedule(22026, 1, 10.0, 0.5)  # n = e^10 rounded
     assert abs(h - np.pi) < 1e-4
-    assert delta_schedule(10_000, EstimatorConfig(gamma=10.0, delta_exp=0.5)) == pytest.approx(0.01)
-    cfg_override = EstimatorConfig(gamma=10.0, delta_exp=0.5, bandwidth_override=0.8)
-    assert default_bandwidth(1_000_000, 1, cfg_override) == 0.8
+    assert bandwidth_schedule(10_000, 1, 10.0, 0.5)[0] == pytest.approx(0.01)
+    assert bandwidth_schedule(1_000_000, 1, 10.0, 0.5, bandwidth_override=0.8)[1] == 0.8
     with pytest.raises(ConfigError, match="n must be at least 2, got 1"):
-        default_bandwidth(1, 1, cfg)
-    with pytest.raises(ConfigError, match="n must be at least 1, got 0"):
-        delta_schedule(0, cfg)
+        bandwidth_schedule(1, 1, 10.0, 0.5)
+    with pytest.raises(ConfigError, match="n must be at least 2, got 0"):
+        bandwidth_schedule(0, 1, 10.0, 0.5)
     for n, p, message in [(np.nan, 1, "n must be an integer, got nan"),
                           (2.5, 1, "n must be an integer, got 2.5"),
                           (100, 0, "p must be at least 1, got 0")]:
         with pytest.raises(ConfigError, match=message):
-            default_bandwidth(n, p, cfg)
-    with pytest.raises(ConfigError, match="n must be an integer, got nan"):
-        delta_schedule(np.nan, cfg)
+            bandwidth_schedule(n, p, 10.0, 0.5)
 
 
 def test_bandwidth_warning_when_gamma_too_small():
     # p = 2, delta_exp = 0.5 requires gamma > 16
-    with pytest.warns(ScheduleWarning):
-        default_bandwidth(10_000, 2, EstimatorConfig(gamma=10.0, delta_exp=0.5))
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        default_bandwidth(10_000, 2, EstimatorConfig(gamma=17.0, delta_exp=0.5))
+    assert bandwidth_schedule(10_000, 2, 10.0, 0.5)[2] == (
+        "gamma = 10.0 does not exceed 4p/delta_exp = 16; variance control is not guaranteed"
+    )
+    assert bandwidth_schedule(10_000, 2, 17.0, 0.5)[2] is None
 
 
 def test_estimator_config_validation():
-    with pytest.raises(ConfigError):
-        EstimatorConfig(gamma=-1.0, delta_exp=0.5)
-    with pytest.raises(ConfigError):
-        EstimatorConfig(gamma=9.0, delta_exp=1.5)
-    with pytest.raises(ConfigError):
-        EstimatorConfig(gamma=9.0, delta_exp=0.5, bandwidth_override=-0.1)
+    window = ("quadrature nodes at |t| = {}, beyond the noise characteristic "
+              "function's evaluation window t_max = 191.0")
+    for gamma, delta_exp, override, error, message in [
+        (-1.0, 0.5, None, ConfigError, "gamma must be finite and positive, got -1.0"),
+        (9.0, 1.5, None, ConfigError, "delta_exp must be in (0, 1), got 1.5"),
+        (9.0, 0.5, -0.1, ConfigError, "bandwidth_override must be finite and positive, got -0.1"),
+        # h below pi/600, pinned or from the schedule (0.01 pi / log 1000)
+        (9.0, 0.5, 0.005, RangeError, "bandwidth 0.005 puts " + window.format(200.0)),
+        (0.01, 0.5, None, RangeError,
+         "bandwidth 0.004547921179472805 puts " + window.format(219.9)),
+    ]:
+        with pytest.raises(error) as info:
+            bandwidth_schedule(1000, 1, gamma, delta_exp, override)
+        assert str(info.value) == message
 
 
 def test_single_observation_reduction():
@@ -489,7 +487,7 @@ def test_non_integer_index_offsets_refused():
 )
 def test_estimator_config_refuses_infinite_scales(overrides, message):
     with pytest.raises(ConfigError) as info:
-        EstimatorConfig(**{"gamma": 9.0, "delta_exp": 0.5, **overrides})
+        bandwidth_schedule(**{"n": 1000, "p": 1, "gamma": 9.0, "delta_exp": 0.5, **overrides})
     assert str(info.value) == message
 
 

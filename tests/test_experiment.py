@@ -366,6 +366,21 @@ def test_mix_seed_frozen_values():
     assert len(seen) == 200
 
 
+@pytest.mark.parametrize("args, message", [
+    ((True, 0, 0), "master_seed must be an integer, got True"),
+    ((-1, 0, 0), "master_seed must be at least 0, got -1"),
+    ((np.inf, 0, 0), "master_seed must be an integer, got inf"),
+    ((1, np.nan, 0), "n_index must be an integer, got nan"),
+    ((1, -1, 0), "n_index must be at least 0, got -1"),
+    ((1, 0, 2.5), "rep_index must be an integer, got 2.5"),
+    ((1, 0, -1), "rep_index must be at least 0, got -1"),
+])
+def test_mix_seed_refuses_a_bad_argument(args, message):
+    with pytest.raises(ConfigError) as info:
+        mix_seed(*args)
+    assert str(info.value) == message
+
+
 def test_compute_mise_exact_cases():
     truth = ou_logsq_marginal(OU)
     x = np.linspace(-5.0, 5.0, 401)

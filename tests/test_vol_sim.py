@@ -249,6 +249,24 @@ def test_bundle_arguments_are_checked_first(overrides, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda seed: simulate_ou(OU, 10, 0.1, seed),
+    lambda seed: simulate_regime_switch(REGIME, 10, 0.1, seed),
+    lambda seed: integrate_price(np.ones(20), 0.01, 0.1, seed=seed),
+], ids=["simulate_ou", "simulate_regime_switch", "integrate_price"])
+@pytest.mark.parametrize("seed, message", [
+    # numpy would run True as seed 1 and refuse the others without naming the seed
+    (True, "seed must be an integer, got True"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (np.nan, "seed must be an integer, got nan"),
+    (-1, "seed must be at least 0, got -1"),
+])
+def test_simulators_refuse_a_bad_seed(simulate, seed, message):
+    with pytest.raises(ConfigError) as info:
+        simulate(seed)
+    assert str(info.value) == message
+
+
 def test_bundle_accepts_numpy_scalars():
     a = simulate_bundle("ou", OU, np.int64(40), np.float64(0.05), seed=2, subgrid_ratio=np.int32(20))
     b = simulate_bundle("ou", OU, 40, 0.05, seed=2, subgrid_ratio=20)

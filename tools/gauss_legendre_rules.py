@@ -3,7 +3,7 @@
     python3 tools/gauss_legendre_rules.py
 
 leggauss(n) builds a rule by a dense n x n eigen-solve, about a second for
-the package's five sizes together, so src/voldeconv/gauss_legendre_rules.npz
+the package's four sizes together, so src/voldeconv/gauss_legendre_rules.npz
 ships its output instead: arrays nodes<n> and weights<n> for each n in SIZES,
 bit for bit what leggauss(n) returned here, plus, as 0-d strings, the
 environment they were made under (the fields of environment()).  Every zip
@@ -23,9 +23,8 @@ import zipfile
 import numpy as np
 
 # 256: w (smoothing_kernel); 400 and 2000: truth moments and mass outside the
-# grid box for p >= 2 and p = 1 (experiment); 512: v_h (deconv_kernel);
-# 800: TruthDensity.mass (analytic_truth)
-SIZES = (256, 400, 512, 800, 2000)
+# grid box for p >= 2 and p = 1 (experiment); 512: v_h (deconv_kernel)
+SIZES = (256, 400, 512, 2000)
 PATH = pathlib.Path(__file__).resolve().parents[1] / "src" / "voldeconv" / "gauss_legendre_rules.npz"
 
 
