@@ -95,7 +95,7 @@ class ExperimentConfig:
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "times", _check_times(self.times))
         for n in sched:  # gamma, delta_exp, the bandwidth and each n's h
-            _schedule(self, n)
+            bandwidth_schedule(n, self.p, self.gamma, self.delta_exp, self.bandwidth_override)
         if not isinstance(self.grid_spec, str):
             raise ConfigError(f"grid_spec must be a string, got {self.grid_spec!r}")
         if self.grid_spec != "auto":
@@ -389,11 +389,6 @@ def table_for_axes(kernel_name: str, h: float, axes):
     return build_table(spec, h, lo, hi, n_points)
 
 
-def _schedule(cfg: ExperimentConfig, n: int):
-    """bandwidth_schedule's (delta, h, warning) for n increments under cfg."""
-    return bandwidth_schedule(n, cfg.p, cfg.gamma, cfg.delta_exp, cfg.bandwidth_override)
-
-
 def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, table, axes):
     """One replication's simulate -> observe -> estimate step, returning (seed,
     observations, estimate); a failure is re-raised naming its stage, n and rep."""
@@ -429,7 +424,8 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
     bandwidths = {}
     notes = []
     for n_index, n in enumerate(cfg.n_schedule):
-        delta, h, warning = _schedule(cfg, n)
+        delta, h, warning = bandwidth_schedule(
+            n, cfg.p, cfg.gamma, cfg.delta_exp, cfg.bandwidth_override)
         if warning is not None:
             notes.append(f"n={n}: {warning}")
         bandwidths[n] = h
@@ -516,7 +512,7 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
     point = np.array([float(a[a.size // 2]) for a in axes])
     n_index = len(cfg.n_schedule) - 1
     n = cfg.n_schedule[n_index]
-    delta, h, _ = _schedule(cfg, n)
+    delta, h, _ = bandwidth_schedule(n, cfg.p, cfg.gamma, cfg.delta_exp, cfg.bandwidth_override)
     point_axes = [np.array([v]) for v in point]
     with _stage("build_table", n, -1):
         table = table_for_axes(cfg.kernel_name, h, point_axes)
