@@ -29,8 +29,9 @@ under OPENBLAS_NUM_THREADS=1.  The artifacts:
                          (n = 2000 OU increments and their .meta.json),
                          estimate on those increments at p = 1, at p = 2
                          and at p = 1 with gamma = 2 under a --bandwidth
-                         override (a schedule warning on stderr), and
-                         truth at p = 2;
+                         override (a schedule warning on stderr), OU
+                         truth at p = 2, and regime truth at p = 1 and
+                         p = 2;
   ou-n500-warn/<file>    emit_report of an n = 500 OU config with gamma = 2
                          <= 4p/delta_exp = 8, so that config.echo carries a
                          schedule `# warning:` line.
@@ -120,6 +121,9 @@ def cli_digests(tmp: str) -> list:
     out.mkdir()
     params = out / "ou.params"
     params.write_text("a = 2.0\nmu = 0.0\nb = 2.0\n", encoding="utf-8")
+    regime = out / "regime.params"  # REGIME in the flat format
+    regime.write_text("a = 4.0\nb = 1.0\nmu0 = -2.0\nmu1 = 2.0\na0 = 1.0\na1 = 1.0\n",
+                      encoding="utf-8")
     inc = str(out / "simulate-n2000.txt")
     runs = (
         ["kernel-table", "--out", str(out / "kernel-table-w.csv")],
@@ -134,11 +138,16 @@ def cli_digests(tmp: str) -> list:
          "--bandwidth", "1.5", "--grid=-6:6:25", "--out", str(out / "estimate-override.csv")],
         ["truth", "--model", "ou", "--params", str(params), "--times", "1.0,1.5",
          "--grid=-3:3:21", "--out", str(out / "truth-p2.csv")],
+        ["truth", "--model", "regime", "--params", str(regime), "--times", "1.0",
+         "--grid=-8:8:65", "--out", str(out / "truth-regime-p1.csv")],
+        ["truth", "--model", "regime", "--params", str(regime), "--times", "1.0,1.05",
+         "--grid=-8:8:33,-7:7:29", "--out", str(out / "truth-regime-p2.csv")],
     )
     for argv in runs:
         if cli_main(argv) != 0:
             raise RuntimeError(f"voldeconv {argv[0]} failed")
     params.unlink()
+    regime.unlink()
     return [(sha256(path.read_bytes()), f"cli/{path.name}") for path in sorted(out.iterdir())]
 
 
