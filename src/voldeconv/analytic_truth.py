@@ -102,22 +102,16 @@ def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
 
 
 def regime_marginal(params: RegimeSwitchParams) -> TruthDensity:
-    """Stationary marginal of xi: the pi-weighted two-component normal
-    mixture."""
+    """Stationary marginal of xi: the pi-weighted mixture of the two OU
+    laws, on the union of their boxes."""
     pi = params.stationary_probs
-    comps = [params.ou0, params.ou1]
-    sds = [np.sqrt(c.stationary_var) for c in comps]
+    m0, m1 = ou_logsq_marginal(params.ou0), ou_logsq_marginal(params.ou1)
 
     def fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0]
-        return pi[0] * _gauss(x - comps[0].mu, comps[0].stationary_var) + pi[1] * _gauss(
-            x - comps[1].mu, comps[1].stationary_var
-        )
+        return pi[0] * m0.vector_eval(pts) + pi[1] * m1.vector_eval(pts)
 
-    lo = min(c.mu - 10.0 * sd for c, sd in zip(comps, sds))
-    hi = max(c.mu + 10.0 * sd for c, sd in zip(comps, sds))
-    return TruthDensity(1, fn, ((lo, hi),))
+    (lo0, hi0), (lo1, hi1) = m0.truncation_box[0], m1.truncation_box[0]
+    return TruthDensity(1, fn, ((min(lo0, lo1), max(hi0, hi1)),))
 
 
 def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDensity:
@@ -127,12 +121,10 @@ def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDen
     1, move 0 -> 1, move 1 -> 0, stay in 0.  Stay components are bivariate OU
     laws; move components factor because the two OU paths are independent.
     """
-    if not s < t:
-        raise DomainError(f"need s < t, got s={s}, t={t}")
+    biv0 = ou_bivariate(params.ou0, s, t)  # refuses s >= t
+    biv1 = ou_bivariate(params.ou1, s, t)
     pi = params.stationary_probs
     q = markov_transition(params.a0, params.a1, t - s)
-    biv0 = ou_bivariate(params.ou0, s, t)
-    biv1 = ou_bivariate(params.ou1, s, t)
     v0, v1 = params.ou0.stationary_var, params.ou1.stationary_var
     mu0, mu1 = params.ou0.mu, params.ou1.mu
 

@@ -110,8 +110,8 @@ def _cmd_estimate(args) -> int:
     times = _numbers(enumerate(args.times.split(","), start=1), "--times field")
     obs = ObservationSet.from_increments(increments, args.delta, times)
     n, p = obs.n, obs.p
-    # the implied schedule exponent: delta = n^{-delta_exp}
-    delta_exp = min(max(-np.log(args.delta) / np.log(n), 1e-6), 1.0 - 1e-6)
+    # the implied schedule exponent: delta = n^{-delta_exp} (bandwidth_schedule refuses n < 2)
+    delta_exp = min(max(-np.log(args.delta) / np.log(max(n, 2)), 1e-6), 1.0 - 1e-6)
     _, h, warning = bandwidth_schedule(n, p, args.gamma, delta_exp, args.bandwidth)
     if warning is not None:
         print(f"warning: {warning}", file=sys.stderr)

@@ -125,14 +125,15 @@ class ObservationSet:
     delta         : sampling interval.
     log_sq        : n log-squared normalized increments.
     times         : target times, strictly increasing.
-    index_offsets : floor(t_k / delta) per target time.
+    index_offsets : floor(t_k / delta) per target time, computed from times
+                    and delta; a given value must equal it.
     n_clamped     : how many increments hit the clamp floor.
     """
 
     delta: float
     log_sq: np.ndarray
     times: tuple
-    index_offsets: tuple
+    index_offsets: Optional[tuple] = None
     n_clamped: int = 0
 
     def __post_init__(self):
@@ -142,16 +143,14 @@ class ObservationSet:
         # one NaN would poison every estimate; reject it before any work
         _require_finite("log-squared increments", self.log_sq, InputError)
         times = _check_times(self.times)
-        off = np.asarray(self.index_offsets)
-        if off.dtype.kind not in "iu" and not np.all(np.mod(off, 1.0) == 0.0):
-            raise ConfigError(f"index offsets must be integers, got {off.tolist()}")
-        if off.size != len(times) or np.any(np.diff(off) < 0):
-            raise ConfigError(
-                f"index offsets must be nondecreasing, one per time, got "
-                f"{off.tolist()} for {len(times)} times"
-            )
+        off = [_floor_index(t, float(self.delta)) for t in times]
+        given = off if self.index_offsets is None else np.asarray(self.index_offsets).tolist()
+        if given != off:
+            raise ConfigError(f"index offsets must be floor(t / delta) = {off}, got {given}")
+        _require_integer("n_clamped", self.n_clamped, 0, ConfigError)
+        object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "index_offsets", tuple(int(v) for v in off))
+        object.__setattr__(self, "index_offsets", tuple(off))
         if self.m < 1:
             raise InputError(
                 f"series too short for requested time spread: n = {self.n} "
@@ -168,22 +167,13 @@ class ObservationSet:
 
     @property
     def m(self) -> int:
-        off = np.asarray(self.index_offsets)
-        return self.n - int(off[-1]) + int(off[0])
+        return self.n - self.index_offsets[-1] + self.index_offsets[0]
 
     @classmethod
     def from_increments(cls, increments, delta: float, times) -> "ObservationSet":
         """Build from normalized increments at strictly increasing times."""
-        _require_finite_positive("delta", delta, ConfigError)
-        times = _check_times(times)
         log_sq, n_clamped = log_square_transform(increments)
-        return cls(
-            delta=float(delta),
-            log_sq=log_sq,
-            times=times,
-            index_offsets=tuple(_floor_index(t, float(delta)) for t in times),
-            n_clamped=n_clamped,
-        )
+        return cls(delta=delta, log_sq=log_sq, times=times, n_clamped=n_clamped)
 
 
 def bandwidth_schedule(n: int, p: int, gamma: float, delta_exp: float,
@@ -244,7 +234,8 @@ class DensityGrid:
 def marginalize(grid: DensityGrid, axis: int) -> DensityGrid:
     """Integrate one coordinate out by the trapezoid rule."""
     p = len(grid.axes)
-    if not 0 <= axis < p:
+    _require_integer("axis", axis, 0, ConfigError)
+    if axis >= p:
         raise ConfigError(f"axis {axis} out of range for p = {p}")
     if p == 1:
         raise ConfigError(f"cannot marginalize axis {axis} of a 1-D grid, shape {grid.values.shape}")

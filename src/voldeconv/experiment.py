@@ -94,6 +94,7 @@ class ExperimentConfig:
         # stored as checked, so that a config hashes and equals its mapping's
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "times", _check_times(self.times))
+        truth_for_model(self.model, self.params, self.times)  # every run needs it: p <= 2
         for n in sched:  # gamma, delta_exp, the bandwidth and each n's h
             bandwidth_schedule(n, self.p, self.gamma, self.delta_exp, self.bandwidth_override)
         if not isinstance(self.grid_spec, str):

@@ -3,6 +3,7 @@
 import json
 import re
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,19 @@ def test_estimate_names_a_bad_delta(tmp_path, capsys, delta):
     message = f"error: delta must be finite and positive, got {float(delta)!r}"
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_estimate_refuses_a_one_increment_input(tmp_path, capsys):
+    # the schedule refuses n = 1, with no numpy divide-by-zero warning before it
+    inc_file = tmp_path / "inc.txt"
+    inc_file.write_text("0.01\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([
+            "estimate", "--input", str(inc_file), "--delta", "0.02", "--times", "0.01",
+            "--gamma", "9.0", "--grid=-1:1:3",
+        ]) == 1
+    assert capsys.readouterr().err == "error: n must be at least 2, got 1\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "truth"])

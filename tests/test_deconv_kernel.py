@@ -330,7 +330,6 @@ def _single_vector_estimate(tbl, y, axes):
         delta=1.0,
         log_sq=np.asarray(y, dtype=float),
         times=tuple(float(k) for k in range(1, p + 1)),
-        index_offsets=tuple(range(1, p + 1)),
     )
     assert obs.m == 1
     return estimate_density(obs, tbl, axes).values

@@ -46,11 +46,7 @@ def _observation_matrix(obs):
 
 
 def _obs_from_values(log_sq, delta, times):
-    data = np.asarray(log_sq, dtype=float)
-    offsets = tuple(int(np.floor((t / delta) * (1.0 + 1e-9))) for t in times)
-    return ObservationSet(
-        delta=delta, log_sq=data, times=tuple(times), index_offsets=offsets, n_clamped=0
-    )
+    return ObservationSet(delta=delta, log_sq=np.asarray(log_sq, dtype=float), times=tuple(times))
 
 
 def test_normalized_increments_examples():
@@ -134,10 +130,9 @@ def test_observation_set_validation():
 
 def test_nan_and_infinite_times_rejected():
     with pytest.raises(ConfigError, match=r"must be positive, got \[nan\]"):
-        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(np.nan,), index_offsets=(0,))
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(np.nan,))
     with pytest.raises(ConfigError, match=r"must be positive, got \[nan\]"):
-        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0, np.nan),
-                       index_offsets=(10, 10))
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0, np.nan))
     inc = np.linspace(0.1, 1.0, 50)
     with pytest.raises(ConfigError, match=r"must be positive, got \[nan\]"):
         ObservationSet.from_increments(inc, 0.1, (0.5, np.nan))
@@ -285,10 +280,7 @@ def _marginal_gap(n, seed, h, second, x1):
     lo, hi = y2.min() - 252.0 * h, y2.max() + 252.0 * h
     x2 = np.linspace(lo, hi, int(np.ceil((hi - lo) / (0.5 * h))) + 1)
     marg = np.trapezoid(estimate_density(obs2, tbl, (x1, x2)).values, x2, axis=1)
-    obs1 = ObservationSet(
-        delta=obs2.delta, log_sq=obs2.log_sq[:m], times=(1.0,),
-        index_offsets=(obs2.index_offsets[0],),
-    )
+    obs1 = ObservationSet(delta=obs2.delta, log_sq=obs2.log_sq[:m], times=(1.0,))
     return float(np.max(np.abs(marg - estimate_density(obs1, tbl, (x1,)).values)))
 
 
@@ -429,7 +421,7 @@ def test_observation_set_refuses_a_bad_delta(delta):
         ObservationSet.from_increments(inc, delta, (1.0,))
     assert str(info.value) == message
     with pytest.raises(ConfigError) as info:
-        ObservationSet(delta=delta, log_sq=np.zeros(50), times=(1.0,), index_offsets=(10,))
+        ObservationSet(delta=delta, log_sq=np.zeros(50), times=(1.0,))
     assert str(info.value) == message
     with pytest.raises(InputError) as info:
         normalized_increments(np.arange(5.0), delta)
@@ -442,16 +434,14 @@ def test_observation_errors_name_the_value():
          "series too short for requested time spread: n = 4 increments, index offsets span 8"),
         (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0, 2.0),
                                 index_offsets=(20, 10)), ConfigError,
-         "index offsets must be nondecreasing, one per time, got [20, 10] for 2 times"),
-        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(),
-                                index_offsets=()), ConfigError,
+         "index offsets must be floor(t / delta) = [10, 20], got [20, 10]"),
+        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=()), ConfigError,
          "times must be a non-empty 1-D sequence, got []"),
         (lambda: ObservationSet.from_increments(np.ones(50), 0.1, [[1.0, 2.0]]), ConfigError,
          "times must be a non-empty 1-D sequence, got [[1.0, 2.0]]"),
         (lambda: ObservationSet.from_increments(np.ones(50), 0.1, None), ConfigError,
          "times must be a sequence of numbers, got None"),
-        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=1.0,
-                                index_offsets=(10,)), ConfigError,
+        (lambda: ObservationSet(delta=0.1, log_sq=np.zeros(50), times=1.0), ConfigError,
          "times must be a sequence of numbers, got 1.0"),
         (lambda: ObservationSet.from_increments(np.ones(50), 0.1, (1.25, 1.0)), ConfigError,
          "target times must be distinct and increasing, got [1.25, 1.0]"),
@@ -466,16 +456,54 @@ def test_observation_errors_name_the_value():
 
 def test_two_dimensional_log_sq_refused_up_front():
     with pytest.raises(InputError, match=r"log_sq must be 1-D, got shape \(4, 6\)"):
-        ObservationSet(delta=0.1, log_sq=np.zeros((4, 6)), times=(0.1,), index_offsets=(1,))
+        ObservationSet(delta=0.1, log_sq=np.zeros((4, 6)), times=(0.1,))
     with pytest.raises(InputError, match=r"log_sq must be 1-D, got shape \(4, 6\)"):
         ObservationSet.from_increments(np.ones((4, 6)), 0.1, (0.1, 0.2))
 
 
 def test_non_integer_index_offsets_refused():
-    with pytest.raises(ConfigError, match=r"index offsets must be integers, got \[1.7\]"):
+    with pytest.raises(ConfigError, match=r"floor\(t / delta\) = \[1\], got \[1.7\]"):
         ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(0.17,), index_offsets=(1.7,))
     obs = ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(0.1,), index_offsets=(1.0,))
     assert obs.index_offsets == (1,)
+
+
+def test_index_offsets_are_computed_from_times_and_delta():
+    # a given value must be the computed one; (3,) was taken for floor(1.0 / 0.1) = 10
+    with pytest.raises(ConfigError) as info:
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0,), index_offsets=(3,))
+    assert str(info.value) == "index offsets must be floor(t / delta) = [10], got [3]"
+    obs = ObservationSet(delta=np.float64(0.1), log_sq=np.zeros(50), times=(1.0, 1.5))
+    assert obs.index_offsets == (10, 15) and obs.m == 45
+    assert type(obs.delta) is float
+    given = ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0, 1.5),
+                           index_offsets=np.array([10, 15]))
+    assert given.index_offsets == (10, 15)
+
+
+@pytest.mark.parametrize("n_clamped, message", [
+    (-1, "n_clamped must be at least 0, got -1"),
+    (1.5, "n_clamped must be an integer, got 1.5"),
+    (np.nan, "n_clamped must be an integer, got nan"),
+    (True, "n_clamped must be an integer, got True"),
+])
+def test_observation_set_refuses_a_bad_n_clamped(n_clamped, message):
+    with pytest.raises(ConfigError) as info:
+        ObservationSet(delta=0.1, log_sq=np.zeros(50), times=(1.0,), n_clamped=n_clamped)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("axis, message", [
+    (True, "axis must be an integer, got True"),
+    (1.5, "axis must be an integer, got 1.5"),
+    (-1, "axis must be at least 0, got -1"),
+    (2, "axis 2 out of range for p = 2"),
+])
+def test_marginalize_refuses_a_bad_axis(axis, message):
+    grid = DensityGrid(axes=(np.arange(3.0), np.arange(4.0)), values=np.zeros((3, 4)))
+    with pytest.raises(ConfigError) as info:
+        marginalize(grid, axis)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -687,9 +715,8 @@ def test_traced_lookups_and_quadrature_stay_on_the_calling_thread(monkeypatch):
         obs, axes = _sweep_case(p, blocks, seed=p)
         for kind in ("wide", "narrow"):
             estimate_density(obs, _table(kind), axes)
-        estimate_density(ObservationSet(
-            delta=_DELTA, log_sq=obs.log_sq, times=(0.1,), index_offsets=(1,)
-        ), _table("narrow"), axes[:1])
+        estimate_density(ObservationSet(delta=_DELTA, log_sq=obs.log_sq, times=(0.1,)),
+                         _table("narrow"), axes[:1])
     assert any(i != threading.get_ident() for i in idents)  # the workers did run
     assert calls["eval_table"] and calls["vh_quadrature"]
     assert set(calls["eval_table"] + calls["vh_quadrature"]) == {threading.get_ident()}

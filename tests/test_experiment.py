@@ -217,7 +217,8 @@ def test_mapping_round_trip_property(fields):
         bandwidths = [fields["bandwidth_override"] or fields["gamma"] * np.pi / np.log(n)
                       for n in fields["n_schedule"]]
         bad_bandwidth = any(1.0 / h > T_MAX for h in bandwidths)
-        assert bad_times or bad_regimes or bad_ratio or bad_grid or bad_bandwidth
+        bad_p = len(t) > 2  # no closed-form truth
+        assert bad_times or bad_regimes or bad_ratio or bad_grid or bad_bandwidth or bad_p
         return
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
 
@@ -569,6 +570,15 @@ def test_config_and_truth_errors_name_the_value():
     for model, params, name in (("ou", OU, "OU"), ("regime", REGIME, "regime")):
         with pytest.raises(ConfigError, match=f"closed-form {name} truth .* p <= 2 only, got p = 3"):
             truth_for_model(model, params, (1.0, 1.5, 2.0))
+    # refused at construction, not by run_experiment after the simulation
+    message = "closed-form OU truth is shipped for p <= 2 only, got p = 3"
+    with pytest.raises(ConfigError) as info:
+        _small_config(times=(1.0, 1.5, 2.0))
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_mapping(parse_config_text(
+            CONFIG_TEXT.replace("times = 1.0", "times = 1.0,1.5,2.0")))
+    assert str(info.value) == message
     for times, message in [(1.0, "times must be a sequence of numbers, got 1.0"),
                            ((np.nan,), r"target times must be positive, got \[nan\]"),
                            ((1.5, 1.0), r"distinct and increasing, got \[1.5, 1.0\]")]:
