@@ -60,10 +60,6 @@ class TruthDensity:
         return self.vector_eval(pts)
 
 
-def _gauss(u, var):
-    return np.exp(-0.5 * u * u / var) / (SQRT_2PI * np.sqrt(var))
-
-
 def ou_logsq_marginal(params: OUParams) -> TruthDensity:
     """Stationary density when the OU path is log sigma^2 itself:
     Normal(mu, b^2/(2a))."""
@@ -72,8 +68,8 @@ def ou_logsq_marginal(params: OUParams) -> TruthDensity:
     mu = params.mu
 
     def fn(pts):
-        pts = np.asarray(pts, dtype=float)
-        return _gauss(pts[..., 0] - mu, var)
+        u = np.asarray(pts, dtype=float)[..., 0] - mu
+        return np.exp(-0.5 * u * u / var) / (SQRT_2PI * sd)
 
     box = ((mu - 10.0 * sd, mu + 10.0 * sd),)
     return TruthDensity(1, fn, box)
@@ -123,21 +119,22 @@ def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDen
     """
     biv0 = ou_bivariate(params.ou0, s, t)  # refuses s >= t
     biv1 = ou_bivariate(params.ou1, s, t)
+    m0, m1 = ou_logsq_marginal(params.ou0), ou_logsq_marginal(params.ou1)
     pi = params.stationary_probs
     q = markov_transition(params.a0, params.a1, t - s)
-    v0, v1 = params.ou0.stationary_var, params.ou1.stationary_var
-    mu0, mu1 = params.ou0.mu, params.ou1.mu
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
+        x, y = pts[..., :1], pts[..., 1:]
         stay1 = q[1, 1] * pi[1] * biv1.vector_eval(pts)
-        move01 = q[1, 0] * pi[0] * _gauss(x - mu0, v0) * _gauss(y - mu1, v1)
-        move10 = q[0, 1] * pi[1] * _gauss(x - mu1, v1) * _gauss(y - mu0, v0)
+        move01 = q[1, 0] * pi[0] * m0.vector_eval(x) * m1.vector_eval(y)
+        move10 = q[0, 1] * pi[1] * m1.vector_eval(x) * m0.vector_eval(y)
         stay0 = q[0, 0] * pi[0] * biv0.vector_eval(pts)
         return stay1 + move01 + move10 + stay0
 
+    # not the union of m0's and m1's boxes: with unequal sds those differ
+    v0, v1 = params.ou0.stationary_var, params.ou1.stationary_var
+    mu0, mu1 = params.ou0.mu, params.ou1.mu
     sd = max(np.sqrt(v0), np.sqrt(v1))
     lo = min(mu0, mu1) - 10.0 * sd
     hi = max(mu0, mu1) + 10.0 * sd

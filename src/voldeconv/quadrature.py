@@ -70,9 +70,12 @@ def _in_order(pool, fn, items, ahead: int):
     i + ahead is submitted only once item i's has returned, so at most
     `ahead` calls run past the result the caller holds.  At ahead = 1 no
     two calls overlap, so a stateful fn (a draw, or next on a generator) is
-    advanced in item order; at ahead >= 2 the calls for i + 1 ... i + ahead
-    run at once, so fn must not carry state between them.  The results are
-    consumed in order, so they do not depend on thread timing.
+    advanced in item order, and the call for item i + 2 starts only after
+    the caller has asked for item i + 1, so two buffers taken in turn
+    suffice for fn's output (vol_sim._ring_draws); at ahead >= 2 the calls
+    for i + 1 ... i + ahead run at once, so fn must not carry state between
+    them.  The results are consumed in order, so they do not depend on
+    thread timing.
     """
     items = iter(items)
     futures = [pool.submit(fn, item) for item in islice(items, ahead)]

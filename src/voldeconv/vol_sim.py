@@ -21,7 +21,9 @@ regime model's two OU paths are each drawn and filtered on a worker, and
 the calling thread splices, exponentiates and sums; the OU model's one
 path is filtered on the calling thread, so that the path's worker only
 draws, like the price shocks' (a filter there unbalanced the workers and
-made OU bundles 5-10 % slower).  The public simulate_ou and
+made OU bundles 5-10 % slower).  Every normal stream is drawn by
+_ring_draws into two buffers that the thread setting it up allocates, so
+the workers allocate no draw arrays.  The public simulate_ou and
 simulate_regime_switch are the same generators read as one chunk, and
 integrate_price is one block of the same price sum.
 """
@@ -34,7 +36,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, InputError, _require_finite_positive, _require_integer
+from .errors import (
+    ConfigError, InputError, _require_finite, _require_finite_positive, _require_integer,
+)
 from .quadrature import _in_order
 
 SeedLike = Union[int, np.random.SeedSequence]
@@ -112,15 +116,42 @@ def _check_seed(seed) -> None:
         _require_integer("seed", seed, 0, ConfigError)
 
 
+def _ring_draws(seed: SeedLike, sizes: list, read: Callable = map):
+    """default_rng(seed).standard_normal's pieces of the given sizes, in
+    order, each drawn by read(draw, ...) into one of two buffers made here.
+
+    The buffers are allocated here, on the thread that sets the stream up,
+    so no worker allocates a draw array (a worker's freed arrays would stay
+    resident in its own malloc arena).  Piece k is drawn into buffer k % 2,
+    so it is the caller's only until the caller asks for piece k + 1: read
+    must be map, or _in_order at ahead 1, where piece k + 2 is drawn only
+    after that.  At ahead >= 2, piece k + 2 would be drawn into the buffer
+    the caller still reads.  The draws are the bits of one
+    standard_normal(size) call per piece.
+    """
+    rng = np.random.default_rng(seed)
+    ring = [np.empty(sizes[0]) for _ in sizes[:2]]
+    return read(lambda k: rng.standard_normal(out=ring[k % 2][: sizes[k]]), range(len(sizes)))
+
+
 def _ou_chunks(
     params: OUParams, n_steps: int, dt: float, seed: SeedLike, chunk: int, read: Callable = map
 ):
-    """Yield simulate_ou's path in consecutive pieces of at most `chunk` steps.
+    """simulate_ou's path in consecutive pieces of at most `chunk` steps.
 
-    The normals are default_rng(seed).standard_normal's, drawn a piece at a
-    time by read(draw, sizes): map, or _in_order on a pool.  The AR(1)
-    state is carried between pieces by lfilter's zi, so the pieces joined
-    are the same bits whatever the chunk size.
+    The normals' ring is set up here, at the call, by _ring_draws(seed, ...,
+    read); the generator returned filters each piece, and is done with it
+    before it asks for the next.
+    """
+    sizes = [min(chunk, n_steps - s) for s in range(0, n_steps, chunk)]
+    return _ou_filter(params, dt, _ring_draws(seed, sizes, read))
+
+
+def _ou_filter(params: OUParams, dt: float, draws):
+    """Yield the OU path piece by piece from its standard normals' pieces.
+
+    The AR(1) state is carried between pieces by lfilter's zi, so the
+    pieces joined are the same bits whatever the chunk size.
     """
     from scipy.signal import lfilter  # imported here: slow to import
 
@@ -128,8 +159,7 @@ def _ou_chunks(
     sd_stat = np.sqrt(params.stationary_var)
     scale = sd_stat * np.sqrt(1.0 - phi * phi)
     state = np.zeros(1)
-    sizes = [min(chunk, n_steps - s) for s in range(0, n_steps, chunk)]
-    for k, e in enumerate(read(np.random.default_rng(seed).standard_normal, sizes)):
+    for k, e in enumerate(draws):
         first = e[0]
         e *= scale
         if k == 0:
@@ -194,7 +224,8 @@ def _regime_chunks(
     paths are then streamed side by side, and every piece takes X^1 where
     the chain is in state 1 and X^0 elsewhere.  Each path's pieces, drawn
     and filtered, come from read(next, ...): on a pool both filters run on
-    the workers, one piece ahead of this thread, which only splices.
+    the workers, one piece ahead of this thread, which only splices and
+    allocates the paths' draw buffers (_ou_chunks).
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     chain_ss, ou0_ss, ou1_ss = ss.spawn(3)
@@ -312,7 +343,7 @@ def integrate_price(
             f"subgrid ratio {ratio}"
         )
     _check_seed(seed)
-    z = np.random.default_rng(seed).standard_normal(sigma2.size)
+    z = next(_ring_draws(seed, [sigma2.size]))
     return _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
 
 
@@ -320,11 +351,13 @@ def integrate_price(
 class PathBundle:
     """One simulated realization: price increments plus the fine sigma^2 path.
 
-    increments    : normalized price increments, one per delta interval.
+    increments    : normalized price increments, one per delta interval,
+                    finite, as a 1-D float array.
     delta         : sampling interval, finite and positive.
     subgrid_ratio : substeps per delta interval, an integer of at least 10.
     sigma2        : sigma^2 at substep left endpoints, finite and strictly
-                    positive, subgrid_ratio of them per increment.
+                    positive, subgrid_ratio of them per increment, as a 1-D
+                    float array.
     """
 
     increments: np.ndarray
@@ -335,8 +368,13 @@ class PathBundle:
     def __post_init__(self):
         _require_finite_positive("delta", self.delta, ConfigError)
         _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
+        increments = np.asarray(self.increments, dtype=float)
         sigma2 = np.asarray(self.sigma2, dtype=float)
-        n = np.asarray(self.increments).size
+        for name, a in (("increments", increments), ("sigma2", sigma2)):
+            if a.ndim != 1:
+                raise InputError(f"{name} must be 1-D, got shape {a.shape}")
+        _require_finite("increments", increments, InputError)
+        n = increments.size
         if sigma2.size != n * self.subgrid_ratio:
             raise ConfigError(
                 f"sigma2 length {sigma2.size} does not cover {n} increments "
@@ -344,6 +382,8 @@ class PathBundle:
             )
         if sigma2.size:
             _check_variance(sigma2)
+        object.__setattr__(self, "increments", increments)
+        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def fine_dt(self) -> float:
@@ -373,7 +413,10 @@ def simulate_bundle(
     the current one.  For "ou" the workers draw the path's normals and the
     shocks, and this thread filters, exponentiates and sums; for "regime"
     they also filter both OU paths, and this thread splices, exponentiates
-    and sums.  Each stream is advanced one call at a time, in order, so
+    and sums.  The normals go into each stream's two-buffer ring
+    (_ring_draws), which this thread allocates; a chunk's normals are used
+    up before its stream's next chunk is asked for, as the ring requires.
+    Each stream is advanced one call at a time, in order, so
     the bundle is simulate_ou -> exp -> integrate_price (or its regime
     equivalent) bit for bit, whatever the chunk size or thread timing.
     """
@@ -397,9 +440,8 @@ def simulate_bundle(
             log_sigma2 = _ou_chunks(params, n_fine, fine_dt, path_ss, chunk, read=read)
         else:
             xi = _regime_chunks(params, n_fine, fine_dt, path_ss, chunk, read=read)
-            log_sigma2 = (2.0 * x for x in xi)
-        sizes = [min(chunk, n_fine - s) for s in starts]
-        shocks = read(np.random.default_rng(noise_ss).standard_normal, sizes)
+            log_sigma2 = (np.multiply(x, 2.0, out=x) for x in xi)
+        shocks = _ring_draws(noise_ss, [min(chunk, n_fine - s) for s in starts], read)
         for start, log_s2, z in zip(starts, log_sigma2, shocks):
             s2 = np.exp(log_s2, out=sigma2[start:start + log_s2.size])
             first = start // subgrid_ratio

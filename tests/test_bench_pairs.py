@@ -17,12 +17,14 @@ METRICS = {
 
 
 def _runs(metric, parent, change):
-    """One finished run per side and pair, the given values in pair order."""
+    """One finished run per side and pair, the given values in pair order,
+    each of 12 attempted ops, none failed."""
     runs = []
     for side, values in (("parent", parent), ("change", change)):
         for pair, value in enumerate(values):
-            result = {"metrics": {f"mc-joint.{metric}": {"value": value}}}
-            runs.append({"side": side, "pair": pair, "result": result})
+            result = {"attempted": 12, "failed": 0,
+                      "metrics": {f"mc-joint.{metric}": {"value": value}}}
+            runs.append({"side": side, "pair": pair, "returncode": 0, "result": result})
     return runs
 
 
@@ -81,3 +83,24 @@ def test_failed_runs_and_metrics_without_a_direction_are_left_out():
     summary = bench_pairs.summarize(runs, METRICS)
     assert summary["mc-joint.ops_per_s"]["pairs"] == 9
     assert "gain_resolved" not in summary["mc-joint.setup.s"]
+
+
+def test_ops_and_failed_runs_are_totalled_for_each_side():
+    runs = _runs("ops_per_s", PARENT, PARENT)
+    runs[3]["result"]["failed"] = 2  # the parent's fourth run failed 2 of its ops
+    runs[12].update(returncode=1, result=None)  # the change's third run gave no result
+    runs[15]["returncode"] = -9  # the change's sixth run was killed after its result line
+    ops = bench_pairs.summarize(runs, METRICS)["ops"]
+    assert ops == {
+        "parent": {"runs": 10, "failed_runs": 0, "attempted": 120, "failed": 2},
+        "change": {"runs": 10, "failed_runs": 2, "attempted": 108, "failed": 0},
+    }
+
+
+def test_a_side_with_no_finished_run_is_still_counted():
+    runs = _runs("ops_per_s", PARENT[:2], PARENT[:2])
+    for run in runs[2:]:
+        run.update(returncode=1, result=None)
+    summary = bench_pairs.summarize(runs, METRICS)
+    assert "mc-joint.ops_per_s" not in summary
+    assert summary["ops"]["change"] == {"runs": 2, "failed_runs": 2, "attempted": 0, "failed": 0}

@@ -3,6 +3,7 @@ two-state switching process, price integration, and the bundled generator."""
 
 import hashlib
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -343,9 +344,11 @@ def test_concurrent_bundles_match_serial_ones():
 
 # K: most chunk arrays (8 * _CHUNK * subgrid_ratio bytes each) a bundle may
 # hold beyond the sigma2 and increments it returns.  Measured peaks, equal at
-# n = 20 000 and 60 000: 6.05 for OU, 10.06 for regime (11.03 with thread
-# switches forced every 10 us); K is each rounded up, plus one.  Streams
-# whose pieces piled up would hold about one more array per piece.
+# n = 20 000 and 60 000, with and without thread switches forced every 10 us:
+# 6.05 for OU, of which 4 are the path's and the shocks' draw buffers, and
+# 11.08 for regime, of which 6 are its three streams' draw buffers; K is each
+# rounded up, plus one.  Streams whose pieces piled up would hold about one
+# more array per piece.
 PEAK_CHUNK_ARRAYS = {"ou": 8, "regime": 13}
 
 
@@ -383,6 +386,96 @@ PINNED = {
 def test_bundle_bits_are_pinned(model):
     bundle = simulate_bundle(model, OU if model == "ou" else REGIME, 9000, 0.05, seed=2024)
     assert (_digest(bundle.sigma2), _digest(bundle.increments)) == PINNED[model]
+
+
+@pytest.mark.parametrize("model", ["ou", "regime"])
+def test_pinned_bits_hold_with_thread_switches_forced(model):
+    # 90 chunks per stream, each drawn into its ring while this thread still
+    # reads the one before: a buffer overwritten too early changes the bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with mock.patch.object(vol_sim, "_CHUNK", 100):
+            bundle = simulate_bundle(model, OU if model == "ou" else REGIME, 9000, 0.05, seed=2024)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (_digest(bundle.sigma2), _digest(bundle.increments)) == PINNED[model]
+
+
+class _RecordingGenerator:
+    """A numpy Generator that records the thread it was made on and the
+    arguments of each standard_normal call."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+        self.thread = threading.get_ident()
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls.append((self, args, kwargs))
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("model, streams", [("ou", 2), ("regime", 3)])
+def test_every_draw_goes_into_a_two_buffer_ring(model, streams):
+    # each stream's normals are drawn with out= into one of two buffers, in
+    # turn, and its generator is made on the calling thread, as are the
+    # buffers with it: no worker allocates a draw array
+    params = OU if model == "ou" else REGIME
+    made, calls = [], []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append(_RecordingGenerator(default_rng(seed), calls))
+        return made[-1]
+
+    with mock.patch.object(vol_sim, "_CHUNK", 7):
+        expected = simulate_bundle(model, params, 200, 0.05, seed=3)
+        with mock.patch.object(vol_sim.np.random, "default_rng", recording_rng):
+            bundle = simulate_bundle(model, params, 200, 0.05, seed=3)
+    assert np.array_equal(bundle.sigma2, expected.sigma2)
+    assert np.array_equal(bundle.increments, expected.increments)
+    assert {rng.thread for rng in made} == {threading.get_ident()}
+    buffers = {}  # stream -> the buffer behind each draw, in draw order
+    for rng, args, kwargs in calls:
+        assert args == () and list(kwargs) == ["out"]
+        buffers.setdefault(rng, []).append(kwargs["out"].base)
+    assert len(buffers) == streams
+    for ring in buffers.values():
+        assert len(ring) == 29  # ceil(200 / 7) chunks
+        assert len({id(b) for b in ring}) == 2
+        assert all(a is not b for a, b in zip(ring, ring[1:]))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"increments": np.zeros((2, 1))}, "increments must be 1-D, got shape (2, 1)"),
+        ({"sigma2": np.ones((2, 10))}, "sigma2 must be 1-D, got shape (2, 10)"),
+        ({"increments": np.array([0.0, np.nan])},
+         "increments must be finite, got 1 non-finite, the first at index 1"),
+        ({"increments": np.array([np.inf, 0.0])},
+         "increments must be finite, got 1 non-finite, the first at index 0"),
+        ({"increments": np.array([-np.inf, -np.inf])},
+         "increments must be finite, got 2 non-finite, the first at index 0"),
+    ],
+)
+def test_path_bundle_refuses_malformed_arrays(overrides, message):
+    args = dict(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=np.ones(20))
+    args.update(overrides)
+    with pytest.raises(InputError) as info:
+        PathBundle(**args)
+    assert str(info.value) == message
+
+
+def test_path_bundle_stores_float_arrays():
+    bundle = PathBundle(increments=[1, -2], delta=1.0, subgrid_ratio=10, sigma2=[3] * 20)
+    for a in (bundle.increments, bundle.sigma2):
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1
+    assert bundle.increments.tolist() == [1.0, -2.0]
+    assert bundle.sigma2.size == 20
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,11 @@ verdict on each end-to-end metric:
                  better than the parent's by more than the parent's q3 - q1;
   within_bound   the change's median is worse than the parent's by no more
                  than the metric's relative bound in BENCHMARK.json.
+
+The summary's "ops" entry gives, for each side, how many runs were made and
+how many failed (a non-zero exit or no result line), and the attempted and
+failed ops over the runs that gave a result, since a failed run gives no
+metric values and so drops out of the per-metric entries.
 """
 from __future__ import annotations
 
@@ -85,6 +90,20 @@ def run_once(checkout: str) -> dict:
             "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
 
 
+def failed(run: dict) -> bool:
+    """Whether a run exited non-zero or printed no result line."""
+    return run["returncode"] != 0 or run["result"] is None
+
+
+def tally(runs: list, side: str) -> dict:
+    """One side's runs made and failed, and its attempted and failed ops."""
+    mine = [run for run in runs if run["side"] == side]
+    results = [run["result"] for run in mine if run["result"]]
+    return {"runs": len(mine), "failed_runs": sum(map(failed, mine)),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results)}
+
+
 def end_to_end(checkout: str) -> dict:
     """BENCHMARK.json's end-to-end metrics by name, each with its "better"
     direction and relative "bound"."""
@@ -127,6 +146,7 @@ def summarize(runs: list, metrics: dict) -> dict:
                          gain_resolved=wins >= 0.9 * len(pairs) and gain > base["q3"] - base["q1"],
                          within_bound=-gain <= spec["bound"] * abs(base["median"]))
         summary[key] = entry
+    summary["ops"] = {side: tally(runs, side) for side in ("parent", "change")}
     return summary
 
 
@@ -152,9 +172,8 @@ def main(argv=None) -> int:
             run = run_once(sides[side])
             run.update(side=side, pair=pair)
             record["runs"].append(run)
-            ok = run["returncode"] == 0 and run["result"] is not None
-            print(f"pair {pair} {side}: {'ok' if ok else 'FAILED'} in {run['wall_s']:.0f} s",
-                  flush=True)
+            status = "FAILED" if failed(run) else "ok"
+            print(f"pair {pair} {side}: {status} in {run['wall_s']:.0f} s", flush=True)
             # rewritten after every run, so an interrupted session keeps its pairs
             record["finished_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
             record["summary"] = summarize(record["runs"], metrics)
