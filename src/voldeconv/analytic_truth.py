@@ -78,6 +78,8 @@ def ou_logsq_marginal(params: OUParams) -> TruthDensity:
 def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
     """Joint stationary law of an OU path at two times: bivariate normal with
     equal means and variances and correlation e^{-a (t - s)}."""
+    if not (np.isfinite(s) and np.isfinite(t)):
+        raise DomainError(f"s and t must be finite, got s={s}, t={t}")
     if not s < t:
         raise DomainError(f"need s < t, got s={s}, t={t}")
     var = params.stationary_var

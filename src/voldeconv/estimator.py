@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -221,6 +222,8 @@ class DensityGrid:
             raise ConfigError(
                 f"values shape {self.values.shape} does not match axes {shape}"
             )
+        for k, a in enumerate(self.axes):
+            _require_finite(f"grid axis {k}", a, ConfigError)
         _require_finite("grid values", self.values, ConfigError)
 
     def mass(self) -> float:
@@ -299,8 +302,6 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     with contextlib.ExitStack() as stack:
         blocks = map(block, starts)
         if len(starts) > 1 and on_lattice:
-            from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
-
             table.slope  # cached here, so that the workers do not race to fill it
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=2))
             blocks = _in_order(pool, partial(block, lookup=_untraced_eval_table), starts, 2)

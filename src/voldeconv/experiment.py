@@ -193,8 +193,9 @@ def params_to_mapping(params) -> dict:
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat `key = value` lines; blank lines and # comments ignored."""
-    out = {}
+    """Parse flat `key = value` lines; blank lines and # comments ignored,
+    a repeated key refused."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -202,7 +203,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = value.strip()
     return out
 
 

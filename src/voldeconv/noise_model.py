@@ -31,10 +31,10 @@ def noise_density(x):
     |x| instead of raising.
     """
     x = np.asarray(x, dtype=float)
-    # exp(x) overflows for x > ~709; the density is exactly 0 there in double
-    # precision, so clip the inner exponent before exponentiating.
-    inner = np.exp(np.minimum(x, 700.0))
-    return np.exp(x / 2.0 - inner / 2.0) / SQRT_2PI
+    # exp(x) overflows for x > ~709, and an unclipped x / 2 outgrows exp(700) / 2
+    # past x ~ 1e304; the density is exactly 0 beyond 700, so clip x first.
+    c = np.minimum(x, 700.0)
+    return np.exp(c / 2.0 - np.exp(c) / 2.0) / SQRT_2PI
 
 
 def phi_k(t):

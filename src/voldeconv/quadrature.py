@@ -10,6 +10,7 @@ rule is read or built at most once per process.
 from __future__ import annotations
 
 import pathlib
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import islice
 
@@ -69,10 +70,10 @@ def _in_order(pool, fn, items, ahead: int):
     streams set up one after another start together.  The call for item
     i + ahead is submitted only once item i's has returned, so at most
     `ahead` calls run past the result the caller holds.  At ahead = 1 no
-    two calls overlap, so a stateful fn (a draw, or next on a generator) is
-    advanced in item order, and the call for item i + 2 starts only after
-    the caller has asked for item i + 1, so two buffers taken in turn
-    suffice for fn's output (vol_sim._ring_draws); at ahead >= 2 the calls
+    two calls overlap, so a stateful fn (next on a generator) is advanced in
+    item order, and the call for item i + 2 starts only after the caller
+    has asked for item i + 1, so two buffers taken in turn suffice for fn's
+    output (next on a vol_sim._ring_draws stream); at ahead >= 2 the calls
     for i + 1 ... i + ahead run at once, so fn must not carry state between
     them.  The results are consumed in order, so they do not depend on
     thread timing.
@@ -121,8 +122,6 @@ def fourier_sum(nodes, cos_coef, sin_coef, x):
     if len(starts) < 2:
         list(map(block, range(len(starts))))
     else:
-        from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
-
         with ThreadPoolExecutor(max_workers=2) as pool:
             list(_in_order(pool, block, range(len(starts)), 2))
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)

@@ -14,23 +14,22 @@ shocks, normalized by sqrt(delta).  The sigma path and the price shocks come
 from independent, documented child streams of one master seed, so every
 bundle is reproducible from (seed, parameters) alone.
 
-Each stage is a private chunk generator.  simulate_bundle runs them a few
+Each stage is a private chunk iterator.  simulate_bundle runs them a few
 thousand increments at a time, with each stream's next chunk made a call
 ahead on two worker threads, so only sigma^2 is held at full length.  The
 regime model's two OU paths are each drawn and filtered on a worker, and
 the calling thread splices, exponentiates and sums; the OU model's one
 path is filtered on the calling thread, so that the path's worker only
 draws, like the price shocks' (a filter there unbalanced the workers and
-made OU bundles 5-10 % slower).  Every normal stream is drawn by
-_ring_draws into two buffers that the thread setting it up allocates, so
-the workers allocate no draw arrays.  The public simulate_ou and
-simulate_regime_switch are the same generators read as one chunk, and
-integrate_price is one block of the same price sum.
+made OU bundles 5-10 % slower).  Every normal stream is a two-buffer ring
+of draws (_ring_draws).  The public simulate_ou and simulate_regime_switch
+are the same iterators read as one chunk, and integrate_price is one block
+of the same price sum.
 """
 from __future__ import annotations
 
-import functools
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -116,35 +115,22 @@ def _check_seed(seed) -> None:
         _require_integer("seed", seed, 0, ConfigError)
 
 
-def _ring_draws(seed: SeedLike, sizes: list, read: Callable = map):
-    """default_rng(seed).standard_normal's pieces of the given sizes, in
-    order, each drawn by read(draw, ...) into one of two buffers made here.
+def _ring_draws(seed: SeedLike, sizes: list):
+    """A generator of default_rng(seed).standard_normal's pieces of the given
+    sizes, in order, each drawn into one of two buffers made at the call.
 
-    The buffers are allocated here, on the thread that sets the stream up,
-    so no worker allocates a draw array (a worker's freed arrays would stay
-    resident in its own malloc arena).  Piece k is drawn into buffer k % 2,
-    so it is the caller's only until the caller asks for piece k + 1: read
-    must be map, or _in_order at ahead 1, where piece k + 2 is drawn only
-    after that.  At ahead >= 2, piece k + 2 would be drawn into the buffer
-    the caller still reads.  The draws are the bits of one
-    standard_normal(size) call per piece.
+    The generator and its buffers are made on the thread that calls here, so
+    a worker that only advances the generator allocates no draw array (a
+    worker's freed arrays would stay resident in its own malloc arena).
+    Piece k is drawn into buffer k % 2, so it is the reader's only until
+    piece k + 2 is drawn: a reader must be done with a piece before it asks
+    for the next, and a stream read ahead (simulate_bundle) may be at most
+    one piece ahead of its reader, as _in_order at ahead 1 is.  The draws are
+    the bits of one standard_normal(size) call per piece.
     """
     rng = np.random.default_rng(seed)
     ring = [np.empty(sizes[0]) for _ in sizes[:2]]
-    return read(lambda k: rng.standard_normal(out=ring[k % 2][: sizes[k]]), range(len(sizes)))
-
-
-def _ou_chunks(
-    params: OUParams, n_steps: int, dt: float, seed: SeedLike, chunk: int, read: Callable = map
-):
-    """simulate_ou's path in consecutive pieces of at most `chunk` steps.
-
-    The normals' ring is set up here, at the call, by _ring_draws(seed, ...,
-    read); the generator returned filters each piece, and is done with it
-    before it asks for the next.
-    """
-    sizes = [min(chunk, n_steps - s) for s in range(0, n_steps, chunk)]
-    return _ou_filter(params, dt, _ring_draws(seed, sizes, read))
+    return (rng.standard_normal(out=ring[k % 2][:size]) for k, size in enumerate(sizes))
 
 
 def _ou_filter(params: OUParams, dt: float, draws):
@@ -180,7 +166,7 @@ def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
     _require_integer("n_steps", n_steps, 1, InputError)
     _require_finite_positive("dt", dt, ConfigError)
     _check_seed(seed)
-    return next(_ou_chunks(params, n_steps, dt, seed, n_steps))
+    return next(_ou_filter(params, dt, _ring_draws(seed, [n_steps])))
 
 
 def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
@@ -210,23 +196,16 @@ def _first_at_or_after(times: np.ndarray, dt: float, n_steps: int) -> np.ndarray
         k -= late
 
 
-def _regime_chunks(
-    params: RegimeSwitchParams,
-    n_steps: int,
-    dt: float,
-    seed: SeedLike,
-    chunk: int,
-    read: Callable = map,
-):
-    """Yield simulate_regime_switch's path in pieces of at most `chunk` steps.
+def _regime_chunks(params: RegimeSwitchParams, dt: float, seed: SeedLike, sizes: list, ahead=iter):
+    """Yield simulate_regime_switch's path in pieces of the given sizes.
 
     The chain's jump times over the whole horizon are drawn first; the two OU
     paths are then streamed side by side, and every piece takes X^1 where
-    the chain is in state 1 and X^0 elsewhere.  Each path's pieces, drawn
-    and filtered, come from read(next, ...): on a pool both filters run on
-    the workers, one piece ahead of this thread, which only splices and
-    allocates the paths' draw buffers (_ou_chunks).
+    the chain is in state 1 and X^0 elsewhere.  Each path's filtered pieces
+    are read through ahead(stream), so where simulate_bundle reads them
+    ahead both filters run on its workers, and this thread only splices.
     """
+    n_steps = sum(sizes)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     chain_ss, ou0_ss, ou1_ss = ss.spawn(3)
 
@@ -251,12 +230,11 @@ def _regime_chunks(
     # a jump at time J is counted from the first grid point at or after J
     switch = _first_at_or_after(jumps, dt, n_steps)
 
-    starts = range(0, n_steps, chunk)
     x0s, x1s = (
-        read(next, itertools.repeat(_ou_chunks(ou, n_steps, dt, ou_ss, chunk), len(starts)))
+        ahead(_ou_filter(ou, dt, _ring_draws(ou_ss, sizes)))
         for ou, ou_ss in ((params.ou0, ou0_ss), (params.ou1, ou1_ss))
     )
-    for start, x0, x1 in zip(starts, x0s, x1s):
+    for start, x0, x1 in zip(itertools.accumulate(sizes, initial=0), x0s, x1s):
         state = (state0 + np.searchsorted(switch, start, side="right")) % 2
         inside = switch[(switch > start) & (switch < start + x0.size)] - start
         edges = np.concatenate([[0], inside, [x0.size]])
@@ -280,7 +258,7 @@ def simulate_regime_switch(
     _require_integer("n_steps", n_steps, 1, InputError)
     _require_finite_positive("dt", dt, ConfigError)
     _check_seed(seed)
-    return next(_regime_chunks(params, n_steps, dt, seed, n_steps))
+    return next(_regime_chunks(params, dt, seed, [n_steps]))
 
 
 def _price_block(sigma2, z, fine_dt, delta, ratio, drift, start):
@@ -408,25 +386,22 @@ def simulate_bundle(
     mixture on that doubled scale.  Child streams of `seed`, in order:
     sigma path, price shocks.
 
-    The path is made _CHUNK increments at a time, each stream's next chunk
-    one call ahead on two workers by _in_order, while this thread finishes
-    the current one.  For "ou" the workers draw the path's normals and the
-    shocks, and this thread filters, exponentiates and sums; for "regime"
-    they also filter both OU paths, and this thread splices, exponentiates
-    and sums.  The normals go into each stream's two-buffer ring
-    (_ring_draws), which this thread allocates; a chunk's normals are used
-    up before its stream's next chunk is asked for, as the ring requires.
-    Each stream is advanced one call at a time, in order, so
-    the bundle is simulate_ou -> exp -> integrate_price (or its regime
-    equivalent) bit for bit, whatever the chunk size or thread timing.
+    The path is made _CHUNK increments at a time.  Every stream is built
+    here and read through ahead(stream), the one place a stream goes to the
+    pool: _in_order at ahead 1 makes its next chunk on one of two workers
+    while this thread finishes the current one.  For "ou" the workers draw
+    the path's normals and the shocks, and this thread filters,
+    exponentiates and sums; for "regime" they also filter both OU paths, and
+    this thread splices, exponentiates and sums.  Each stream is advanced
+    one call at a time, in order, so the bundle is simulate_ou -> exp ->
+    integrate_price (or its regime equivalent) bit for bit, whatever the
+    chunk size or thread timing.
     """
     _require_integer("n", n, 1, InputError)
     _require_integer("subgrid_ratio", subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
     _require_finite_positive("delta", delta, ConfigError)
     _require_integer("seed", seed, 0, ConfigError)
     _check_model(model, params)
-    from concurrent.futures import ThreadPoolExecutor  # imported here: unused at import
-
     fine_dt = delta / subgrid_ratio
     n_fine = n * subgrid_ratio
     chunk = _CHUNK * subgrid_ratio
@@ -434,14 +409,18 @@ def simulate_bundle(
     sigma2 = np.empty(n_fine)
     increments = np.empty(n)
     starts = range(0, n_fine, chunk)
+    sizes = [min(chunk, n_fine - s) for s in starts]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        read = functools.partial(_in_order, pool, ahead=1)
+
+        def ahead(stream):
+            return _in_order(pool, next, itertools.repeat(stream, len(sizes)), 1)
+
         if model == "ou":
-            log_sigma2 = _ou_chunks(params, n_fine, fine_dt, path_ss, chunk, read=read)
+            log_sigma2 = _ou_filter(params, fine_dt, ahead(_ring_draws(path_ss, sizes)))
         else:
-            xi = _regime_chunks(params, n_fine, fine_dt, path_ss, chunk, read=read)
+            xi = _regime_chunks(params, fine_dt, path_ss, sizes, ahead)
             log_sigma2 = (np.multiply(x, 2.0, out=x) for x in xi)
-        shocks = _ring_draws(noise_ss, [min(chunk, n_fine - s) for s in starts], read)
+        shocks = ahead(_ring_draws(noise_ss, sizes))
         for start, log_s2, z in zip(starts, log_sigma2, shocks):
             s2 = np.exp(log_s2, out=sigma2[start:start + log_s2.size])
             first = start // subgrid_ratio

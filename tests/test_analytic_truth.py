@@ -108,6 +108,15 @@ def test_bivariate_mass_and_order():
         ou_bivariate(STD, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bivariate, params", [(ou_bivariate, STD), (regime_bivariate, REGIME)])
+@pytest.mark.parametrize("s, t", [(0.5, np.inf), (-np.inf, 1.0), (np.inf, 1.0), (np.nan, 1.0)])
+def test_bivariate_times_must_be_finite(bivariate, params, s, t):
+    # an infinite gap would give the independence law (rho = 0)
+    with pytest.raises(DomainError) as info:
+        bivariate(params, s, t)
+    assert str(info.value) == f"s and t must be finite, got s={s}, t={t}"
+
+
 def test_regime_marginal_mixture():
     truth = regime_marginal(REGIME)
     var = REGIME.ou0.stationary_var

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import time
 
 import pytest
 
@@ -104,3 +105,31 @@ def test_a_side_with_no_finished_run_is_still_counted():
     summary = bench_pairs.summarize(runs, METRICS)
     assert "mc-joint.ops_per_s" not in summary
     assert summary["ops"]["change"] == {"runs": 2, "failed_runs": 2, "attempted": 0, "failed": 0}
+
+
+def _running(pid):
+    """Whether the process is alive: neither gone nor a zombie."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_a_run_past_the_time_limit_is_killed_and_counted_as_failed(tmp_path, monkeypatch):
+    # the run's shell leaves a second sleep behind it, as run.py leaves its
+    # worker, then becomes a sleep itself; both go when the run times out
+    script = "sleep 30 & echo $! > child.pid; exec sleep 30"
+    monkeypatch.setattr(bench_pairs, "COMMAND", ["sh", "-c", script])
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 1.0)
+    run = bench_pairs.run_once(str(tmp_path))
+    assert (run["returncode"], run["timed_out"], run["result"]) == (None, True, None)
+    assert run["wall_s"] < 10
+    child = int((tmp_path / "child.pid").read_text())
+    deadline = time.monotonic() + 5
+    while _running(child) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(child)
+    run.update(side="change", pair=0)
+    ops = bench_pairs.summarize([run], METRICS)["ops"]
+    assert ops["change"] == {"runs": 1, "failed_runs": 1, "attempted": 0, "failed": 0}

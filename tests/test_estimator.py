@@ -333,6 +333,14 @@ def test_density_grid_validation():
         DensityGrid(axes=(np.linspace(0, 1, 3),), values=np.array([1.0, np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_density_grid_axes_must_be_finite(bad):
+    # an infinite abscissa would give a grid whose mass() is inf
+    with pytest.raises(ConfigError) as info:
+        DensityGrid(axes=(np.array([0.0, 1.0]), np.array([0.0, bad])), values=np.ones((2, 2)))
+    assert str(info.value) == "grid axis 1 must be finite, got 1 non-finite, the first at index 1"
+
+
 def test_marginalize_grid():
     x1 = np.linspace(-1.0, 1.0, 41)
     x2 = np.linspace(-2.0, 2.0, 81)

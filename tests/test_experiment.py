@@ -90,6 +90,13 @@ def test_parse_config_text_bad_line():
         parse_config_text("model = ou\nthis line has no equals sign\n")
 
 
+def test_parse_config_text_refuses_a_repeated_key():
+    # keeping the last of two seeds would hide the first
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("seed = 1\n# a comment\nmodel = ou\n seed = 2\n")
+    assert str(info.value) == "line 4: key 'seed' repeats line 1"
+
+
 def test_from_mapping_unknown_key():
     mapping = parse_config_text(CONFIG_TEXT + "flux_capacitor = 88\n")
     with pytest.raises(ConfigError, match="flux_capacitor"):

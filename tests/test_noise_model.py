@@ -1,6 +1,8 @@
 """Tests for the log-chi-square noise channel: density and characteristic
 function."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -29,6 +31,16 @@ def test_density_far_left_tail():
         np.exp(-15.0) / np.sqrt(2.0 * np.pi), rel=1e-10
     )
     assert noise_density(10.0) < 1e-4000 or noise_density(10.0) < 1e-300
+
+
+def test_density_underflows_to_zero_on_the_far_right():
+    # an unclipped x / 2 outgrows exp(700) / 2 past x ~ 1.01e304, which gives
+    # inf with an overflow warning
+    x = np.array([700.0, 710.0, 1.1e304, 1e306, np.finfo(float).max, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(noise_density(x), np.zeros(x.size))
+        assert np.isnan(noise_density(np.nan))
 
 
 def test_density_mass_and_mean():

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.signal
 import scipy.stats as sst
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,14 +405,16 @@ def test_pinned_bits_hold_with_thread_switches_forced(model):
 
 class _RecordingGenerator:
     """A numpy Generator that records the thread it was made on and the
-    arguments of each standard_normal call."""
+    arguments and thread of each standard_normal call."""
 
     def __init__(self, rng, calls):
         self._rng, self._calls = rng, calls
         self.thread = threading.get_ident()
+        self.draw_threads = []
 
     def standard_normal(self, *args, **kwargs):
         self._calls.append((self, args, kwargs))
+        self.draw_threads.append(threading.get_ident())
         return self._rng.standard_normal(*args, **kwargs)
 
     def __getattr__(self, name):
@@ -447,6 +450,57 @@ def test_every_draw_goes_into_a_two_buffer_ring(model, streams):
         assert len(ring) == 29  # ceil(200 / 7) chunks
         assert len({id(b) for b in ring}) == 2
         assert all(a is not b for a, b in zip(ring, ring[1:]))
+
+
+def _filter_and_draw_threads(simulate):
+    """The thread of every lfilter call and of every standard_normal call
+    that simulate() makes, in call order."""
+    filters, made = [], []
+    lfilter, default_rng = scipy.signal.lfilter, np.random.default_rng
+
+    def recording_lfilter(*args, **kwargs):
+        filters.append(threading.get_ident())
+        return lfilter(*args, **kwargs)
+
+    def recording_rng(seed):
+        made.append(_RecordingGenerator(default_rng(seed), []))
+        return made[-1]
+
+    # _ou_filter imports lfilter when it first runs, so the attribute is patched
+    with mock.patch.object(scipy.signal, "lfilter", recording_lfilter), \
+            mock.patch.object(vol_sim.np.random, "default_rng", recording_rng):
+        simulate()
+    return filters, [thread for rng in made for thread in rng.draw_threads]
+
+
+@pytest.mark.parametrize("model, filters_on_caller, n_filters, n_draws", [
+    ("ou", True, 29, 58), ("regime", False, 58, 87),
+])
+def test_filters_and_draws_run_on_their_measured_threads(
+    model, filters_on_caller, n_filters, n_draws
+):
+    # an OU bundle filters its one path on the calling thread and its workers
+    # only draw (a filter on a worker made OU bundles 5-10 % slower); a regime
+    # bundle draws and filters both paths on the workers; 29 chunks of 7
+    caller = threading.get_ident()
+    params = OU if model == "ou" else REGIME
+    with mock.patch.object(vol_sim, "_CHUNK", 7):
+        filters, draws = _filter_and_draw_threads(
+            lambda: simulate_bundle(model, params, 200, 0.05, seed=3)
+        )
+    assert (len(filters), len(draws)) == (n_filters, n_draws)
+    assert (set(filters) == {caller}) if filters_on_caller else (caller not in filters)
+    assert caller not in draws
+
+
+@pytest.mark.parametrize("simulate", [
+    lambda: simulate_ou(OU, 1000, 0.1, seed=3),
+    lambda: simulate_regime_switch(REGIME, 1000, 0.1, seed=3),
+], ids=["simulate_ou", "simulate_regime_switch"])
+def test_path_simulators_run_on_the_calling_thread(simulate):
+    filters, draws = _filter_and_draw_threads(simulate)
+    assert filters and draws
+    assert set(filters) | set(draws) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize(

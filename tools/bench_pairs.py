@@ -20,9 +20,11 @@ verdict on each end-to-end metric:
                  than the metric's relative bound in BENCHMARK.json.
 
 The summary's "ops" entry gives, for each side, how many runs were made and
-how many failed (a non-zero exit or no result line), and the attempted and
-failed ops over the runs that gave a result, since a failed run gives no
-metric values and so drops out of the per-metric entries.
+how many failed (a non-zero exit, no result line, or RUN_TIMEOUT_S reached),
+and the attempted and failed ops over the runs that gave a result, since a
+failed run gives no metric values and so drops out of the per-metric
+entries.  A run that reaches RUN_TIMEOUT_S is killed with every process it
+started, and the pairs go on.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import datetime
 import hashlib
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -38,6 +41,7 @@ import time
 
 ENV_MARK = " environment: "
 RUN_TIMEOUT_S = 1800
+COMMAND = [sys.executable, "perfbench/run.py", "--workload", "all"]
 
 
 def src_digest(checkout: str) -> str:
@@ -67,31 +71,40 @@ def checkout_info(checkout: str) -> dict:
 
 
 def run_once(checkout: str) -> dict:
+    """Run COMMAND in the checkout; a run that reaches RUN_TIMEOUT_S is
+    killed and kept with returncode None, timed_out true and no result."""
     load_before = os.getloadavg()
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    # a session of its own, so that a timeout kills the workers run.py started too
+    proc = subprocess.Popen(COMMAND, cwd=checkout, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
+        timed_out = False
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        stdout, stderr = proc.communicate()
+        timed_out = True
     wall = time.monotonic() - start
-    lines = proc.stdout.strip().splitlines()
+    lines = stdout.strip().splitlines()
     environment = {}
     for line in lines:
         if line.startswith("# ") and ENV_MARK in line:
             head, env = line[2:].split(ENV_MARK, 1)
             environment[head.split()[0]] = json.loads(env)
     try:
-        result = json.loads(lines[-1])
+        result = None if timed_out else json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
-    return {"returncode": proc.returncode, "wall_s": wall,
-            "load_before": load_before, "load_after": os.getloadavg(),
+    return {"returncode": None if timed_out else proc.returncode, "timed_out": timed_out,
+            "wall_s": wall, "load_before": load_before, "load_after": os.getloadavg(),
             "environment": environment, "result": result,
-            "stderr_tail": proc.stderr.strip().splitlines()[-5:]}
+            "stderr_tail": stderr.strip().splitlines()[-5:]}
 
 
 def failed(run: dict) -> bool:
-    """Whether a run exited non-zero or printed no result line."""
+    """Whether a run exited non-zero, timed out (returncode None) or printed
+    no result line."""
     return run["returncode"] != 0 or run["result"] is None
 
 
@@ -172,7 +185,7 @@ def main(argv=None) -> int:
             run = run_once(sides[side])
             run.update(side=side, pair=pair)
             record["runs"].append(run)
-            status = "FAILED" if failed(run) else "ok"
+            status = "TIMED OUT" if run["timed_out"] else "FAILED" if failed(run) else "ok"
             print(f"pair {pair} {side}: {status} in {run['wall_s']:.0f} s", flush=True)
             # rewritten after every run, so an interrupted session keeps its pairs
             record["finished_utc"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
