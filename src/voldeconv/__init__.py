@@ -5,6 +5,8 @@ price increments into noisy log sigma^2 observations, and estimates their
 (possibly multivariate) stationary density with a Fourier deconvolution
 kernel tailored to the log chi-square noise channel.
 """
+from types import ModuleType as _ModuleType
+
 from .analytic_truth import (
     TruthDensity,
     invariant_density_1d,
@@ -65,23 +67,8 @@ from .vol_sim import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruthDensity", "invariant_density_1d", "ou_bivariate", "ou_logsq_marginal",
-    "regime_bivariate", "regime_marginal", "scaled_truth",
-    "DeconvTable", "build_table", "eval_table", "sup_bound",
-    "vh_quadrature",
-    "ConfigError", "DomainError", "InputError", "NotFoundError",
-    "NumericalFailure", "RangeError",
-    "DensityGrid", "ObservationSet", "bandwidth_schedule", "estimate_density",
-    "log_square_transform", "marginalize",
-    "normalized_increments",
-    "BiasReport", "ExperimentConfig", "MonteCarloReport", "bias_check",
-    "compute_mise", "emit_report", "mix_seed", "run_experiment", "truth_for",
-    "truth_for_model",
-    "noise_density", "phi_k",
-    "KernelSpec", "builtin_kernel", "eval_w", "kernel_moments",
-    "OUParams", "PathBundle", "RegimeSwitchParams", "integrate_price",
-    "markov_transition", "simulate_bundle", "simulate_ou",
-    "simulate_regime_switch",
-    "__version__",
-]
+# every public name the imports above bind, in their order: helper imports
+# take a leading underscore, and submodules bound as attributes are left out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -27,14 +27,18 @@ from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 class TruthDensity:
     """A reference density with a documented integration box.
 
-    dimension      : number of coordinates p.
     vector_eval    : vectorized evaluation on arrays of shape (..., p).
-    truncation_box : p pairs (lo, hi) outside which the mass is negligible.
+    truncation_box : p pairs (lo, hi) outside which the mass is negligible;
+                     their count is the dimension p.
     """
 
-    dimension: int
     vector_eval: Callable
     truncation_box: tuple
+
+    @property
+    def dimension(self) -> int:
+        """The number of coordinates p, one per pair of the box."""
+        return len(self.truncation_box)
 
     def evaluator(self, x) -> float:
         """Single-point evaluation: a p-vector (or a scalar when p = 1) to a
@@ -72,7 +76,7 @@ def ou_logsq_marginal(params: OUParams) -> TruthDensity:
         return np.exp(-0.5 * u * u / var) / (SQRT_2PI * sd)
 
     box = ((mu - 10.0 * sd, mu + 10.0 * sd),)
-    return TruthDensity(1, fn, box)
+    return TruthDensity(fn, box)
 
 
 def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
@@ -96,7 +100,7 @@ def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
         return np.exp(-0.5 * quad_form) / (2.0 * np.pi * np.sqrt(det))
 
     box = ((mu - 10.0 * sd, mu + 10.0 * sd),) * 2
-    return TruthDensity(2, fn, box)
+    return TruthDensity(fn, box)
 
 
 def regime_marginal(params: RegimeSwitchParams) -> TruthDensity:
@@ -109,7 +113,7 @@ def regime_marginal(params: RegimeSwitchParams) -> TruthDensity:
         return pi[0] * m0.vector_eval(pts) + pi[1] * m1.vector_eval(pts)
 
     (lo0, hi0), (lo1, hi1) = m0.truncation_box[0], m1.truncation_box[0]
-    return TruthDensity(1, fn, ((min(lo0, lo1), max(hi0, hi1)),))
+    return TruthDensity(fn, ((min(lo0, lo1), max(hi0, hi1)),))
 
 
 def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDensity:
@@ -140,7 +144,7 @@ def regime_bivariate(params: RegimeSwitchParams, s: float, t: float) -> TruthDen
     sd = max(np.sqrt(v0), np.sqrt(v1))
     lo = min(mu0, mu1) - 10.0 * sd
     hi = max(mu0, mu1) + 10.0 * sd
-    return TruthDensity(2, fn, ((lo, hi),) * 2)
+    return TruthDensity(fn, ((lo, hi),) * 2)
 
 
 def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
@@ -151,8 +155,7 @@ def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
     """
     if not 0.0 < abs(factor) < np.inf:  # NaN fails too
         raise DomainError(f"scale factor must be finite and nonzero, got {factor}")
-    p = truth.dimension
-    jac = 1.0 / abs(factor) ** p
+    jac = 1.0 / abs(factor) ** truth.dimension
 
     def fn(pts):
         return truth.vector_eval(np.asarray(pts, dtype=float) / factor) * jac
@@ -161,7 +164,7 @@ def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
     for lo, hi in truth.truncation_box:
         a, b = lo * factor, hi * factor
         box.append((min(a, b), max(a, b)))
-    return TruthDensity(p, fn, tuple(box))
+    return TruthDensity(fn, tuple(box))
 
 
 def invariant_density_1d(
@@ -232,4 +235,4 @@ def invariant_density_1d(
             half *= 2.0
         box_lo = max(lo, x0 - half)
         box_hi = min(hi, x0 + half)
-    return TruthDensity(1, fn, ((box_lo, box_hi),))
+    return TruthDensity(fn, ((box_lo, box_hi),))

@@ -42,7 +42,7 @@ _TABLE_GRID_DEFAULT = "-40.0:40.0:4096"
 
 
 def _read_mapping(path: str) -> dict:
-    return parse_config_text(pathlib.Path(path).read_text(encoding="utf-8"))
+    return parse_config_text(pathlib.Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _numbers(pairs, where: str) -> list:
@@ -104,9 +104,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    text = pathlib.Path(args.input).read_text(encoding="utf-8")
+    text = pathlib.Path(args.input).read_text(encoding="utf-8-sig")
     lines = [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
     increments = np.array(_numbers(lines, f"{args.input}, line"), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(increments))
+    if bad.size:  # named by file line here, not later by array index
+        i, line = lines[bad[0]]
+        raise InputError(f"{args.input}, line {i}: not a finite number: {line.strip()!r}")
     times = _numbers(enumerate(args.times.split(","), start=1), "--times field")
     obs = ObservationSet.from_increments(increments, args.delta, times)
     n, p = obs.n, obs.p

@@ -116,13 +116,14 @@ class DeconvTable:
     x_min, x_max : float
         Ends of the lattice, finite with x_min < x_max.
     values : ndarray
-        v_h at grid_x, real and finite, 1-D with at least 2 points.
-    sup_bound : float
-        Uniform bound on |v_h|, also its Lipschitz constant; finite, >= 0.
+        v_h at grid_x, real and finite, 1-D with at least 2 points; stored
+        as a float array.
 
-    The lattice is linspace(x_min, x_max, values.size), so it is uniform and
-    increasing by construction, as eval_table and the p = 1 interval sums
-    need: both locate a point's interval by index arithmetic.
+    sup_bound, the uniform bound on |v_h| and its Lipschitz constant, is
+    computed from kernel and bandwidth on first use, so it cannot disagree
+    with them.  The lattice is linspace(x_min, x_max, values.size), so it is
+    uniform and increasing by construction, as eval_table and the p = 1
+    interval sums need: both locate a point's interval by index arithmetic.
     """
 
     bandwidth: float
@@ -130,9 +131,9 @@ class DeconvTable:
     x_min: float
     x_max: float
     values: np.ndarray
-    sup_bound: float
 
     def __post_init__(self):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if np.ndim(self.values) != 1 or np.size(self.values) < 2:
             raise ConfigError(f"need 1-D values of at least 2 points, got shape "
                               f"{np.shape(self.values)}")
@@ -140,8 +141,11 @@ class DeconvTable:
             raise ConfigError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         _require_finite("table values", self.values, ConfigError)
         _require_finite_positive("bandwidth", self.bandwidth, ConfigError)
-        if not 0.0 <= self.sup_bound < np.inf:
-            raise ConfigError(f"sup_bound must be finite and at least 0, got {self.sup_bound!r}")
+
+    @cached_property
+    def sup_bound(self) -> float:
+        """The module's sup_bound at the table's kernel and bandwidth."""
+        return sup_bound(self.kernel, self.bandwidth)
 
     @cached_property
     def grid_x(self) -> np.ndarray:
@@ -170,14 +174,7 @@ def build_table(
     h = _check_bandwidth(h)
     x_min, x_max = float(x_min), float(x_max)
     values = vh_quadrature(spec, h, np.linspace(x_min, x_max, n_points))
-    return DeconvTable(
-        bandwidth=h,
-        kernel=spec,
-        x_min=x_min,
-        x_max=x_max,
-        values=values,
-        sup_bound=sup_bound(spec, h),
-    )
+    return DeconvTable(bandwidth=h, kernel=spec, x_min=x_min, x_max=x_max, values=values)
 
 
 def eval_table(table: DeconvTable, x):

@@ -119,6 +119,12 @@ def _floor_index(t: float, delta: float) -> int:
     return int(np.floor((t / delta) * (1.0 + 1e-9)))
 
 
+def _vector_count(n: int, offsets) -> int:
+    # m = n - (i_p - i_1) observation vectors at index offsets i_1 < ... < i_p;
+    # an estimate needs m >= 1
+    return n - (offsets[-1] - offsets[0])
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Log-squared increments plus the target-time index arithmetic.
@@ -168,7 +174,7 @@ class ObservationSet:
 
     @property
     def m(self) -> int:
-        return self.n - self.index_offsets[-1] + self.index_offsets[0]
+        return _vector_count(self.n, self.index_offsets)
 
     @classmethod
     def from_increments(cls, increments, delta: float, times) -> "ObservationSet":
@@ -211,12 +217,16 @@ class DensityGrid:
 
     axes   : p abscissa arrays, axis k for coordinate k.
     values : p-dimensional array, values[i1, ..., ip] at (axes[0][i1], ...).
+
+    Both are stored as float arrays, the axes as a tuple of them.
     """
 
     axes: tuple
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "axes", tuple(np.asarray(a, dtype=float) for a in self.axes))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         shape = tuple(len(a) for a in self.axes)
         if tuple(self.values.shape) != shape:
             raise ConfigError(

@@ -39,6 +39,8 @@ from .estimator import (
     DensityGrid,
     ObservationSet,
     _check_times,
+    _floor_index,
+    _vector_count,
     bandwidth_schedule,
     estimate_density,
 )
@@ -95,8 +97,14 @@ class ExperimentConfig:
         object.__setattr__(self, "n_schedule", sched)
         object.__setattr__(self, "times", _check_times(self.times))
         truth_for_model(self.model, self.params, self.times)  # every run needs it: p <= 2
-        for n in sched:  # gamma, delta_exp, the bandwidth and each n's h
-            bandwidth_schedule(n, self.p, self.gamma, self.delta_exp, self.bandwidth_override)
+        for n in sched:  # gamma, delta_exp, the bandwidth, each n's h and its m >= 1
+            delta, _, _ = bandwidth_schedule(
+                n, self.p, self.gamma, self.delta_exp, self.bandwidth_override)
+            offsets = [_floor_index(t, delta) for t in self.times]
+            if _vector_count(n, offsets) < 1:
+                raise ConfigError(
+                    f"n = {n} increments at delta = {delta:.6g} leave no observation vector: "
+                    f"the index offsets of times {self.times} span {offsets[-1] - offsets[0]}")
         if not isinstance(self.grid_spec, str):
             raise ConfigError(f"grid_spec must be a string, got {self.grid_spec!r}")
         if self.grid_spec != "auto":
@@ -242,13 +250,12 @@ def _box_nodes(truth: TruthDensity) -> int:
 def _truth_moments(truth: TruthDensity):
     """Per-axis mean and sd of a truth density by tensor quadrature."""
     xs, ws = gauss_legendre_box(truth.truncation_box, _box_nodes(truth))
-    mesh = np.meshgrid(*xs, indexing="ij")
-    vals = truth.vector_eval(np.stack(mesh, axis=-1))
+    vals = truth.grid_values(xs)
     total = tensor_quadrature(vals, ws)
     means, sds = [], []
-    for ax in range(truth.dimension):
-        m1 = tensor_quadrature(vals * mesh[ax], ws) / total
-        m2 = tensor_quadrature(vals * mesh[ax] ** 2, ws) / total
+    for coord in np.meshgrid(*xs, indexing="ij"):
+        m1 = tensor_quadrature(vals * coord, ws) / total
+        m2 = tensor_quadrature(vals * coord ** 2, ws) / total
         means.append(m1)
         sds.append(np.sqrt(max(m2 - m1 * m1, 0.0)))
     return means, sds

@@ -10,6 +10,7 @@ import pytest
 from voldeconv import (
     OUParams,
     RegimeSwitchParams,
+    TruthDensity,
     invariant_density_1d,
     markov_transition,
     ou_bivariate,
@@ -57,6 +58,22 @@ def test_evaluator_takes_one_point():
         truth.evaluator(np.zeros(2))
     with pytest.raises(ConfigError, match=r"point shape \(1, 2\) does not match dimension 2"):
         ou_bivariate(STD, 0.0, 1.0).evaluator(np.zeros((1, 2)))
+
+
+def test_dimension_is_the_box_length():
+    # the box fixes p: no constructor takes it beside the box
+    assert TruthDensity(lambda pts: pts[..., 0], ((0.0, 1.0),)).dimension == 1
+    with pytest.raises(TypeError):
+        TruthDensity(2, lambda pts: pts[..., 0], ((0.0, 1.0),))
+    truths = {
+        1: [ou_logsq_marginal(STD), regime_marginal(REGIME), scaled_truth(regime_marginal(REGIME), 2.0),
+            invariant_density_1d(lambda x: -x, lambda x: 1.0, (-np.inf, np.inf), 0.0)],
+        2: [ou_bivariate(STD, 0.5, 1.0), regime_bivariate(REGIME, 0.5, 1.0),
+            scaled_truth(regime_bivariate(REGIME, 0.5, 1.0), 2.0)],
+    }
+    for p, group in truths.items():
+        for truth in group:
+            assert truth.dimension == len(truth.truncation_box) == p
 
 
 def test_grid_values_needs_one_axis_per_coordinate():

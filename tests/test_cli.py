@@ -230,6 +230,46 @@ def test_malformed_input_line_is_reported(tmp_path, capsys):
     assert f"{inc_file}, line 4: not a number: 'x'" in err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_input_line_is_reported(tmp_path, capsys, text):
+    inc_file = tmp_path / "inc.txt"
+    inc_file.write_text(f"0.1\n\n{text}\n0.3\n" * 50)
+    assert main([
+        "estimate", "--input", str(inc_file), "--delta", "0.02",
+        "--times", "1.0", "--gamma", "9.0", "--grid=-5:5:11",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {inc_file}, line 3: not a finite number: {text!r}\n"
+
+
+def test_text_files_with_a_byte_order_mark_read_as_without(tmp_path):
+    # editors on Windows often start UTF-8 files with one
+    config = ("model = ou\na = 2.0\nmu = 0.0\nb = 2.0\nn_schedule = 400\ndelta_exp = 0.5\n"
+              "gamma = 9.0\ntimes = 1.0\ngrid = -5:5:11\nreplications = 1\nseed = 99\n")
+    outputs = {}
+    for encoding in ("utf-8", "utf-8-sig"):
+        d = tmp_path / encoding
+        d.mkdir()
+        (d / "exp.config").write_text(config, encoding=encoding)
+        (d / "ou.params").write_text(PARAMS_OU, encoding=encoding)
+        assert main(["experiment", "--config", str(d / "exp.config"), "--out", str(d / "report")]) == 0
+        assert main([
+            "simulate", "--model", "ou", "--params", str(d / "ou.params"),
+            "--n", "300", "--delta", "0.02", "--seed", "7", "--out", str(d / "inc.txt"),
+        ]) == 0
+        (d / "inc-copy.txt").write_text((d / "inc.txt").read_text(), encoding=encoding)
+        assert main([
+            "estimate", "--input", str(d / "inc-copy.txt"), "--delta", "0.02",
+            "--times", "1.0", "--gamma", "9.0", "--bandwidth", "1.0",
+            "--grid=-5:5:11", "--out", str(d / "est.csv"),
+        ]) == 0
+        names = ("report/config.echo", "report/grids/n400_rep0.csv", "inc.txt",
+                 "inc.txt.meta.json", "est.csv")
+        outputs[encoding] = [(d / name).read_bytes() for name in names]
+    assert (tmp_path / "utf-8-sig" / "inc-copy.txt").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs["utf-8-sig"] == outputs["utf-8"]
+
+
 def test_malformed_times_field_is_reported(tmp_path, capsys):
     inc_file = tmp_path / "inc.txt"
     inc_file.write_text("0.01\n-0.02\n0.03\n")

@@ -261,7 +261,7 @@ def test_deconv_table_is_uniform_by_construction():
     )
 
     def table(x_min, x_max, values):
-        return DeconvTable(tbl.bandwidth, SPEC, x_min, x_max, values, tbl.sup_bound)
+        return DeconvTable(tbl.bandwidth, SPEC, x_min, x_max, values)
 
     with pytest.raises(ConfigError, match=r"at least 2 points, got shape \(1,\)"):
         table(-1.0, 1.0, np.zeros(1))
@@ -276,8 +276,8 @@ def test_deconv_table_is_uniform_by_construction():
 def test_deconv_table_refuses_non_finite_values_and_bad_bandwidth_or_bound():
     tbl = build_table(SPEC, 0.8, -10.0, 10.0, 101)
 
-    def table(bandwidth=tbl.bandwidth, values=tbl.values, bound=tbl.sup_bound):
-        return DeconvTable(bandwidth, SPEC, tbl.x_min, tbl.x_max, values, bound)
+    def table(bandwidth=tbl.bandwidth, values=tbl.values):
+        return DeconvTable(bandwidth, SPEC, tbl.x_min, tbl.x_max, values)
 
     values = tbl.values.copy()
     values[[7, 40]] = [np.nan, np.inf]
@@ -287,10 +287,33 @@ def test_deconv_table_refuses_non_finite_values_and_bad_bandwidth_or_bound():
     for h in (-1.0, 0.0, np.nan, np.inf, True):
         with pytest.raises(ConfigError, match=re.escape(f"bandwidth must be finite and positive, got {h!r}")):
             table(bandwidth=h)
-    for bound in (np.inf, -1.0, np.nan):
-        with pytest.raises(ConfigError, match=re.escape(f"sup_bound must be finite and at least 0, got {bound!r}")):
-            table(bound=bound)
-    assert table(bound=0.0).sup_bound == 0.0
+
+
+def test_table_sup_bound_is_computed_from_its_kernel_and_bandwidth(monkeypatch):
+    # build_table makes one coefficient pass, for v_h; the bound's pass runs
+    # on first use, and its value is the module function's, bit for bit
+    from voldeconv import deconv_kernel
+
+    passes = []
+    half_rule = deconv_kernel._half_rule_coefficients
+    monkeypatch.setattr(deconv_kernel, "_half_rule_coefficients",
+                        lambda spec, h: passes.append(h) or half_rule(spec, h))
+    tbl = build_table(SPEC, 0.8, -10.0, 10.0, 101)
+    assert passes == [0.8]
+    assert tbl.sup_bound == sup_bound(SPEC, 0.8)
+    assert passes == [0.8] * 3
+    assert tbl.sup_bound == sup_bound(SPEC, 0.8) and passes == [0.8] * 4  # cached
+
+
+def test_table_of_an_int_list_equals_the_table_of_its_array():
+    x = np.array([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+    listed = DeconvTable(1.0, SPEC, -1.0, 1.0, [1, 2, 3, 5])
+    arrayed = DeconvTable(1.0, SPEC, -1.0, 1.0, np.array([1.0, 2.0, 3.0, 5.0]))
+    assert listed.values.dtype == np.float64
+    np.testing.assert_array_equal(listed.grid_x, arrayed.grid_x)
+    np.testing.assert_array_equal(eval_table(listed, x), eval_table(arrayed, x))
+    values = np.linspace(0.0, 1.0, 5)
+    assert DeconvTable(1.0, SPEC, -1.0, 1.0, values).values is values  # no copy
 
 
 @settings(max_examples=12, deadline=None)

@@ -341,6 +341,20 @@ def test_density_grid_axes_must_be_finite(bad):
     assert str(info.value) == "grid axis 1 must be finite, got 1 non-finite, the first at index 1"
 
 
+def test_density_grid_of_int_lists_equals_the_grid_of_arrays():
+    listed = DensityGrid(axes=([0, 1, 3], [-1, 1]), values=[[1, 2], [3, 4], [5, 6]])
+    arrayed = DensityGrid(axes=(np.array([0.0, 1.0, 3.0]), np.array([-1.0, 1.0])),
+                          values=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    assert isinstance(listed.axes, tuple)
+    for got, want in zip(listed.axes + (listed.values,), arrayed.axes + (arrayed.values,)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+    assert listed.mass() == arrayed.mass()
+    np.testing.assert_array_equal(marginalize(listed, 0).values, marginalize(arrayed, 0).values)
+    values = np.ones(2)
+    assert DensityGrid(axes=[np.arange(2.0)], values=values).values is values  # no copy
+
+
 def test_marginalize_grid():
     x1 = np.linspace(-1.0, 1.0, 41)
     x2 = np.linspace(-2.0, 2.0, 81)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from voldeconv import (
     ExperimentConfig,
+    ObservationSet,
     OUParams,
     RegimeSwitchParams,
     bias_check,
@@ -26,7 +27,7 @@ from voldeconv import (
 )
 from voldeconv import experiment, vol_sim
 from voldeconv.errors import ConfigError, InputError, NotFoundError, NumericalFailure, RangeError
-from voldeconv.estimator import DensityGrid
+from voldeconv.estimator import DensityGrid, _floor_index, _vector_count
 from voldeconv.noise_model import T_MAX
 from voldeconv.experiment import (
     _stage,
@@ -225,7 +226,11 @@ def test_mapping_round_trip_property(fields):
                       for n in fields["n_schedule"]]
         bad_bandwidth = any(1.0 / h > T_MAX for h in bandwidths)
         bad_p = len(t) > 2  # no closed-form truth
-        assert bad_times or bad_regimes or bad_ratio or bad_grid or bad_bandwidth or bad_p
+        bad_span = any(  # an n whose time span leaves no observation vector
+            _vector_count(n, [_floor_index(x, float(n) ** -fields["delta_exp"]) for x in t]) < 1
+            for n in fields["n_schedule"])
+        assert (bad_times or bad_regimes or bad_ratio or bad_grid or bad_bandwidth or bad_p
+                or bad_span)
         return
     assert ExperimentConfig.from_mapping(cfg.to_mapping()) == cfg
 
@@ -285,6 +290,20 @@ def test_target_times_must_be_finite():
     for times, shown in [((np.inf,), "[inf]"), ((1.0, np.inf), "[1.0, inf]")]:
         with pytest.raises(ConfigError, match=re.escape(f"target times must be finite, got {shown}")):
             _small_config(times=times)
+
+
+def test_config_refuses_times_that_leave_no_observation_vector():
+    # refused at construction, not in replication 0 after the truth, grid,
+    # table and one bundle were built: at n = 1000, delta = 1000^-0.5 the
+    # offsets of t = 1 and t = 40 are 31 and 1264
+    message = ("n = 1000 increments at delta = 0.0316228 leave no observation vector: "
+               "the index offsets of times (1.0, 40.0) span 1233")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _small_config(times=(1.0, 40.0), n_schedule=(1000, 100000), delta_exp=0.5)
+    # the span grows like sqrt(n) here: n = 1600 leaves m = 1600 - 1560 = 40
+    assert _small_config(times=(1.0, 40.0), n_schedule=(1600,), delta_exp=0.5).p == 2
+    obs = ObservationSet(delta=1600 ** -0.5, log_sq=np.zeros(1600), times=(1.0, 40.0))
+    assert obs.m == 40
 
 
 def test_config_stores_checked_tuples():

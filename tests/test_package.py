@@ -30,6 +30,15 @@ def test_all_names_resolve():
         assert not hasattr(voldeconv, gone)
 
 
+def test_all_is_the_import_blocks_public_names():
+    # __all__ is derived, not listed: the public names the package's imports
+    # bind, in their order, then __version__
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert voldeconv.__all__ == [n for n in bound if not n.startswith("_")] + ["__version__"]
+
+
 def _unused_imports(source: str) -> list:
     """Names a module imports but never reads as a name (np.sqrt reads np)."""
     tree = ast.parse(source)
