@@ -47,7 +47,7 @@ def test_digest_lines_have_the_format_and_unique_names(tool_lines):
         assert {f"crit07-seed{seed}/records.csv", f"crit07-seed{seed}/config.echo",
                 f"crit07-seed{seed}/grids/n100000_rep0.csv"} <= set(names)
     assert "crit06/grids/n100000_rep1.csv" in names
-    assert {"vh-table-h0.4", "bundle-increments"} <= set(names)
+    assert {"vh-table-h0.4", "bundle-increments", "bundle-sigma2"} <= set(names)
     assert "ou-n500-set/config.echo" in names
     assert {"ou-n500-warn/config.echo", "ou-n500-warn/records.csv"} <= set(names)
     assert {"cli/kernel-table-w.csv", "cli/kernel-table-vh-h0.8.csv", "cli/simulate-n2000.txt",

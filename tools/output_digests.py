@@ -21,6 +21,7 @@ under OPENBLAS_NUM_THREADS=1.  The artifacts:
   vh-table-h0.4          the values of build_table(poly3, 0.4, -290, 290,
                          29001);
   bundle-increments      the increments of one OU simulate_bundle, n = 1e5;
+  bundle-sigma2          the same bundle's sigma^2 path (.sigma2);
   ou-n500-set/<file>     emit_report of an n = 500 OU config that sets
                          bandwidth, kernel and subgrid_ratio = 10, so that
                          config.echo carries every optional key;
@@ -164,6 +165,7 @@ def digests() -> list:
     out.append((sha256(table.values.tobytes()), "vh-table-h0.4"))
     bundle = simulate_bundle("ou", OU, 100_000, 100_000**-0.5, seed=20260816)
     out.append((sha256(bundle.increments.tobytes()), "bundle-increments"))
+    out.append((sha256(bundle.sigma2.tobytes()), "bundle-sigma2"))
     return out + later
 
 
