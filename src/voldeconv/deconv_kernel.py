@@ -110,7 +110,9 @@ class DeconvTable:
     """Cached lattice of v_h values for O(1) interpolated evaluation.
 
     bandwidth : float
-        The h the table was built at (log sigma^2 scale), finite and positive.
+        The h the table was built at (log sigma^2 scale), finite and positive
+        (a ConfigError), with 1/h inside the noise window t_max (build_table's
+        RangeError).
     kernel : KernelSpec
         Smoothing kernel whose spectrum was deconvolved.
     x_min, x_max : float
@@ -141,6 +143,7 @@ class DeconvTable:
             raise ConfigError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         _require_finite("table values", self.values, ConfigError)
         _require_finite_positive("bandwidth", self.bandwidth, ConfigError)
+        _check_bandwidth(self.bandwidth)
 
     @cached_property
     def sup_bound(self) -> float:

@@ -16,18 +16,21 @@ bundle is reproducible from (seed, parameters) alone.
 
 Each stage is a private chunk iterator.  simulate_bundle runs them a few
 thousand increments at a time, with each stream's next chunk made a call
-ahead on two worker threads, so only sigma^2 is held at full length.  The
-regime model's two OU paths are each drawn and filtered on a worker, and
-the calling thread splices, exponentiates and sums; the OU model's one
-path is filtered on the calling thread, so that the path's worker only
-draws, like the price shocks' (a filter there unbalanced the workers and
-made OU bundles 5-10 % slower).  Every normal stream is a two-buffer ring
-of draws (_ring_draws).  The public simulate_ou and simulate_regime_switch
-are the same iterators read as one chunk, and integrate_price is one block
-of the same price sum.
+ahead on two worker threads, so only the increments are held at full
+length.  The regime model's two OU paths are each drawn and filtered on a
+worker, and the calling thread splices, exponentiates and sums; the OU
+model's one path is filtered on the calling thread, so that the path's
+worker only draws, like the price shocks' (a filter there unbalanced the
+workers and made OU bundles 5-10 % slower).  Every normal stream is a
+two-buffer ring of draws (_ring_draws).  A bundle keeps the recipe of its
+sigma^2 path, not the path: PathBundle.sigma2 re-runs the same sigma^2
+stream (_sigma2_pieces) when it is first read.  The public simulate_ou and
+simulate_regime_switch are the same iterators read as one chunk, and
+integrate_price is one block of the same price sum.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -274,15 +277,16 @@ def _price_block(sigma2, z, fine_dt, delta, ratio, drift, start):
     return steps.reshape(-1, ratio).sum(axis=1) / np.sqrt(delta)
 
 
-def _check_variance(sigma2: np.ndarray) -> None:
-    """Refuse NaN, infinite and non-positive sigma^2."""
+def _check_variance(sigma2: np.ndarray, start: int = 0) -> None:
+    """Refuse NaN, infinite and non-positive sigma^2; the index named is
+    counted from start, the path index of sigma2[0]."""
     if sigma2.min() > 0.0 and sigma2.max() < np.inf:  # NaN fails both
         return
     for bad, what in ((~np.isfinite(sigma2), "non-finite"), (sigma2 <= 0.0, "non-positive")):
         if np.any(bad):
             raise InputError(
                 f"{int(np.count_nonzero(bad))} {what} sigma^2 values, the first "
-                f"at index {int(np.flatnonzero(bad)[0])}"
+                f"at index {start + int(np.flatnonzero(bad)[0])}"
             )
 
 
@@ -325,48 +329,83 @@ def integrate_price(
     return _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
 
 
+def _piece_sizes(n: int, subgrid_ratio: int) -> list:
+    """Substeps in each piece of an n-increment bundle: _CHUNK increments'
+    worth, and what is left in the last."""
+    n_fine, chunk = n * subgrid_ratio, _CHUNK * subgrid_ratio
+    return [min(chunk, n_fine - start) for start in range(0, n_fine, chunk)]
+
+
+def _sigma2_pieces(model: str, params, fine_dt: float, path_ss, sizes: list, ahead=iter):
+    """Yield a bundle's sigma^2 path in pieces of the given sizes.
+
+    Each piece is exponentiated in place over its log-variance filter output
+    (doubled first for "regime"), and refused with _check_variance's
+    InputError, naming its first bad index over the whole path, before the
+    next piece is made.  The path's streams are read through ahead(stream),
+    as in _regime_chunks.
+    """
+    if model == "ou":
+        log_sigma2 = _ou_filter(params, fine_dt, ahead(_ring_draws(path_ss, sizes)))
+    else:
+        xi = _regime_chunks(params, fine_dt, path_ss, sizes, ahead)
+        log_sigma2 = (np.multiply(x, 2.0, out=x) for x in xi)
+    for start, log_s2 in zip(itertools.accumulate(sizes, initial=0), log_sigma2):
+        s2 = np.exp(log_s2, out=log_s2)
+        _check_variance(s2, start)
+        yield s2
+
+
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    """One simulated realization: price increments plus the fine sigma^2 path.
+    """One simulated realization: price increments plus the recipe of the
+    fine sigma^2 path they were integrated over.
 
     increments    : normalized price increments, one per delta interval,
                     finite, as a 1-D float array.
     delta         : sampling interval, finite and positive.
     subgrid_ratio : substeps per delta interval, an integer of at least 10.
-    sigma2        : sigma^2 at substep left endpoints, finite and strictly
-                    positive, subgrid_ratio of them per increment, as a 1-D
-                    float array.
+    model, params : the volatility model by name (a key of MODELS) and its
+                    params.
+    seed          : the master seed, an integer of at least 0; its first
+                    child stream is the sigma path's.
     """
 
     increments: np.ndarray
     delta: float
     subgrid_ratio: int
-    sigma2: np.ndarray
+    model: str
+    params: Union[OUParams, RegimeSwitchParams]
+    seed: int
 
     def __post_init__(self):
         _require_finite_positive("delta", self.delta, ConfigError)
         _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
+        _check_model(self.model, self.params)
+        _require_integer("seed", self.seed, 0, ConfigError)
         increments = np.asarray(self.increments, dtype=float)
-        sigma2 = np.asarray(self.sigma2, dtype=float)
-        for name, a in (("increments", increments), ("sigma2", sigma2)):
-            if a.ndim != 1:
-                raise InputError(f"{name} must be 1-D, got shape {a.shape}")
+        if increments.ndim != 1:
+            raise InputError(f"increments must be 1-D, got shape {increments.shape}")
         _require_finite("increments", increments, InputError)
-        n = increments.size
-        if sigma2.size != n * self.subgrid_ratio:
-            raise ConfigError(
-                f"sigma2 length {sigma2.size} does not cover {n} increments "
-                f"at ratio {self.subgrid_ratio}"
-            )
-        if sigma2.size:
-            _check_variance(sigma2)
         object.__setattr__(self, "increments", increments)
-        object.__setattr__(self, "sigma2", sigma2)
 
     @property
     def fine_dt(self) -> float:
         """Substep of the sigma^2 lattice."""
         return self.delta / self.subgrid_ratio
+
+    @functools.cached_property
+    def sigma2(self) -> np.ndarray:
+        """sigma^2 at substep left endpoints, subgrid_ratio per increment, as a
+        1-D float array: re-simulated on this thread at the first read, bit for
+        bit the values the increments were integrated over."""
+        sizes = _piece_sizes(self.increments.size, self.subgrid_ratio)
+        path_ss = np.random.SeedSequence(self.seed).spawn(2)[0]
+        sigma2 = np.empty(sum(sizes))
+        pieces = _sigma2_pieces(self.model, self.params, self.fine_dt, path_ss, sizes)
+        for start, s2 in zip(itertools.accumulate(sizes, initial=0), pieces):
+            sigma2[start:start + s2.size] = s2
+        return sigma2
 
 
 def simulate_bundle(
@@ -386,16 +425,18 @@ def simulate_bundle(
     mixture on that doubled scale.  Child streams of `seed`, in order:
     sigma path, price shocks.
 
-    The path is made _CHUNK increments at a time.  Every stream is built
-    here and read through ahead(stream), the one place a stream goes to the
-    pool: _in_order at ahead 1 makes its next chunk on one of two workers
-    while this thread finishes the current one.  For "ou" the workers draw
-    the path's normals and the shocks, and this thread filters,
-    exponentiates and sums; for "regime" they also filter both OU paths, and
-    this thread splices, exponentiates and sums.  Each stream is advanced
-    one call at a time, in order, so the bundle is simulate_ou -> exp ->
-    integrate_price (or its regime equivalent) bit for bit, whatever the
-    chunk size or thread timing.
+    The path is made _CHUNK increments at a time, and only the increments
+    are kept: the bundle's sigma2 re-runs the path's stream when it is read.
+    Every stream is built here and read through ahead(stream), the one place
+    a stream goes to the pool: _in_order at ahead 1 makes its next chunk on
+    one of two workers while this thread finishes the current one.  For "ou"
+    the workers draw the path's normals and the shocks, and this thread
+    filters, exponentiates and sums; for "regime" they also filter both OU
+    paths, and this thread splices, exponentiates and sums.  A piece with
+    non-finite or non-positive sigma^2 raises InputError before it is summed.
+    Each stream is advanced one call at a time, in order, so the bundle is
+    simulate_ou -> exp -> integrate_price (or its regime equivalent) bit for
+    bit, whatever the chunk size or thread timing.
     """
     _require_integer("n", n, 1, InputError)
     _require_integer("subgrid_ratio", subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
@@ -403,33 +444,19 @@ def simulate_bundle(
     _require_integer("seed", seed, 0, ConfigError)
     _check_model(model, params)
     fine_dt = delta / subgrid_ratio
-    n_fine = n * subgrid_ratio
-    chunk = _CHUNK * subgrid_ratio
     path_ss, noise_ss = np.random.SeedSequence(seed).spawn(2)
-    sigma2 = np.empty(n_fine)
     increments = np.empty(n)
-    starts = range(0, n_fine, chunk)
-    sizes = [min(chunk, n_fine - s) for s in starts]
+    sizes = _piece_sizes(n, subgrid_ratio)
     with ThreadPoolExecutor(max_workers=2) as pool:
 
         def ahead(stream):
             return _in_order(pool, next, itertools.repeat(stream, len(sizes)), 1)
 
-        if model == "ou":
-            log_sigma2 = _ou_filter(params, fine_dt, ahead(_ring_draws(path_ss, sizes)))
-        else:
-            xi = _regime_chunks(params, fine_dt, path_ss, sizes, ahead)
-            log_sigma2 = (np.multiply(x, 2.0, out=x) for x in xi)
+        sigma2 = _sigma2_pieces(model, params, fine_dt, path_ss, sizes, ahead)
         shocks = ahead(_ring_draws(noise_ss, sizes))
-        for start, log_s2, z in zip(starts, log_sigma2, shocks):
-            s2 = np.exp(log_s2, out=sigma2[start:start + log_s2.size])
+        for start, s2, z in zip(itertools.accumulate(sizes, initial=0), sigma2, shocks):
             first = start // subgrid_ratio
             increments[first:first + s2.size // subgrid_ratio] = _price_block(
                 s2, z, fine_dt, delta, subgrid_ratio, drift, start
             )
-    return PathBundle(
-        increments=increments,
-        delta=float(delta),
-        subgrid_ratio=int(subgrid_ratio),
-        sigma2=sigma2,
-    )
+    return PathBundle(increments, float(delta), int(subgrid_ratio), model, params, seed)

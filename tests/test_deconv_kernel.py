@@ -287,6 +287,10 @@ def test_deconv_table_refuses_non_finite_values_and_bad_bandwidth_or_bound():
     for h in (-1.0, 0.0, np.nan, np.inf, True):
         with pytest.raises(ConfigError, match=re.escape(f"bandwidth must be finite and positive, got {h!r}")):
             table(bandwidth=h)
+    # a bandwidth outside the noise window was built, and refused at its first sup_bound
+    with pytest.raises(RangeError, match=re.escape("bandwidth 0.0001 puts quadrature nodes at "
+                                                   "|t| = 10000.0, beyond")):
+        DeconvTable(1e-4, SPEC, -1.0, 1.0, [0.0, 1.0])
 
 
 def test_table_sup_bound_is_computed_from_its_kernel_and_bandwidth(monkeypatch):

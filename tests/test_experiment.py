@@ -466,6 +466,26 @@ def test_run_experiment_error_context(monkeypatch):
         run_experiment(cfg)
 
 
+def test_experiments_never_derive_sigma2(monkeypatch):
+    # a bundle keeps no sigma^2 path, and the Monte Carlo loop never asks
+    # for one: deriving it would re-simulate the whole path
+    bundle = vol_sim.simulate_bundle("ou", OU, 100, 0.05, seed=1)
+    assert "sigma2" not in vars(bundle)
+
+    def refuse(self):
+        raise AssertionError("sigma2 derived")
+
+    monkeypatch.setattr(vol_sim.PathBundle, "sigma2", property(refuse))
+    with pytest.raises(AssertionError, match="sigma2 derived"):
+        bundle.sigma2
+    cfg = _small_config(n_schedule=(500,), replications=2)
+    assert len(run_experiment(cfg).records) == 2
+    assert np.isfinite(bias_check(cfg, truth_for(cfg)).empirical_bias)
+    joint = _small_config(model="regime", params=REGIME, times=(1.0, 1.05), n_schedule=(500,),
+                          replications=1, delta_exp=0.75, gamma=17.0)
+    assert len(run_experiment(joint).records) == 1
+
+
 def test_bias_check_error_context(monkeypatch):
     # bias_check runs the same replication step as run_experiment
     monkeypatch.setattr(experiment, "simulate_bundle", _simulate_at_ratio_5)

@@ -179,8 +179,36 @@ def test_non_finite_variance_is_refused(bad):
     sigma2 = np.array([1.0, bad] * 10)
     with pytest.raises(InputError, match="10 non-finite sigma\\^2 values, the first at index 1"):
         integrate_price(sigma2, 0.1, 1.0)
-    with pytest.raises(InputError, match="10 non-finite sigma\\^2 values, the first at index 1"):
-        PathBundle(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=sigma2)
+
+
+@pytest.mark.parametrize("model, params, seed, bad_piece", [
+    ("ou", OUParams(a=1.0, mu=710.0, b=1.0), 1, 1),  # e^X overflows to inf
+    ("ou", OUParams(a=1.0, mu=-800.0, b=1.0), 1, 0),  # e^X underflows to 0
+    ("regime", RegimeSwitchParams(1.0, 1.0, OU, OUParams(2.0, 400.0, 2.0)), 3, 1),
+])
+def test_bad_variance_is_refused_at_its_piece(model, params, seed, bad_piece):
+    # the first bad piece raises before it is summed and before the next is
+    # made; the message counts that piece's bad values and names the first
+    # one's index over the whole path, found here from the unchunked path
+    n, delta, ratio, chunk = 200, 0.05, 50, 2
+    path_ss = np.random.SeedSequence(seed).spawn(2)[0]
+    with np.errstate(over="ignore", under="ignore"):
+        if model == "ou":
+            sigma2 = np.exp(simulate_ou(params, n * ratio, delta / ratio, path_ss))
+        else:
+            sigma2 = np.exp(2.0 * simulate_regime_switch(params, n * ratio, delta / ratio, path_ss))
+    what = "non-finite" if np.isinf(sigma2).any() else "non-positive"
+    bad = np.isinf(sigma2) if what == "non-finite" else sigma2 <= 0.0
+    first = int(np.flatnonzero(bad)[0])
+    piece = first // (chunk * ratio)
+    count = int(np.count_nonzero(bad[piece * chunk * ratio:(piece + 1) * chunk * ratio]))
+    assert piece == bad_piece
+    with mock.patch.object(vol_sim, "_CHUNK", chunk), \
+            mock.patch.object(vol_sim, "_price_block", wraps=vol_sim._price_block) as blocks, \
+            np.errstate(over="ignore", under="ignore"), pytest.raises(InputError) as info:
+        simulate_bundle(model, params, n, delta, seed)
+    assert str(info.value) == f"{count} {what} sigma^2 values, the first at index {first}"
+    assert blocks.call_count == piece
 
 
 def test_bundle_shapes_and_determinism():
@@ -218,8 +246,6 @@ def test_bundle_unknown_model():
 
 
 def test_bundle_validation():
-    with pytest.raises(ConfigError):
-        PathBundle(increments=np.ones(10), delta=0.1, subgrid_ratio=10, sigma2=np.ones(105))
     with pytest.raises(ConfigError):
         simulate_bundle("ou", OU, 100, 0.05, seed=1, subgrid_ratio=5)
 
@@ -344,10 +370,10 @@ def test_concurrent_bundles_match_serial_ones():
 
 
 # K: most chunk arrays (8 * _CHUNK * subgrid_ratio bytes each) a bundle may
-# hold beyond the sigma2 and increments it returns.  Measured peaks, equal at
-# n = 20 000 and 60 000, with and without thread switches forced every 10 us:
-# 6.05 for OU, of which 4 are the path's and the shocks' draw buffers, and
-# 11.08 for regime, of which 6 are its three streams' draw buffers; K is each
+# hold beyond the increments it returns.  Measured peaks at n = 20 000 and
+# 60 000, with and without thread switches forced every 10 us: 6.05 for OU,
+# of which 4 are the path's and the shocks' draw buffers, and at most 11.08
+# for regime, of which 6 are its three streams' draw buffers; K is each
 # rounded up, plus one.  Streams whose pieces piled up would hold about one
 # more array per piece.
 PEAK_CHUNK_ARRAYS = {"ou": 8, "regime": 13}
@@ -365,7 +391,7 @@ def test_bundle_memory_stays_within_a_few_chunks(model, n):
     finally:
         tracemalloc.stop()
     chunk_bytes = 8 * vol_sim._CHUNK * bundle.subgrid_ratio
-    beyond = peak - bundle.sigma2.nbytes - bundle.increments.nbytes
+    beyond = peak - bundle.increments.nbytes
     assert beyond <= PEAK_CHUNK_ARRAYS[model] * chunk_bytes, beyond / chunk_bytes
 
 
@@ -507,7 +533,7 @@ def test_path_simulators_run_on_the_calling_thread(simulate):
     "overrides, message",
     [
         ({"increments": np.zeros((2, 1))}, "increments must be 1-D, got shape (2, 1)"),
-        ({"sigma2": np.ones((2, 10))}, "sigma2 must be 1-D, got shape (2, 10)"),
+        ({"increments": np.float64(0.0)}, "increments must be 1-D, got shape ()"),
         ({"increments": np.array([0.0, np.nan])},
          "increments must be finite, got 1 non-finite, the first at index 1"),
         ({"increments": np.array([np.inf, 0.0])},
@@ -517,7 +543,7 @@ def test_path_simulators_run_on_the_calling_thread(simulate):
     ],
 )
 def test_path_bundle_refuses_malformed_arrays(overrides, message):
-    args = dict(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=np.ones(20))
+    args = dict(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, model="ou", params=OU, seed=1)
     args.update(overrides)
     with pytest.raises(InputError) as info:
         PathBundle(**args)
@@ -525,7 +551,8 @@ def test_path_bundle_refuses_malformed_arrays(overrides, message):
 
 
 def test_path_bundle_stores_float_arrays():
-    bundle = PathBundle(increments=[1, -2], delta=1.0, subgrid_ratio=10, sigma2=[3] * 20)
+    bundle = PathBundle(increments=[1, -2], delta=1.0, subgrid_ratio=10, model="ou", params=OU,
+                        seed=1)
     for a in (bundle.increments, bundle.sigma2):
         assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim == 1
     assert bundle.increments.tolist() == [1.0, -2.0]
@@ -542,10 +569,14 @@ def test_path_bundle_stores_float_arrays():
         ({"delta": np.nan}, "delta must be finite and positive, got nan"),
         ({"delta": 0.0}, "delta must be finite and positive, got 0.0"),
         ({"delta": -0.1}, "delta must be finite and positive, got -0.1"),
+        ({"model": "garch"}, "unknown model 'garch'; expected 'ou' or 'regime'"),
+        ({"params": REGIME}, "model 'ou' needs OUParams params, got RegimeSwitchParams"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ],
 )
 def test_path_bundle_arguments_are_checked(overrides, message):
-    args = dict(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=np.ones(20))
+    args = dict(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, model="ou", params=OU, seed=1)
     args.update(overrides)
     with pytest.raises(ConfigError) as info:
         PathBundle(**args)
@@ -556,14 +587,6 @@ def test_path_bundle_fine_dt_is_delta_over_ratio():
     bundle = simulate_bundle("ou", OU, 30, 0.013, seed=5, subgrid_ratio=30)
     assert (bundle.delta, bundle.subgrid_ratio) == (0.013, 30)
     assert bundle.fine_dt == 0.013 / 30
-
-
-def test_path_bundle_refuses_negative_variance_as_input():
-    sigma2 = np.ones(20)
-    sigma2[3] = -1.0
-    with pytest.raises(InputError) as info:
-        PathBundle(increments=np.zeros(2), delta=1.0, subgrid_ratio=10, sigma2=sigma2)
-    assert str(info.value) == "1 non-positive sigma^2 values, the first at index 3"
 
 
 @pytest.mark.parametrize("simulate, params", [(simulate_ou, OU), (simulate_regime_switch, REGIME)])
