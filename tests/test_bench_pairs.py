@@ -133,3 +133,10 @@ def test_a_run_past_the_time_limit_is_killed_and_counted_as_failed(tmp_path, mon
     run.update(side="change", pair=0)
     ops = bench_pairs.summarize([run], METRICS)["ops"]
     assert ops["change"] == {"runs": 1, "failed_runs": 1, "attempted": 0, "failed": 0}
+
+
+def test_a_run_passes_its_extra_arguments_to_the_benchmark(tmp_path, monkeypatch):
+    # the command's last line is its result: here, the arguments it was given
+    monkeypatch.setattr(bench_pairs, "COMMAND", ["sh", "-c", 'printf \'{"args": "%s"}\\n\' "$*"', "sh"])
+    run = bench_pairs.run_once(str(tmp_path), ["--seed", "99"])
+    assert (run["returncode"], run["result"]) == (0, {"args": "--seed 99"})

@@ -24,7 +24,9 @@ how many failed (a non-zero exit, no result line, or RUN_TIMEOUT_S reached),
 and the attempted and failed ops over the runs that gave a result, since a
 failed run gives no metric values and so drops out of the per-metric
 entries.  A run that reaches RUN_TIMEOUT_S is killed with every process it
-started, and the pairs go on.
+started, and the pairs go on.  --seed s runs every workload at seed s
+(`run.py --seed s`), to check a claim at a seed other than each workload's
+gate seed.
 """
 from __future__ import annotations
 
@@ -70,13 +72,13 @@ def checkout_info(checkout: str) -> dict:
             "src_sha256": src_digest(checkout)}
 
 
-def run_once(checkout: str) -> dict:
-    """Run COMMAND in the checkout; a run that reaches RUN_TIMEOUT_S is
-    killed and kept with returncode None, timed_out true and no result."""
+def run_once(checkout: str, args=()) -> dict:
+    """Run COMMAND plus args in the checkout; a run that reaches RUN_TIMEOUT_S
+    is killed and kept with returncode None, timed_out true and no result."""
     load_before = os.getloadavg()
     start = time.monotonic()
     # a session of its own, so that a timeout kills the workers run.py started too
-    proc = subprocess.Popen(COMMAND, cwd=checkout, stdout=subprocess.PIPE,
+    proc = subprocess.Popen([*COMMAND, *args], cwd=checkout, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
         stdout, stderr = proc.communicate(timeout=RUN_TIMEOUT_S)
@@ -169,11 +171,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", required=True)
+    ap.add_argument("--seed", type=int, help="every workload's seed (default: each one's gate seed)")
     args = ap.parse_args(argv)
+    extra = [] if args.seed is None else ["--seed", str(args.seed)]
 
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     record = {
-        "command": "python3 perfbench/run.py --workload all",
+        "command": " ".join(["python3 perfbench/run.py --workload all", *extra]),
         "started_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "nproc": os.cpu_count(),
         "checkouts": {side: checkout_info(path) for side, path in sides.items()},
@@ -182,7 +186,7 @@ def main(argv=None) -> int:
     metrics = end_to_end(sides["change"])
     for pair in range(args.pairs):
         for side in ("parent", "change")[:: 1 if pair % 2 == 0 else -1]:
-            run = run_once(sides[side])
+            run = run_once(sides[side], extra)
             run.update(side=side, pair=pair)
             record["runs"].append(run)
             status = "TIMED OUT" if run["timed_out"] else "FAILED" if failed(run) else "ok"
