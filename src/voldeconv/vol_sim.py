@@ -341,9 +341,9 @@ def _sigma2_pieces(model: str, params, fine_dt: float, path_ss, sizes: list, ahe
 
     Each piece is exponentiated in place over its log-variance filter output
     (doubled first for "regime"), and refused with _check_variance's
-    InputError, naming its first bad index over the whole path, before the
-    next piece is made.  The path's streams are read through ahead(stream),
-    as in _regime_chunks.
+    InputError, naming its first bad index over the whole path, before it
+    is yielded.  The path's streams are read through ahead(stream), as in
+    _regime_chunks.
     """
     if model == "ou":
         log_sigma2 = _ou_filter(params, fine_dt, ahead(_ring_draws(path_ss, sizes)))

@@ -181,15 +181,15 @@ def test_non_finite_variance_is_refused(bad):
         integrate_price(sigma2, 0.1, 1.0)
 
 
-@pytest.mark.parametrize("model, params, seed, bad_piece", [
-    ("ou", OUParams(a=1.0, mu=710.0, b=1.0), 1, 1),  # e^X overflows to inf
-    ("ou", OUParams(a=1.0, mu=-800.0, b=1.0), 1, 0),  # e^X underflows to 0
-    ("regime", RegimeSwitchParams(1.0, 1.0, OU, OUParams(2.0, 400.0, 2.0)), 3, 1),
+@pytest.mark.parametrize("model, params, seed, what, bad_piece", [
+    ("ou", OUParams(a=1.0, mu=710.0, b=1.0), 1, "non-finite", 1),  # e^X overflows to inf
+    ("ou", OUParams(a=1.0, mu=-800.0, b=1.0), 1, "non-positive", 0),  # e^X underflows to 0
+    ("regime", RegimeSwitchParams(1.0, 1.0, OU, OUParams(2.0, 400.0, 2.0)), 3, "non-finite", 1),
 ])
-def test_bad_variance_is_refused_at_its_piece(model, params, seed, bad_piece):
-    # the first bad piece raises before it is summed and before the next is
-    # made; the message counts that piece's bad values and names the first
-    # one's index over the whole path, found here from the unchunked path
+def test_bad_variance_is_refused_at_its_piece(model, params, seed, what, bad_piece):
+    # the first bad piece raises before it or any later piece is summed; the
+    # message counts that piece's bad values and names the first one's index
+    # over the whole path, found here from the unchunked path
     n, delta, ratio, chunk = 200, 0.05, 50, 2
     path_ss = np.random.SeedSequence(seed).spawn(2)[0]
     with np.errstate(over="ignore", under="ignore"):
@@ -197,8 +197,7 @@ def test_bad_variance_is_refused_at_its_piece(model, params, seed, bad_piece):
             sigma2 = np.exp(simulate_ou(params, n * ratio, delta / ratio, path_ss))
         else:
             sigma2 = np.exp(2.0 * simulate_regime_switch(params, n * ratio, delta / ratio, path_ss))
-    what = "non-finite" if np.isinf(sigma2).any() else "non-positive"
-    bad = np.isinf(sigma2) if what == "non-finite" else sigma2 <= 0.0
+    bad = ~np.isfinite(sigma2) if what == "non-finite" else sigma2 <= 0.0
     first = int(np.flatnonzero(bad)[0])
     piece = first // (chunk * ratio)
     count = int(np.count_nonzero(bad[piece * chunk * ratio:(piece + 1) * chunk * ratio]))
