@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _is_real
 from .noise_model import SQRT_2PI
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 
@@ -82,7 +82,7 @@ def ou_logsq_marginal(params: OUParams) -> TruthDensity:
 def ou_bivariate(params: OUParams, s: float, t: float) -> TruthDensity:
     """Joint stationary law of an OU path at two times: bivariate normal with
     equal means and variances and correlation e^{-a (t - s)}."""
-    if not (np.isfinite(s) and np.isfinite(t)):
+    if not (_is_real(s) and _is_real(t) and np.isfinite(s) and np.isfinite(t)):
         raise DomainError(f"s and t must be finite, got s={s}, t={t}")
     if not s < t:
         raise DomainError(f"need s < t, got s={s}, t={t}")
@@ -153,7 +153,7 @@ def scaled_truth(truth: TruthDensity, factor: float) -> TruthDensity:
     Used to move xi-scale laws onto the log sigma^2 scale, where
     log sigma^2 = 2 xi.
     """
-    if not 0.0 < abs(factor) < np.inf:  # NaN fails too
+    if not (_is_real(factor) and 0.0 < abs(factor) < np.inf):  # NaN fails too
         raise DomainError(f"scale factor must be finite and nonzero, got {factor}")
     jac = 1.0 / abs(factor) ** truth.dimension
 

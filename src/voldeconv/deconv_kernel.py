@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConfigError, NumericalFailure, RangeError, _require_finite, _require_finite_positive,
-    _require_integer,
+    ConfigError, NumericalFailure, RangeError, _require_finite_positive, _require_integer,
+    _require_vector,
 )
 from .noise_model import T_MAX, phi_k
 from .quadrature import fourier_sum, gauss_legendre
@@ -135,13 +135,12 @@ class DeconvTable:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if np.ndim(self.values) != 1 or np.size(self.values) < 2:
-            raise ConfigError(f"need 1-D values of at least 2 points, got shape "
-                              f"{np.shape(self.values)}")
+        values = _require_vector("table values", self.values, ConfigError)
+        if values.size < 2:
+            raise ConfigError(f"need values of at least 2 points, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
         if not -np.inf < self.x_min < self.x_max < np.inf:
             raise ConfigError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        _require_finite("table values", self.values, ConfigError)
         _require_finite_positive("bandwidth", self.bandwidth, ConfigError)
         _check_bandwidth(self.bandwidth)
 

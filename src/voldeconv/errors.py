@@ -45,11 +45,14 @@ def _require_integer(name: str, value, least: int, error: type) -> None:
         raise error(f"{name} must be at least {least}, got {value}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number, bools excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_finite_positive(name: str, value, error: type) -> None:
     """Refuse a value that is not a finite positive real number (bools included)."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0
-    ):
+    if not (_is_real(value) and math.isfinite(value) and value > 0.0):
         raise error(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -60,3 +63,12 @@ def _require_finite(name: str, values, error: type) -> None:
     if bad.size:
         first = int(bad[0, 0]) if bad.shape[1] == 1 else tuple(bad[0].tolist())
         raise error(f"{name} must be finite, got {len(bad)} non-finite, the first at index {first}")
+
+
+def _require_vector(name: str, values, error: type) -> np.ndarray:
+    """values as a float array, refused unless 1-D and all finite."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise error(f"{name} must be 1-D, got shape {values.shape}")
+    _require_finite(name, values, error)
+    return values

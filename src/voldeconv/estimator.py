@@ -46,6 +46,7 @@ import numpy as np
 from .deconv_kernel import DeconvTable, _check_bandwidth, eval_table
 from .errors import (
     ConfigError, InputError, _require_finite, _require_finite_positive, _require_integer,
+    _require_vector,
 )
 from .quadrature import _in_order
 
@@ -130,7 +131,7 @@ class ObservationSet:
     """Log-squared increments plus the target-time index arithmetic.
 
     delta         : sampling interval.
-    log_sq        : n log-squared normalized increments.
+    log_sq        : n finite log-squared normalized increments, a float vector.
     times         : target times, strictly increasing.
     index_offsets : floor(t_k / delta) per target time, computed from times
                     and delta; a given value must equal it.
@@ -145,10 +146,8 @@ class ObservationSet:
 
     def __post_init__(self):
         _require_finite_positive("delta", self.delta, ConfigError)
-        if np.ndim(self.log_sq) != 1:
-            raise InputError(f"log_sq must be 1-D, got shape {np.shape(self.log_sq)}")
         # one NaN would poison every estimate; reject it before any work
-        _require_finite("log-squared increments", self.log_sq, InputError)
+        object.__setattr__(self, "log_sq", _require_vector("log_sq", self.log_sq, InputError))
         times = _check_times(self.times)
         off = [_floor_index(t, float(self.delta)) for t in times]
         given = off if self.index_offsets is None else np.asarray(self.index_offsets).tolist()
@@ -166,11 +165,11 @@ class ObservationSet:
 
     @property
     def n(self) -> int:
-        return int(np.asarray(self.log_sq).size)
+        return self.log_sq.size
 
     @property
     def p(self) -> int:
-        return int(np.asarray(self.times).size)
+        return len(self.times)
 
     @property
     def m(self) -> int:
@@ -215,8 +214,8 @@ def bandwidth_schedule(n: int, p: int, gamma: float, delta_exp: float,
 class DensityGrid:
     """Estimate (or truth) sampled on a tensor grid.
 
-    axes   : p abscissa arrays, axis k for coordinate k.
-    values : p-dimensional array, values[i1, ..., ip] at (axes[0][i1], ...).
+    axes   : p finite 1-D abscissa arrays, axis k for coordinate k.
+    values : p-dimensional finite array, values[i1, ..., ip] at (axes[0][i1], ...).
 
     Both are stored as float arrays, the axes as a tuple of them.
     """
@@ -225,15 +224,14 @@ class DensityGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "axes", tuple(np.asarray(a, dtype=float) for a in self.axes))
+        object.__setattr__(self, "axes", tuple(
+            _require_vector(f"grid axis {k}", a, ConfigError) for k, a in enumerate(self.axes)))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        shape = tuple(len(a) for a in self.axes)
-        if tuple(self.values.shape) != shape:
+        shape = tuple(a.size for a in self.axes)
+        if self.values.shape != shape:
             raise ConfigError(
                 f"values shape {self.values.shape} does not match axes {shape}"
             )
-        for k, a in enumerate(self.axes):
-            _require_finite(f"grid axis {k}", a, ConfigError)
         _require_finite("grid values", self.values, ConfigError)
 
     def mass(self) -> float:
@@ -270,21 +268,17 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     quadrature), the sweep runs on this thread alone.
     """
     p = obs.p
-    axes = [np.asarray(a, dtype=float) for a in axes]
+    axes = [_require_vector(f"grid axis {k}", a, ConfigError) for k, a in enumerate(axes)]
     if len(axes) != p:
         raise ConfigError(f"got {len(axes)} grid axes for p = {p} target times")
     if p > 3:
         raise ConfigError(f"p > 3 is not supported, got p = {p}")
-    for k, a in enumerate(axes):
-        if a.ndim != 1:
-            raise ConfigError(f"grid axis {k} must be 1-D, got shape {a.shape}")
-        _require_finite(f"grid axis {k}", a, ConfigError)
 
     h = table.bandwidth
     m = obs.m
 
     # coordinate k of vector j is log_sq[j + lag_k], lag_k = offset_k - offset_0
-    log_sq = np.asarray(obs.log_sq, dtype=float)
+    log_sq = obs.log_sq
     if p == 1:
         acc = _interval_sums(log_sq[:m], axes[0], table)
         return DensityGrid(axes=tuple(axes), values=acc / (m * h))

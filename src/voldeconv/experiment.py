@@ -408,7 +408,6 @@ def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, tabl
     n = cfg.n_schedule[n_index]
     seed = mix_seed(cfg.master_seed, n_index, rep)
     with _stage("simulate", n, rep):
-        # only the increments are kept: the sigma^2 path is freed here
         increments = simulate_bundle(
             cfg.model, cfg.params, n, delta, seed, subgrid_ratio=cfg.subgrid_ratio
         ).increments

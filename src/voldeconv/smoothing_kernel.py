@@ -39,16 +39,10 @@ class KernelSpec:
     phi_w : callable
         Vectorized characteristic function; must be even, 1 at 0, and 0
         outside [-1, 1].
-    rho : float
-        Edge exponent: phi_w(1 - t) ~ edge_coeff * t^rho as t -> 0.
-    edge_coeff : float
-        Edge coefficient A in the same expansion.
     """
 
     name: str
     phi_w: Callable[[np.ndarray], np.ndarray]
-    rho: float
-    edge_coeff: float
 
 
 def _phi_poly3(s):
@@ -61,7 +55,7 @@ def _phi_poly3(s):
 
 _BUILTINS = {
     # phi_w(1-t) = t^3 (2-t)^3 = 8 t^3 (1 + O(t)), so rho = 3, A = 8.
-    "poly3": KernelSpec(name="poly3", phi_w=_phi_poly3, rho=3.0, edge_coeff=8.0),
+    "poly3": KernelSpec(name="poly3", phi_w=_phi_poly3),
 }
 
 

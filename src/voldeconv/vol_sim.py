@@ -39,7 +39,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import (
-    ConfigError, InputError, _require_finite, _require_finite_positive, _require_integer,
+    ConfigError, InputError, _is_real, _require_finite, _require_finite_positive,
+    _require_integer, _require_vector,
 )
 from .quadrature import _in_order
 
@@ -65,7 +66,7 @@ class OUParams:
     def __post_init__(self):
         _require_finite_positive("a", self.a, ConfigError)
         _require_finite_positive("b", self.b, ConfigError)
-        if not np.isfinite(self.mu):
+        if not (_is_real(self.mu) and np.isfinite(self.mu)):
             raise ConfigError(f"mu must be finite, got {self.mu!r}")
 
     @property
@@ -177,7 +178,7 @@ def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
     distribution at time t started from state j (columns sum to 1)."""
     _require_finite_positive("a0", a0, ConfigError)
     _require_finite_positive("a1", a1, ConfigError)
-    if not t >= 0.0:  # NaN fails too
+    if not (_is_real(t) and t >= 0.0):  # NaN fails too
         raise ConfigError(f"t must be nonnegative, got {t}")
     s = a0 + a1
     d = np.exp(-s * t)
@@ -303,7 +304,7 @@ def integrate_price(
     drift(t) * fine_dt + sigma_t * sqrt(fine_dt) * N(0,1), with sigma and
     drift read at substep left endpoints, then divided by sqrt(delta).  The
     shock stream is keyed by `seed` and independent of whatever generated
-    the sigma path.
+    the sigma path.  Non-finite increments (from the drift) raise InputError.
     """
     sigma2 = np.asarray(sigma2_path, dtype=float)
     if sigma2.ndim != 1 or sigma2.size < 1:
@@ -326,7 +327,9 @@ def integrate_price(
         )
     _check_seed(seed)
     z = next(_ring_draws(seed, [sigma2.size]))
-    return _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
+    increments = _price_block(sigma2, z, fine_dt, delta, ratio, drift, 0)
+    _require_finite("increments", increments, InputError)
+    return increments
 
 
 def _piece_sizes(n: int, subgrid_ratio: int) -> list:
@@ -383,10 +386,7 @@ class PathBundle:
         _require_integer("subgrid_ratio", self.subgrid_ratio, MIN_SUBGRID_RATIO, ConfigError)
         _check_model(self.model, self.params)
         _require_integer("seed", self.seed, 0, ConfigError)
-        increments = np.asarray(self.increments, dtype=float)
-        if increments.ndim != 1:
-            raise InputError(f"increments must be 1-D, got shape {increments.shape}")
-        _require_finite("increments", increments, InputError)
+        increments = _require_vector("increments", self.increments, InputError)
         object.__setattr__(self, "increments", increments)
 
     @property

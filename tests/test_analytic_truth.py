@@ -26,6 +26,7 @@ STD = OUParams(a=1.0, mu=0.0, b=np.sqrt(2.0))  # stationary N(0, 1)
 REGIME = RegimeSwitchParams(
     a0=1.0, a1=1.0, ou0=OUParams(4.0, -2.0, 1.0), ou1=OUParams(4.0, 2.0, 1.0)
 )
+STD_TRUTH = ou_logsq_marginal(STD)
 
 
 def _mass(truth):
@@ -289,6 +290,27 @@ def test_invariant_density_rejects_degenerate_diffusion():
     # the probe lattice is -50, -49.5, ..., 50: the first bad point is 2.0
     with pytest.raises(DomainError, match=r"positive on the interval, got -1.0 at x = 2.0"):
         invariant_density_1d(lambda x: -x, lambda x: 1.0 if x < 2.0 else -1.0, (-np.inf, np.inf), 0.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda v: OUParams(1.0, v, 1.0), ConfigError, "mu must be finite, got {!r}"),
+    (lambda v: ou_bivariate(STD, v, 2.0), DomainError, "s and t must be finite, got s={}, t=2.0"),
+    (lambda v: ou_bivariate(STD, -1.0, v), DomainError, "s and t must be finite, got s=-1.0, t={}"),
+    (lambda v: scaled_truth(STD_TRUTH, v), DomainError,
+     "scale factor must be finite and nonzero, got {}"),
+    (lambda v: markov_transition(1, 1, v), ConfigError, "t must be nonnegative, got {}"),
+], ids=["OUParams.mu", "ou_bivariate.s", "ou_bivariate.t", "scaled_truth", "markov_transition"])
+@pytest.mark.parametrize("bad", [True, np.True_, "x"])
+def test_real_scalars_refuse_booleans_and_non_numbers(build, error, message, bad):
+    # a bool once ran as 1 or 0, and a string raised numpy's or Python's TypeError
+    with pytest.raises(error) as info:
+        build(bad)
+    assert str(info.value) == message.format(bad)
+
+
+def test_markov_transition_at_infinite_time_is_stationary():
+    pi = RegimeSwitchParams(1.0, 3.0, STD, STD).stationary_probs
+    np.testing.assert_array_equal(markov_transition(1.0, 3.0, np.inf), np.column_stack([pi, pi]))
 
 
 @pytest.mark.parametrize("factor", [0.0, np.nan, np.inf])

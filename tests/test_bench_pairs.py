@@ -17,15 +17,20 @@ METRICS = {
 }
 
 
+LINES = {"parent": 2585, "change": 2584}
+
+
 def _runs(metric, parent, change):
     """One finished run per side and pair, the given values in pair order,
-    each of 12 attempted ops, none failed."""
+    each of 12 attempted ops, none failed, on src/ of LINES[side] lines."""
     runs = []
     for side, values in (("parent", parent), ("change", change)):
         for pair, value in enumerate(values):
             result = {"attempted": 12, "failed": 0,
                       "metrics": {f"mc-joint.{metric}": {"value": value}}}
-            runs.append({"side": side, "pair": pair, "returncode": 0, "result": result})
+            environment = {"mc-joint": {"src_voldeconv_lines": LINES[side]}}
+            runs.append({"side": side, "pair": pair, "returncode": 0, "result": result,
+                         "environment": environment})
     return runs
 
 
@@ -105,6 +110,17 @@ def test_a_side_with_no_finished_run_is_still_counted():
     summary = bench_pairs.summarize(runs, METRICS)
     assert "mc-joint.ops_per_s" not in summary
     assert summary["ops"]["change"] == {"runs": 2, "failed_runs": 2, "attempted": 0, "failed": 0}
+
+
+def test_src_lines_are_given_for_each_side_that_agrees_with_itself():
+    runs = _runs("ops_per_s", PARENT, PARENT)
+    assert bench_pairs.summarize(runs, METRICS)["src_lines"] == LINES
+    runs[3]["environment"]["mc-joint"]["src_voldeconv_lines"] = 2600  # a parent run disagrees
+    for run in runs[10:]:
+        run.update(returncode=1, result=None, environment={})  # no change run finished
+    assert bench_pairs.summarize(runs, METRICS)["src_lines"] == {"parent": None, "change": None}
+    runs[3].update(returncode=1, result=None)  # a failed run's count is not read
+    assert bench_pairs.summarize(runs, METRICS)["src_lines"] == {"parent": 2585, "change": None}
 
 
 def _running(pid):

@@ -48,8 +48,6 @@ def test_quadrature_rejects_complex_residual():
     skewed = KernelSpec(
         name="skewed",
         phi_w=lambda s: (1.0 - s**2) ** 3 * (1.0 + 0.5 * np.sin(3.0 * s)) * (np.abs(s) <= 1.0),
-        rho=3.0,
-        edge_coeff=8.0,
     )
     with pytest.raises(NumericalFailure) as exc:
         vh_quadrature(skewed, 1.0, np.linspace(-5.0, 5.0, 11))
@@ -78,8 +76,6 @@ def test_sup_bound_rejects_asymmetric_coefficients():
     odd = KernelSpec(
         name="odd",
         phi_w=lambda s: (1.0 - s**2) ** 3 * (1.0 + 0.1 * s) * (np.abs(s) <= 1.0),
-        rho=3.0,
-        edge_coeff=8.0,
     )
     with pytest.raises(NumericalFailure, match="conjugate symmetric") as exc:
         sup_bound(odd, 1.0)
@@ -265,7 +261,7 @@ def test_deconv_table_is_uniform_by_construction():
 
     with pytest.raises(ConfigError, match=r"at least 2 points, got shape \(1,\)"):
         table(-1.0, 1.0, np.zeros(1))
-    with pytest.raises(ConfigError, match=r"1-D values .* got shape \(1, 11\)"):
+    with pytest.raises(ConfigError, match=r"table values must be 1-D, got shape \(1, 11\)"):
         table(-1.0, 1.0, np.zeros((1, 11)))
     for lo, hi in [(1.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.inf), (-np.inf, 1.0)]:
         with pytest.raises(ConfigError, match=re.escape(f"need finite x_min < x_max, got [{lo}, {hi}]")):

@@ -341,6 +341,13 @@ def test_density_grid_axes_must_be_finite(bad):
     assert str(info.value) == "grid axis 1 must be finite, got 1 non-finite, the first at index 1"
 
 
+@pytest.mark.parametrize("axis, shape", [(np.float64(0.5), "()"), (np.zeros((2, 3)), "(2, 3)")])
+def test_density_grid_axes_must_be_1d(axis, shape):
+    with pytest.raises(ConfigError) as info:
+        DensityGrid(axes=(np.array([0.0, 1.0]), axis), values=np.ones((2, 2)))
+    assert str(info.value) == f"grid axis 1 must be 1-D, got shape {shape}"
+
+
 def test_density_grid_of_int_lists_equals_the_grid_of_arrays():
     listed = DensityGrid(axes=([0, 1, 3], [-1, 1]), values=[[1, 2], [3, 4], [5, 6]])
     arrayed = DensityGrid(axes=(np.array([0.0, 1.0, 3.0]), np.array([-1.0, 1.0])),
@@ -371,7 +378,7 @@ def test_marginalize_grid():
 def test_non_finite_increments_rejected_early():
     inc = np.linspace(-1.0, 1.0, 50)
     inc[[7, 20, 33]] = [np.nan, np.inf, -np.inf]
-    with pytest.raises(InputError, match="log-squared increments must be finite, got 3 "
+    with pytest.raises(InputError, match="log_sq must be finite, got 3 "
                                          "non-finite, the first at index 7"):
         ObservationSet.from_increments(inc, 0.1, (0.5,))
 
@@ -474,6 +481,13 @@ def test_observation_errors_name_the_value():
         with pytest.raises(error) as info:
             build()
         assert str(info.value) == message
+
+
+def test_log_sq_is_stored_as_a_float_array():
+    obs = ObservationSet(delta=0.1, log_sq=[0, 1, 2, 3], times=(0.1,))
+    assert isinstance(obs.log_sq, np.ndarray) and obs.log_sq.dtype == np.float64
+    np.testing.assert_array_equal(obs.log_sq, [0.0, 1.0, 2.0, 3.0])
+    assert (obs.n, obs.p, obs.m) == (4, 1, 4)
 
 
 def test_two_dimensional_log_sq_refused_up_front():

@@ -174,6 +174,19 @@ def test_integrate_price_ratio_guards():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_drift_is_refused(bad):
+    # inf * t is NaN at t = 0 and inf after, so every increment is non-finite;
+    # simulate_bundle refuses the same increments, through PathBundle
+    message = "increments must be finite, got 10 non-finite, the first at index 0"
+    with np.errstate(invalid="ignore"), pytest.raises(InputError) as info:
+        integrate_price(np.ones(100), 0.1, 1.0, drift=lambda t: bad * t)
+    assert str(info.value) == message
+    with np.errstate(invalid="ignore"), pytest.raises(InputError) as info:
+        simulate_bundle("ou", OU, 10, 0.1, seed=1, drift=lambda t: bad * t)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_variance_is_refused(bad):
     # NaN passes a bare `sigma2 <= 0` test and would give NaN increments
     sigma2 = np.array([1.0, bad] * 10)

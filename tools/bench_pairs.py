@@ -23,7 +23,9 @@ The summary's "ops" entry gives, for each side, how many runs were made and
 how many failed (a non-zero exit, no result line, or RUN_TIMEOUT_S reached),
 and the attempted and failed ops over the runs that gave a result, since a
 failed run gives no metric values and so drops out of the per-metric
-entries.  A run that reaches RUN_TIMEOUT_S is killed with every process it
+entries.  Its "src_lines" entry gives each side's src/voldeconv line count,
+as perfbench/run.py reports it on every environment line, or null for a
+side with no finished run or whose runs report different counts.  A run that reaches RUN_TIMEOUT_S is killed with every process it
 started, and the pairs go on.  --seed s runs every workload at seed s
 (`run.py --seed s`), to check a claim at a seed other than each workload's
 gate seed.
@@ -135,6 +137,15 @@ def quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def src_lines(runs: list, side: str):
+    """The src/voldeconv line count every finished run of the side reports,
+    or None if there is no such run or they disagree."""
+    counts = {env.get("src_voldeconv_lines")
+              for run in runs if run["side"] == side and run["result"]
+              for env in run["environment"].values()}
+    return counts.pop() if len(counts) == 1 else None
+
+
 def summarize(runs: list, metrics: dict) -> dict:
     def values(side):
         out = {}  # metric -> {pair: value}, from the runs that finished
@@ -162,6 +173,7 @@ def summarize(runs: list, metrics: dict) -> dict:
                          within_bound=-gain <= spec["bound"] * abs(base["median"]))
         summary[key] = entry
     summary["ops"] = {side: tally(runs, side) for side in ("parent", "change")}
+    summary["src_lines"] = {side: src_lines(runs, side) for side in ("parent", "change")}
     return summary
 
 
