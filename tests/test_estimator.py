@@ -378,8 +378,7 @@ def test_marginalize_grid():
 def test_non_finite_increments_rejected_early():
     inc = np.linspace(-1.0, 1.0, 50)
     inc[[7, 20, 33]] = [np.nan, np.inf, -np.inf]
-    with pytest.raises(InputError, match="log_sq must be finite, got 3 "
-                                         "non-finite, the first at index 7"):
+    with pytest.raises(InputError, match="log_sq must be finite, got 3 non-finite, the first at index 7"):
         ObservationSet.from_increments(inc, 0.1, (0.5,))
 
 

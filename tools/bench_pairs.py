@@ -23,10 +23,11 @@ The summary's "ops" entry gives, for each side, how many runs were made and
 how many failed (a non-zero exit, no result line, or RUN_TIMEOUT_S reached),
 and the attempted and failed ops over the runs that gave a result, since a
 failed run gives no metric values and so drops out of the per-metric
-entries.  Its "src_lines" entry gives each side's src/voldeconv line count,
+entries.  The "src_lines" entry gives each side's src/voldeconv line count,
 as perfbench/run.py reports it on every environment line, or null for a
-side with no finished run or whose runs report different counts.  A run that reaches RUN_TIMEOUT_S is killed with every process it
-started, and the pairs go on.  --seed s runs every workload at seed s
+side with no finished run or whose runs report different counts.  A run
+that reaches RUN_TIMEOUT_S is killed with every process it started, and
+the pairs go on.  --seed s runs every workload at seed s
 (`run.py --seed s`), to check a claim at a seed other than each workload's
 gate seed.
 """
