@@ -82,9 +82,7 @@ def vh_quadrature(spec: KernelSpec, h: float, x):
     v_h(x) = (1/pi) * sum_{s_k > 0} [Re c_k cos(s_k x) + Im c_k sin(s_k x)]
     folds the full 512-node sum (1/2pi) * sum_k c_k exp(-i s_k x) onto s > 0;
     the two agree to 1e-14 of max |v_h| for |x| <= 290 (measured: 2.6e-15).
-    Through fourier_sum, a point's last bits depend on the rest of the batch
-    x; that is why estimator._lag_groups keeps alone an axis whose points can
-    leave a table's lattice, as regrouping it would change its batches.
+    Through fourier_sum, a point's last bits depend on the rest of the batch x.
 
     Raises RangeError if 1/h exceeds the noise model's evaluation window and
     NumericalFailure if the coefficients are not conjugate symmetric.

@@ -46,8 +46,15 @@ def _require_integer(name: str, value, least: int, error: type) -> None:
 
 
 def _is_real(value) -> bool:
-    """Whether value is a real number, bools excluded."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a real number a float can hold, bools excluded: an int
+    such as 10**400 is not, as float() of it overflows."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _require_finite_positive(name: str, value, error: type) -> None:
@@ -66,9 +73,11 @@ def _require_finite(name: str, values, error: type) -> None:
 
 
 def _require_vector(name: str, values, error: type) -> np.ndarray:
-    """values as a float array, refused unless 1-D and all finite."""
+    """values as a float array, refused unless 1-D, non-empty and all finite."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
         raise error(f"{name} must be 1-D, got shape {values.shape}")
+    if values.size == 0:
+        raise error(f"{name} must be non-empty")
     _require_finite(name, values, error)
     return values

@@ -28,9 +28,8 @@ S_l give
 
 the same linear pieces eval_table evaluates, summed in closed form.  Only the
 W ~ (max Y - min Y)/(h dt) + 3 intervals the data can reach are visited, so
-the cost is O(m log m + G W log m) against the sweep's O(G m).  Data off the
-lattice span form a prefix and a suffix of the sorted values and go through
-eval_table, which integrates them exactly.
+the cost is O(m log m + G W log m) against the sweep's O(G m).  Data whose
+arguments (x - Y)/h can leave the lattice are refused before any lookup.
 """
 from __future__ import annotations
 
@@ -259,13 +258,14 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     """Evaluate the deconvolution estimator on a tensor grid.
 
     Axis k is the grid for target time k, and the result's axis k is the
-    same.  The bandwidth is the table's.  Each axis must be 1-D and finite.
+    same.  The bandwidth is the table's.  Each axis must be 1-D, non-empty
+    and finite, and every argument (x - Y)/h must stay on the table's
+    lattice, or an InputError names the data's range and the table's span.
 
     For p >= 2, the blocks' lookup matrices are made two ahead on two
     workers by _in_order, and this thread adds their products in block
-    order, so the bits are the serial sweep's.  With one block, or arguments
-    that can leave the table's lattice (no worker may reach the direct
-    quadrature), the sweep runs on this thread alone.
+    order, so the bits are the serial sweep's.  With one block the sweep
+    runs on this thread alone.
     """
     p = obs.p
     axes = [_require_vector(f"grid axis {k}", a, ConfigError) for k, a in enumerate(axes)]
@@ -274,17 +274,28 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     if p > 3:
         raise ConfigError(f"p > 3 is not supported, got p = {p}")
 
-    h = table.bandwidth
+    h, t = table.bandwidth, table.grid_x
     m = obs.m
 
     # coordinate k of vector j is log_sq[j + lag_k], lag_k = offset_k - offset_0
     log_sq = obs.log_sq
+    # every argument on the lattice, both as the sweep's (x - y)/h and against
+    # the interval sums' breakpoints x - h t; rounding is monotone, so the
+    # extremes bound every point
+    y_lo, y_hi = log_sq.min(), log_sq.max()
+    for k, x in enumerate(axes):
+        a_lo, a_hi = (x.min() - y_hi) / h, (x.max() - y_lo) / h
+        if not (t[0] <= a_lo and a_hi <= t[-1]
+                and x.max() - h * t[-1] <= y_lo and y_hi <= x.min() - h * t[0]):
+            raise InputError(f"observations in [{y_lo:.4g}, {y_hi:.4g}] take grid axis {k}'s "
+                             f"arguments to [{a_lo:.4g}, {a_hi:.4g}], off the table span "
+                             f"[{t[0]:.4g}, {t[-1]:.4g}]")
     if p == 1:
         acc = _interval_sums(log_sq[:m], axes[0], table)
         return DensityGrid(axes=tuple(axes), values=acc / (m * h))
 
     lags = [off - obs.index_offsets[0] for off in obs.index_offsets]
-    groups, on_lattice = _lag_groups(axes, lags, log_sq, table)
+    groups = _lag_groups(axes, lags)
 
     def block(lo, lookup=eval_table):
         # the factor matrices of observations lo .. lo + w - 1
@@ -305,7 +316,7 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     starts = range(0, m, _JCHUNK)
     with contextlib.ExitStack() as stack:
         blocks = map(block, starts)
-        if len(starts) > 1 and on_lattice:
+        if len(starts) > 1:
             table.slope  # cached here, so that the workers do not race to fill it
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=2))
             blocks = _in_order(pool, partial(block, lookup=_untraced_eval_table), starts, 2)
@@ -317,28 +328,21 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     return DensityGrid(axes=tuple(axes), values=acc / (m * h**p))
 
 
-def _lag_groups(axes, lags, log_sq, table):
-    """(groups, on_lattice): axis indices grouped to share one lookup
-    matrix per block, bit-equal axes at distinct lags less than _JCHUNK
-    apart; and whether every axis's arguments (x - Y)/h, bounded by the
-    extreme ones, stay on the lattice.  A repeated lag stays alone (numpy
-    would send the product S S^T of one slice S to BLAS syrk, 6.9e-18 off
-    gemm), as does an axis whose arguments can leave the lattice (quadrature
-    bits vary by batch).
+def _lag_groups(axes, lags):
+    """Axis indices grouped to share one lookup matrix per block: bit-equal
+    axes at distinct lags less than _JCHUNK apart.  A repeated lag stays
+    alone: numpy would send the product S S^T of one slice S to BLAS syrk,
+    6.9e-18 off gemm.
     """
-    h, t = table.bandwidth, table.grid_x
-    groups, all_on = [], True
+    groups = []
     for k, x in enumerate(axes):
-        on_lattice = x.size == 0 or (
-            (x.min() - log_sq.max()) / h >= t[0] and (x.max() - log_sq.min()) / h <= t[-1])
-        all_on = all_on and on_lattice
-        for g in groups if on_lattice else ():
+        for g in groups:
             if lags[g[-1]] < lags[k] < lags[g[0]] + _JCHUNK and np.array_equal(axes[g[0]], x):
                 g.append(k)
                 break
         else:
             groups.append([k])
-    return groups, all_on
+    return groups
 
 
 def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarray:
@@ -364,11 +368,6 @@ def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarr
     csum = np.concatenate(([0.0], np.cumsum(ys, dtype=np.longdouble)))
     m = ys.size
 
-    # on-span data for x_g: sorted indices lo[g] <= j < hi[g], where
-    # t_0 <= (x_g - y_j)/h <= t_{L-1}; the rest is a prefix and a suffix
-    lo = np.searchsorted(ys, x - h * t[-1], side="left")
-    hi = np.searchsorted(ys, x - h * t[0], side="right")
-
     # window of intervals the data can reach, one interval of slack per side
     width = min(int(np.ceil((ys[-1] - ys[0]) / (h * dt))) + 3, n_knots - 1)
     first = np.floor(((x - ys[-1]) / h - t[0]) / dt) - 1
@@ -382,12 +381,10 @@ def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarr
         xg = x[g, None]
         knot = np.minimum(first[g, None] + steps, n_knots - 1)
         # breakpoints x - h t_l fall as l rises; interval k holds the sorted
-        # run pos[k+1] <= j < pos[k], clipped to the on-span run so each
-        # on-span value is counted exactly once
+        # run pos[k+1] <= j < pos[k]; the end intervals take the values beyond
         pos = np.searchsorted(ys, xg - h * t[knot], side="right")
-        pos = np.clip(pos, lo[g, None], hi[g, None])
-        pos[:, 0] = hi[g]
-        pos[:, -1] = lo[g]
+        pos[:, 0] = m
+        pos[:, -1] = 0
         count = pos[:, :-1] - pos[:, 1:]
         total = (csum[pos[:, :-1]] - csum[pos[:, 1:]]).astype(float)
         base = knot[:, :-1]
@@ -395,9 +392,4 @@ def _interval_sums(y: np.ndarray, x: np.ndarray, table: DeconvTable) -> np.ndarr
         grad = slope[np.minimum(base, n_knots - 2)]
         terms = count * v[base] + grad * (count * (xg / h - t[base]) - total / h)
         out[g] = terms.sum(axis=1)
-
-    # off-span data: the exact slow path, one eval_table call per grid point
-    for gi in np.flatnonzero((lo > 0) | (hi < m)):
-        off = np.concatenate((ys[: lo[gi]], ys[hi[gi] :]))
-        out[gi] += eval_table(table, (x[gi] - off) / h).sum()
     return out

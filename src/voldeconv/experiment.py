@@ -390,8 +390,8 @@ def table_for_axes(kernel_name: str, h: float, axes):
     """Deconvolution table wide enough for every kernel argument (x - Y)/h.
 
     log-squared observations live in [2 log(1e-12), ~30] by the clamp rule,
-    so the argument range is known up front; stray points beyond it fall
-    back to the exact slow path automatically.
+    so the argument range is known up front; estimate_density refuses data
+    beyond it with an InputError.
     """
     spec = builtin_kernel(kernel_name)
     ax_lo = min(float(a[0]) for a in axes)

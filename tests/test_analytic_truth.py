@@ -308,6 +308,27 @@ def test_real_scalars_refuse_booleans_and_non_numbers(build, error, message, bad
     assert str(info.value) == message.format(bad)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda v: OUParams(v, 0.0, 1.0), ConfigError, "a must be finite and positive, got {}"),
+    (lambda v: OUParams(1.0, v, 1.0), ConfigError, "mu must be finite, got {}"),
+    (lambda v: OUParams(1.0, 0.0, v), ConfigError, "b must be finite and positive, got {}"),
+    (lambda v: ou_bivariate(STD, v, 2.0), DomainError, "s and t must be finite, got s={}, t=2.0"),
+    (lambda v: scaled_truth(STD_TRUTH, v), DomainError,
+     "scale factor must be finite and nonzero, got {}"),
+    (lambda v: markov_transition(v, 1, 1), ConfigError, "a0 must be finite and positive, got {}"),
+    (lambda v: markov_transition(1, 1, v), ConfigError, "t must be nonnegative, got {}"),
+], ids=["OUParams.a", "OUParams.mu", "OUParams.b", "ou_bivariate.s", "scaled_truth",
+        "markov_transition.a0", "markov_transition.t"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ints_beyond_the_float_range_refused_by_name(build, error, message, sign):
+    # float() of such an int overflows: it once escaped as OverflowError or
+    # numpy's TypeError
+    big = sign * 10**400
+    with pytest.raises(error) as info:
+        build(big)
+    assert str(info.value) == message.format(big)
+
+
 def test_markov_transition_at_infinite_time_is_stationary():
     pi = RegimeSwitchParams(1.0, 3.0, STD, STD).stationary_probs
     np.testing.assert_array_equal(markov_transition(1.0, 3.0, np.inf), np.column_stack([pi, pi]))

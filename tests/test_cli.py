@@ -242,6 +242,23 @@ def test_non_finite_input_line_is_reported(tmp_path, capsys, text):
     assert err == f"error: {inc_file}, line 3: not a finite number: {text!r}\n"
 
 
+def test_estimate_refuses_increments_off_the_table(tmp_path, capsys):
+    # log(1e9^2) = 41.4 lies past the log sigma^2 ceiling of 30 the CLI's
+    # table is sized for, so the estimate is refused and nothing is written
+    inc_file = tmp_path / "inc.txt"
+    inc_file.write_text("0.1\n-0.2\n1e9\n0.3\n" * 50)
+    out = tmp_path / "est.csv"
+    assert main([
+        "estimate", "--input", str(inc_file), "--delta", "0.02", "--times", "1.0",
+        "--gamma", "9.0", "--grid=-5:5:11", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        "error: observations in [-4.605, 41.45] take grid axis 0's arguments to "
+        "[-8.704, 1.8], off the table span [-8.559, 13.29]\n"
+    )
+    assert not out.exists()
+
+
 def test_text_files_with_a_byte_order_mark_read_as_without(tmp_path):
     # editors on Windows often start UTF-8 files with one
     config = ("model = ou\na = 2.0\nmu = 0.0\nb = 2.0\nn_schedule = 400\ndelta_exp = 0.5\n"

@@ -26,11 +26,11 @@ from voldeconv import (
     marginalize,
     normalized_increments,
     simulate_bundle,
-    vh_quadrature,
 )
 from voldeconv import deconv_kernel, estimator
 from voldeconv.errors import ConfigError, InputError, RangeError, _require_finite
 from voldeconv.estimator import _JCHUNK, DensityGrid
+from voldeconv.experiment import table_for_axes
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
 SPEC = builtin_kernel("poly3")
@@ -224,16 +224,13 @@ def test_duplication_leaves_estimate_unchanged():
 
 
 def _interp_sweep(obs, table, axes):
-    """The p >= 2 estimate with np.interp as the on-lattice lookup, in the
-    estimator's block and summation order."""
+    """The p >= 2 estimate with np.interp as the lookup, in the estimator's
+    block and summation order; every argument must be on the lattice."""
     h = table.bandwidth
-    t = table.grid_x
 
     def lookup(x):
-        out = np.interp(x, t, table.values)
-        off = (x < t[0]) | (x > t[-1])
-        out[off] = vh_quadrature(table.kernel, h, x[off])
-        return out
+        assert _on_lattice(table, x)
+        return np.interp(x, table.grid_x, table.values)
 
     ymat = _observation_matrix(obs)
     axes = [np.asarray(a, dtype=float) for a in axes]
@@ -247,24 +244,26 @@ def _interp_sweep(obs, table, axes):
 
 @pytest.mark.parametrize("times", [(1.0, 1.25), (0.5, 1.0, 1.25)])
 def test_sweep_matches_interp_reference(times):
-    # m spans two observation blocks; the narrow table sends the far grid
-    # points' arguments off the lattice onto the quadrature
+    # m spans two observation blocks; the narrow table does not cover the
+    # far grid points' arguments, so it is refused
     bundle = simulate_bundle("ou", OUParams(a=2.0, mu=0.0, b=2.0), _JCHUNK + 700, 0.05, seed=3)
     obs = ObservationSet.from_increments(bundle.increments, bundle.delta, times)
     assert obs.m > _JCHUNK
     # a different grid per axis, so that a mixed-up axis shows
     shifts = (0, 1) if len(times) == 2 else (1, 2, 0)
     axes = [np.linspace(-9.0 + k, 4.0 + k, 9 + 2 * k) for k in shifts]
-    for kind in ("wide", "narrow"):
-        est = estimate_density(obs, _table(kind), axes)
-        np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
+    est = estimate_density(obs, _table("wide"), axes)
+    np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table("wide"), axes))
+    assert not _covered(_table("narrow"), obs, axes)
+    with pytest.raises(InputError, match="off the table span"):
+        estimate_density(obs, _table("narrow"), axes)
 
 
 def test_grid_mass_near_one():
     bundle = simulate_bundle("ou", OUParams(a=2.0, mu=0.0, b=2.0), 10_000, 10_000**-0.5, seed=5)
     obs = ObservationSet.from_increments(bundle.increments, bundle.delta, (1.0,))
-    tbl = build_table(SPEC, 0.8, -40.0, 40.0, 4097)
-    est = estimate_density(obs, tbl, (np.linspace(-16.0, 16.0, 321),))
+    axes = (np.linspace(-16.0, 16.0, 321),)
+    est = estimate_density(obs, table_for_axes("poly3", 0.8, axes), axes)
     assert abs(est.mass() - 1.0) < 0.02  # measured 0.99991
 
 
@@ -399,11 +398,27 @@ _FLOOR = 2.0 * np.log(1e-12)  # log_square_transform's clamp floor
 
 @functools.lru_cache(maxsize=None)
 def _table(kind):
-    # wide: every argument (x - y)/h below stays on the lattice; narrow:
-    # most fall off it and take the exact quadrature fallback
+    # wide: the arguments (x - y)/h of the tests' data stay on the lattice;
+    # narrow: most fall off it, and the estimator refuses them
     if kind == "wide":
         return build_table(SPEC, _H, -150.0, 150.0, 6001)
     return build_table(SPEC, _H, -8.0, 8.0, 321)
+
+
+def _on_lattice(table, args) -> bool:
+    return bool(np.all((table.grid_x[0] <= args) & (args <= table.grid_x[-1])))
+
+
+def _covered(table, obs, axes) -> bool:
+    """Whether estimate_density takes these data, tested point by point:
+    for every log_sq value y and every grid point x, (x - y)/h on the
+    lattice, and y between the breakpoints x - h t_{L-1} and x - h t_0."""
+    h, t, y = table.bandwidth, table.grid_x, obs.log_sq[None, :]
+    return all(
+        _on_lattice(table, (x[:, None] - y) / h)
+        and np.all(x[:, None] - h * t[-1] <= y) and np.all(y <= x[:, None] - h * t[0])
+        for x in map(np.asarray, axes)
+    )
 
 
 @st.composite
@@ -412,31 +427,43 @@ def _p1_cases(draw):
     m = draw(st.integers(1, 2000 if kind == "wide" else 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     y = rng.normal(draw(st.floats(-10.0, 10.0)), draw(st.floats(0.01, 8.0)), m)
-    lo = draw(st.floats(-70.0, 0.0))
-    x = np.linspace(lo, lo + draw(st.floats(0.0, 110.0)), draw(st.integers(1, 20)))
     tbl = _table(kind)
+    knots = tbl.grid_x
+    if kind == "wide":
+        # grids the wide lattice covers, from the clamp floor up to y ~ 50:
+        # |x - y| <= 105 = h t_{L-1}
+        lo = draw(st.floats(-50.0, 0.0))
+        x = np.linspace(lo, lo + draw(st.floats(0.0, min(50.0, 45.0 - lo))),
+                        draw(st.integers(1, 20)))
+        knots = knots[np.abs(knots) <= 60.0]
+    else:
+        lo = draw(st.floats(-70.0, 0.0))
+        x = np.linspace(lo, lo + draw(st.floats(0.0, 110.0)), draw(st.integers(1, 20)))
     # duplicated values, values on the clamp floor, and values whose
     # argument for some grid point is exactly a table knot
     pick = rng.integers(0, 4, m)
     y[pick == 1] = rng.choice(y, int(np.sum(pick == 1)))
     y[pick == 2] = _FLOOR
     on_knot = np.flatnonzero(pick == 3)
-    y[on_knot] = rng.choice(x, on_knot.size) - _H * rng.choice(tbl.grid_x, on_knot.size)
+    y[on_knot] = rng.choice(x, on_knot.size) - _H * rng.choice(knots, on_knot.size)
     return tbl, y, x
 
 
 @settings(max_examples=60, deadline=None)
 @given(_p1_cases())
-# grid wholly in v_h's far tail: the estimate is ~6e-8, while the
-# reference's own quadrature rounding is ~1e-18 and depends on batch shape
+# grid wholly in v_h's far tail, off the narrow lattice
 @example((_table("narrow"), np.array([0.79925574]), np.array([-53.0, -53.0])))
 def test_p1_interval_sums_match_direct_sum(case):
     tbl, y, x = case
     obs = _obs_from_values(y, 0.1, (0.1,))
+    if not _covered(tbl, obs, (x,)):
+        with pytest.raises(InputError, match="off the table span"):
+            estimate_density(obs, tbl, (x,))
+        return
     est = estimate_density(obs, tbl, (x,)).values
     ref = eval_table(tbl, (x[:, None] - y[None, :]) / _H).sum(axis=1) / (y.size * _H)
     # relative to the larger of the estimate and its uniform bound
-    # sup|v_h| / h, below which quadrature rounding sets the floor
+    # sup|v_h| / h, below which rounding sets the floor
     scale = max(np.max(np.abs(ref)), tbl.sup_bound / _H)
     assert np.max(np.abs(est - ref)) <= 1e-12 * scale
 
@@ -572,7 +599,7 @@ def _lag_cases(draw):
     times = [(int(o) + 0.2 * (k + 1)) * _DELTA for k, o in enumerate(offsets)]
     m = draw(st.sampled_from([1, _JCHUNK - 1, _JCHUNK, 2 * _JCHUNK]) | st.integers(1, 2 * _JCHUNK + 99))
     grids = draw(st.lists(
-        st.tuples(st.floats(-70.0, 10.0), st.floats(0.0, 60.0), st.integers(0, 6)),
+        st.tuples(st.floats(-70.0, 10.0), st.floats(0.0, 60.0), st.integers(1, 6)),
         min_size=2, max_size=2,
     ))
     return (
@@ -601,6 +628,10 @@ def test_lag_shared_lookups_match_interp_reference(case):
     obs = ObservationSet.from_increments(inc, _DELTA, times)
     grid = [np.linspace(lo, lo + width, size) for lo, width, size in grids]
     axes = [grid[pick] for pick in picks]
+    if not _covered(_table(kind), obs, axes):
+        with pytest.raises(InputError, match="off the table span"):
+            estimate_density(obs, _table(kind), axes)
+        return
     est = estimate_density(obs, _table(kind), axes)
     np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
 
@@ -622,16 +653,20 @@ def test_grid_and_estimate_errors_name_the_value():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("a lookup ran before the grid axes were checked")
+    raise AssertionError("a lookup ran before the inputs were checked")
+
+
+def _refuse_lookups(monkeypatch):
+    for owner, name in [(estimator, "eval_table"), (estimator, "_untraced_eval_table"),
+                        (estimator, "_interval_sums"), (deconv_kernel, "vh_quadrature")]:
+        monkeypatch.setattr(owner, name, _refuse)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_non_finite_grid_axes_refused_before_any_lookup(monkeypatch, p, bad):
     table = _table("wide")
-    for owner, name in [(estimator, "eval_table"), (estimator, "_untraced_eval_table"),
-                        (estimator, "_interval_sums"), (deconv_kernel, "vh_quadrature")]:
-        monkeypatch.setattr(owner, name, _refuse)
+    _refuse_lookups(monkeypatch)
     obs = _obs_from_values(np.zeros(3 * _JCHUNK), 0.1, (0.1, 0.2, 0.3)[:p])
     axes = [np.linspace(-1.0, 1.0, 7) for _ in range(p)]
     axes[-1][[3, 5]] = bad
@@ -647,6 +682,88 @@ def test_two_dimensional_grid_axis_refused(monkeypatch):
     obs = _obs_from_values(np.zeros(50), 0.1, (0.1,))
     with pytest.raises(ConfigError, match=r"grid axis 0 must be 1-D, got shape \(2, 3\)"):
         estimate_density(obs, _table("wide"), [np.zeros((2, 3))])
+
+
+def test_empty_grid_axis_and_log_sq_refused(monkeypatch):
+    _refuse_lookups(monkeypatch)
+    obs = _obs_from_values(np.zeros(50), 0.1, (0.1,))
+    with pytest.raises(ConfigError) as info:
+        estimate_density(obs, _table("wide"), [[]])
+    assert str(info.value) == "grid axis 0 must be non-empty"
+    with pytest.raises(ConfigError) as info:
+        DensityGrid(axes=(np.arange(2.0), []), values=np.zeros((2, 0)))
+    assert str(info.value) == "grid axis 1 must be non-empty"
+    with pytest.raises(InputError) as info:
+        ObservationSet(delta=0.1, log_sq=[], times=(0.1,))
+    assert str(info.value) == "log_sq must be non-empty"
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_off_lattice_data_refused_before_any_lookup(monkeypatch, p):
+    _refuse_lookups(monkeypatch)
+    log_sq = np.zeros(3 * _JCHUNK)
+    log_sq[100] = 200.0
+    obs = _obs_from_values(log_sq, 0.1, (0.1, 0.2, 0.3)[:p])
+    axes = [np.linspace(-1.0, 1.0, 7) for _ in range(p)]
+    threads = threading.active_count()
+    with pytest.raises(InputError) as info:
+        estimate_density(obs, _table("wide"), axes)
+    assert str(info.value) == ("observations in [0, 200] take grid axis 0's arguments to "
+                               "[-287.1, 1.429], off the table span [-150, 150]")
+    assert threading.active_count() == threads
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_table():
+    # h and the lattice ends are exact in binary, so an argument can land
+    # exactly on t_0 or t_{L-1} in both rounding forms
+    return build_table(SPEC, 0.5, -40.0, 40.0, 1601)
+
+
+@pytest.mark.parametrize("end", [0, -1])
+@pytest.mark.parametrize("p", [1, 2])
+def test_lattice_ends_taken_and_one_ulp_past_refused(p, end):
+    table = _exact_table()
+    h, t = table.bandwidth, table.grid_x
+    x = np.array([-1.0, 0.0, 1.5])
+    # the value whose argument from the grid's far end is the lattice end
+    far = x[0] if end == 0 else x[-1]
+    edge = far - h * t[end]
+    assert (far - edge) / h == t[end]
+    y = np.array([0.3, edge, -0.4, 1.1, 0.2])
+    obs = _obs_from_values(y, 0.1, (0.1, 0.2)[:p])
+    est = estimate_density(obs, table, [x] * p).values
+    factors = [eval_table(table, (x[:, None] - col) / h) for col in _observation_matrix(obs).T]
+    ref = factors[0].sum(axis=1) if p == 1 else factors[0] @ factors[1].T
+    ref /= obs.m * h**p
+    scale = max(np.max(np.abs(ref)), (table.sup_bound / h) ** p)
+    assert np.max(np.abs(est - ref)) <= 1e-12 * scale
+    y[1] = np.nextafter(edge, np.inf if end == 0 else -np.inf)
+    with pytest.raises(InputError, match="off the table span"):
+        estimate_density(_obs_from_values(y, 0.1, (0.1, 0.2)[:p]), table, [x] * p)
+
+
+def test_each_rounding_form_of_the_coverage_check_refuses():
+    # at h = 0.7 the quotient (x - y)/h and the breakpoint x - h t round
+    # differently near the lattice ends: a value that one form takes and the
+    # other does not is refused, whichever form it fails
+    table = build_table(SPEC, _H, -40.0, 40.0, 321)
+    h, t0, t1 = table.bandwidth, table.grid_x[0], table.grid_x[-1]
+    failed = set()
+    for x in np.linspace(-10.0, 10.0, 201):
+        for t in (t0, t1):
+            y = x - h * t
+            for _ in range(3):
+                y = np.nextafter(y, -np.inf)
+            for _ in range(7):
+                quotient = bool(t0 <= (x - y) / h <= t1)
+                breakpoint = bool(x - h * t1 <= y <= x - h * t0)
+                if quotient != breakpoint:
+                    failed.add(("breakpoint" if quotient else "quotient", t))
+                    with pytest.raises(InputError, match="off the table span"):
+                        estimate_density(_obs_from_values([y], 0.1, (0.1,)), table, [[x]])
+                y = np.nextafter(y, np.inf)
+    assert failed == {(form, t) for form in ("quotient", "breakpoint") for t in (t0, t1)}
 
 
 def _sweep_case(p, blocks, seed):
@@ -683,13 +800,17 @@ def _worker_lookups(monkeypatch):
 def test_threaded_sweep_matches_interp_reference(monkeypatch, p, blocks, kind):
     idents = _worker_lookups(monkeypatch)
     obs, axes = _sweep_case(p, blocks, seed=10 * p + blocks)
+    if kind == "narrow":
+        # arguments off the lattice: refused before any lookup
+        with pytest.raises(InputError, match="off the table span"):
+            estimate_density(obs, _table(kind), axes)
+        assert idents == []
+        return
     est = estimate_density(obs, _table(kind), axes)
     np.testing.assert_array_equal(est.values, _interp_sweep(obs, _table(kind), axes))
-    # the workers run with two or more blocks on the wide table's lattice,
-    # one lookup per block and shared group; the narrow table sends
-    # arguments off it, so its sweep runs inline
-    threaded = blocks > 1 and kind == "wide"
-    assert len(idents) == (blocks * (p - 1) if threaded else 0)
+    # the workers run with two or more blocks, one lookup per block and
+    # shared group
+    assert len(idents) == (blocks * (p - 1) if blocks > 1 else 0)
     assert threading.get_ident() not in idents
 
 
@@ -736,6 +857,9 @@ def test_failed_block_lookup_surfaces_and_stops_the_workers(monkeypatch):
 
 
 def test_traced_lookups_and_quadrature_stay_on_the_calling_thread(monkeypatch):
+    # the traced eval_table runs on the calling thread only (one-block
+    # sweeps), the p = 1 interval sums make no lookup, and the direct
+    # quadrature never runs
     calls = {"eval_table": [], "vh_quadrature": []}
     for owner, name in [(estimator, "eval_table"), (deconv_kernel, "vh_quadrature")]:
         real = getattr(owner, name)
@@ -746,12 +870,15 @@ def test_traced_lookups_and_quadrature_stay_on_the_calling_thread(monkeypatch):
 
         monkeypatch.setattr(owner, name, record)
     idents = _worker_lookups(monkeypatch)
-    for p, blocks in [(2, 7), (3, 4)]:
+    for p, blocks in [(2, 7), (3, 4), (2, 1), (3, 1)]:
         obs, axes = _sweep_case(p, blocks, seed=p)
-        for kind in ("wide", "narrow"):
-            estimate_density(obs, _table(kind), axes)
-        estimate_density(ObservationSet(delta=_DELTA, log_sq=obs.log_sq, times=(0.1,)),
-                         _table("narrow"), axes[:1])
+        estimate_density(obs, _table("wide"), axes)
+        with pytest.raises(InputError, match="off the table span"):
+            estimate_density(obs, _table("narrow"), axes)
+    traced = len(calls["eval_table"])
+    estimate_density(ObservationSet(delta=_DELTA, log_sq=obs.log_sq, times=(0.1,)),
+                     _table("wide"), axes[:1])
+    assert len(calls["eval_table"]) == traced
     assert any(i != threading.get_ident() for i in idents)  # the workers did run
-    assert calls["eval_table"] and calls["vh_quadrature"]
-    assert set(calls["eval_table"] + calls["vh_quadrature"]) == {threading.get_ident()}
+    assert calls["eval_table"] and calls["vh_quadrature"] == []
+    assert set(calls["eval_table"]) == {threading.get_ident()}
