@@ -756,10 +756,10 @@ def test_each_rounding_form_of_the_coverage_check_refuses():
             for _ in range(3):
                 y = np.nextafter(y, -np.inf)
             for _ in range(7):
-                quotient = bool(t0 <= (x - y) / h <= t1)
-                breakpoint = bool(x - h * t1 <= y <= x - h * t0)
-                if quotient != breakpoint:
-                    failed.add(("breakpoint" if quotient else "quotient", t))
+                by_quotient = bool(t0 <= (x - y) / h <= t1)
+                by_breakpoint = bool(x - h * t1 <= y <= x - h * t0)
+                if by_quotient != by_breakpoint:
+                    failed.add(("breakpoint" if by_quotient else "quotient", t))
                     with pytest.raises(InputError, match="off the table span"):
                         estimate_density(_obs_from_values([y], 0.1, (0.1,)), table, [[x]])
                 y = np.nextafter(y, np.inf)
