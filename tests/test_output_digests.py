@@ -53,7 +53,7 @@ def test_digest_lines_have_the_format_and_unique_names(tool_lines):
     assert {"cli/kernel-table-w.csv", "cli/kernel-table-vh-h0.8.csv", "cli/simulate-n2000.txt",
             "cli/simulate-n2000.txt.meta.json", "cli/estimate.csv", "cli/estimate-p2.csv",
             "cli/estimate-override.csv", "cli/truth-p2.csv", "cli/truth-regime-p1.csv",
-            "cli/truth-regime-p2.csv"} <= set(names)
+            "cli/truth-regime-p2.csv", "cli/truth-regime-p2-blocks.csv"} <= set(names)
     assert not any(name.endswith("timings.csv") for name in names)
 
 

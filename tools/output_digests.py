@@ -32,7 +32,8 @@ under OPENBLAS_NUM_THREADS=1.  The artifacts:
                          and at p = 1 with gamma = 2 under a --bandwidth
                          override (a schedule warning on stderr), OU
                          truth at p = 2, and regime truth at p = 1 and
-                         p = 2;
+                         p = 2, the last also on a 201 x 201 grid that
+                         grid_values evaluates in several blocks;
   ou-n500-warn/<file>    emit_report of an n = 500 OU config with gamma = 2
                          <= 4p/delta_exp = 8, so that config.echo carries a
                          schedule `# warning:` line.
@@ -143,6 +144,8 @@ def cli_digests(tmp: str) -> list:
          "--grid=-8:8:65", "--out", str(out / "truth-regime-p1.csv")],
         ["truth", "--model", "regime", "--params", str(regime), "--times", "1.0,1.05",
          "--grid=-8:8:33,-7:7:29", "--out", str(out / "truth-regime-p2.csv")],
+        ["truth", "--model", "regime", "--params", str(regime), "--times", "1.0,1.05",
+         "--grid=-8:8:201", "--out", str(out / "truth-regime-p2-blocks.csv")],
     )
     for argv in runs:
         if cli_main(argv) != 0:
