@@ -23,11 +23,17 @@ from .noise_model import SQRT_2PI
 from .vol_sim import OUParams, RegimeSwitchParams, markov_transition
 
 
+# most grid points per vector_eval call in grid_values
+_GRID_BLOCK = 1 << 13
+
+
 @dataclass(frozen=True, eq=False)
 class TruthDensity:
     """A reference density with a documented integration box.
 
-    vector_eval    : vectorized evaluation on arrays of shape (..., p).
+    vector_eval    : vectorized evaluation on arrays of shape (..., p); it
+                     must be pointwise, each value depending on its own
+                     point alone, so that grid_values' blocks keep its bits.
     truncation_box : p pairs (lo, hi) outside which the mass is negligible;
                      their count is the dimension p.
     """
@@ -53,15 +59,21 @@ class TruthDensity:
         return float(self.vector_eval(pt))
 
     def grid_values(self, axes) -> np.ndarray:
-        """Evaluate on the tensor grid spanned by the axis arrays."""
+        """Evaluate on the tensor grid spanned by the axis arrays, in blocks of
+        whole first-axis rows of at most _GRID_BLOCK points (one row if a row
+        is longer), so the evaluator's temporaries stay block-sized."""
         axes = [np.asarray(a, dtype=float).ravel() for a in axes]
         if len(axes) != self.dimension:
             raise ConfigError(
                 f"got {len(axes)} axes for a {self.dimension}-dimensional density"
             )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        return self.vector_eval(pts)
+        out = np.empty([a.size for a in axes])
+        row = int(np.prod(out.shape[1:]))  # 1 at p = 1, 0 for an empty axis
+        rows = max(1, _GRID_BLOCK // max(1, row))
+        for i in range(0, len(out), rows):
+            mesh = np.meshgrid(axes[0][i : i + rows], *axes[1:], indexing="ij")
+            out[i : i + rows] = self.vector_eval(np.stack(mesh, axis=-1))
+        return out
 
 
 def ou_logsq_marginal(params: OUParams) -> TruthDensity:

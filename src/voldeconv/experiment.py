@@ -253,7 +253,8 @@ def _truth_moments(truth: TruthDensity):
     vals = truth.grid_values(xs)
     total = tensor_quadrature(vals, ws)
     means, sds = [], []
-    for coord in np.meshgrid(*xs, indexing="ij"):
+    for k, x in enumerate(xs):
+        coord = x.reshape((-1,) + (1,) * (len(xs) - 1 - k))  # broadcasts along axis k
         m1 = tensor_quadrature(vals * coord, ws) / total
         m2 = tensor_quadrature(vals * coord ** 2, ws) / total
         means.append(m1)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -178,6 +179,8 @@ def markov_transition(a0: float, a1: float, t: float) -> np.ndarray:
     distribution at time t started from state j (columns sum to 1)."""
     _require_finite_positive("a0", a0, ConfigError)
     _require_finite_positive("a1", a1, ConfigError)
+    if isinstance(t, numbers.Real) and not isinstance(t, bool) and not _is_real(t):
+        raise ConfigError(f"t is out of float range: |t| exceeds {np.finfo(float).max}")
     if not (_is_real(t) and t >= 0.0):  # NaN fails too
         raise ConfigError(f"t must be nonnegative, got {t}")
     s = a0 + a1

@@ -19,6 +19,7 @@ from voldeconv import (
     regime_marginal,
     scaled_truth,
 )
+from voldeconv.analytic_truth import _GRID_BLOCK
 from voldeconv.errors import ConfigError, DomainError
 from voldeconv.quadrature import gauss_legendre_box, tensor_quadrature
 
@@ -80,6 +81,63 @@ def test_dimension_is_the_box_length():
 def test_grid_values_needs_one_axis_per_coordinate():
     with pytest.raises(ConfigError, match="got 2 axes for a 1-dimensional density"):
         ou_logsq_marginal(STD).grid_values((np.zeros(3), np.zeros(3)))
+
+
+def _one_call(truth, axes):
+    """The truth on the tensor grid in one vector_eval call."""
+    return truth.vector_eval(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+
+_GRID_TRUTHS = {
+    "ou-p1": ou_logsq_marginal(STD),
+    "ou-p2": ou_bivariate(STD, 0.5, 1.0),
+    "regime-p1": regime_marginal(REGIME),
+    "regime-p2": regime_bivariate(REGIME, 1.0, 1.05),
+    "scaled-p2": scaled_truth(regime_bivariate(REGIME, 1.0, 1.05), 2.0),
+    "invariant-p1": invariant_density_1d(lambda x: -x, lambda x: 1.0, (-np.inf, np.inf), 0.0),
+}
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("ou-p1", (2 * _GRID_BLOCK + 5,)),  # three blocks, the last of 5 points
+    ("ou-p2", (201, 203)),  # 40 rows a block, a one-row tail
+    ("regime-p1", (_GRID_BLOCK + 1,)),
+    ("regime-p2", (201, 201)),
+    ("regime-p2", (3, _GRID_BLOCK + 7)),  # a row longer than a block: one row a block
+    ("scaled-p2", (97, 131)),  # 62 rows a block, a 35-row tail
+    ("invariant-p1", (25,)),  # one scipy quad a point: a small grid
+    ("ou-p1", (0,)),
+    ("invariant-p1", (0,)),
+    ("ou-p2", (0, 5)),
+    ("regime-p2", (5, 0)),
+    ("scaled-p2", (0, 0)),
+])
+def test_grid_values_equal_one_evaluation_bit_for_bit(name, sizes):
+    truth = _GRID_TRUTHS[name]
+    axes = [np.linspace(-6.0 - k, 6.0 + k, size) for k, size in enumerate(sizes)]
+    values = truth.grid_values(axes)
+    assert values.shape == sizes and values.dtype == np.float64
+    assert np.array_equal(values, _one_call(truth, axes))
+
+
+@pytest.mark.parametrize("sizes, calls", [
+    ((2 * _GRID_BLOCK + 5,), [(_GRID_BLOCK,), (_GRID_BLOCK,), (5,)]),
+    ((41, 400), [(20, 400), (20, 400), (1, 400)]),
+    ((2, _GRID_BLOCK + 1), [(1, _GRID_BLOCK + 1)] * 2),
+    ((0, 3), []),
+    ((3, 0), [(3, 0)]),
+])
+def test_grid_values_evaluates_whole_rows_of_at_most_one_block(sizes, calls):
+    seen = []
+
+    def fn(pts):
+        seen.append(pts.shape[:-1])
+        return np.ones(pts.shape[:-1])
+
+    truth = TruthDensity(fn, ((-1.0, 1.0),) * len(sizes))
+    values = truth.grid_values([np.linspace(-1.0, 1.0, size) for size in sizes])
+    assert values.shape == sizes and np.all(values == 1.0)
+    assert seen == calls
 
 
 def test_marginal_matches_simulation():
@@ -316,7 +374,8 @@ def test_real_scalars_refuse_booleans_and_non_numbers(build, error, message, bad
     (lambda v: scaled_truth(STD_TRUTH, v), DomainError,
      "scale factor must be finite and nonzero, got {}"),
     (lambda v: markov_transition(v, 1, 1), ConfigError, "a0 must be finite and positive, got {}"),
-    (lambda v: markov_transition(1, 1, v), ConfigError, "t must be nonnegative, got {}"),
+    (lambda v: markov_transition(1, 1, v), ConfigError,
+     "t is out of float range: |t| exceeds 1.7976931348623157e+308"),
 ], ids=["OUParams.a", "OUParams.mu", "OUParams.b", "ou_bivariate.s", "scaled_truth",
         "markov_transition.a0", "markov_transition.t"])
 @pytest.mark.parametrize("sign", [1, -1])

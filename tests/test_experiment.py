@@ -5,6 +5,7 @@ import functools
 import os
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from voldeconv import (
     truth_for,
     truth_for_model,
 )
-from voldeconv import experiment, vol_sim
+from voldeconv import analytic_truth, experiment, vol_sim
 from voldeconv.errors import ConfigError, InputError, NotFoundError, NumericalFailure, RangeError
 from voldeconv.estimator import DensityGrid, _floor_index, _vector_count
 from voldeconv.noise_model import T_MAX
@@ -383,6 +384,32 @@ def test_resolve_grid_explicit():
     axes, truncated = resolve_grid(cfg, truth)
     assert axes[0].size == 41
     assert truncated == pytest.approx(0.0455, abs=0.001)  # 2-sided Gaussian tail
+
+
+# K: most block-sized float arrays (8 * _GRID_BLOCK bytes each) that
+# resolve_grid may hold beside two full quadrature grids: the truth values
+# and one of their products with a coordinate.  The regime mixture makes
+# about a dozen block temporaries while it fills the values; the measured
+# peak of the criterion-07 config was 2.65 MB, 0.09 MB above the two grids,
+# against 17.9 MB when the whole grid was evaluated in one call.
+PEAK_BLOCK_ARRAYS = 16
+
+
+def test_auto_grid_quadrature_memory_stays_within_two_grids():
+    cfg = _small_config(model="regime", params=REGIME, times=(1.0, 1.05), n_schedule=(100_000,),
+                        replications=1, delta_exp=0.75, gamma=17.0)  # the criterion-07 config
+    truth = truth_for(cfg)
+    resolve_grid(cfg, truth)  # the Gauss-Legendre rule's first read, untraced
+    tracemalloc.start()
+    try:
+        resolve_grid(cfg, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid_bytes = 8 * experiment._box_nodes(truth) ** 2
+    block_bytes = 8 * analytic_truth._GRID_BLOCK
+    bound = 2 * grid_bytes + PEAK_BLOCK_ARRAYS * block_bytes  # 3.6 MB
+    assert peak <= bound, (peak, bound)
 
 
 def test_mix_seed_frozen_values():

@@ -625,6 +625,12 @@ def test_markov_transition_refuses_nan_time():
     assert str(info.value) == "t must be nonnegative, got nan"
 
 
+def test_markov_transition_names_a_negative_time():
+    with pytest.raises(ConfigError) as info:
+        markov_transition(1.0, 1.0, -1)
+    assert str(info.value) == "t must be nonnegative, got -1"
+
+
 def test_integrate_price_names_a_bad_path_or_step():
     with pytest.raises(InputError) as info:
         integrate_price(np.ones((2, 10)), 0.1, 1.0)
