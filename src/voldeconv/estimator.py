@@ -59,6 +59,10 @@ _untraced_eval_table = eval_table
 # in the tens of MB while preserving a fixed summation order.
 _JCHUNK = 2048
 
+# Most lookups per eval_table call in the p >= 2 sweep (256 KB of arguments),
+# which fills a block's lookup matrix in bands of whole grid rows
+_BAND = 1 << 15
+
 # Breakpoints per block of grid points in the p = 1 interval sums: keeps
 # each (grid points) x (window) array near 128 KB whatever the spread of the
 # data.  Larger blocks ran no faster and, by fragmenting the heap between
@@ -265,7 +269,8 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
     For p >= 2, the blocks' lookup matrices are made two ahead on two
     workers by _in_order, and this thread adds their products in block
     order, so the bits are the serial sweep's.  With one block the sweep
-    runs on this thread alone.
+    runs on this thread alone.  A lookup matrix is filled in bands of at
+    most _BAND lookups, so a worker's temporaries are a band's, not a block's.
     """
     p = obs.p
     axes = [_require_vector(f"grid axis {k}", a, ConfigError) for k, a in enumerate(axes)]
@@ -303,11 +308,13 @@ def estimate_density(obs: ObservationSet, table: DeconvTable, axes) -> DensityGr
         factors = [None] * p
         for group in groups:
             first = lags[group[0]]
-            args = axes[group[0]][:, None] - log_sq[lo + first : lo + w + lags[group[-1]]]
-            # in place, the bits of args / h: with two lookups at once, the
-            # matrix this saves in each keeps the peak RSS near the serial sweep's
-            args /= h
-            shared = lookup(table, args)
+            x, y = axes[group[0]], log_sq[lo + first : lo + w + lags[group[-1]]]
+            shared = np.empty((x.size, y.size))
+            rows = max(1, _BAND // y.size)  # eval_table is elementwise: one call's bits
+            for r in range(0, x.size, rows):
+                args = x[r : r + rows, None] - y
+                args /= h  # in place, the bits of args / h
+                shared[r : r + rows] = lookup(table, args)
             for k in group:
                 factors[k] = shared[:, lags[k] - first : lags[k] - first + w]
         return factors

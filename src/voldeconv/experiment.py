@@ -14,6 +14,7 @@ timings.csv sidecar instead of polluting the deterministic files.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import numbers
 import operator
 import os
@@ -583,9 +584,11 @@ def grid_csv(axes, values) -> str:
     coordinates (header x, or x1..xp for p > 1) then f_hat, in C order."""
     p = len(axes)
     names = ["x"] if p == 1 else [f"x{k + 1}" for k in range(p)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = [m.ravel() for m in mesh] + [np.asarray(values).ravel()]
-    return csv_text(",".join(names + ["f_hat"]), zip(*cols))
+    # each axis value is formatted once, not once per row it appears in
+    cells = [list(map(_fmt, np.asarray(a).ravel())) for a in axes]
+    f_hat = map(_fmt, np.asarray(values).ravel())
+    rows = (",".join((*x, f)) for x, f in zip(itertools.product(*cells), f_hat))
+    return "\n".join([",".join(names + ["f_hat"]), *rows]) + "\n"
 
 
 def emit_report(report: MonteCarloReport, out_dir: str) -> list:

@@ -5,6 +5,7 @@ bandwidth schedule, and grid evaluation."""
 import functools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -835,6 +836,38 @@ def test_concurrent_threaded_sweeps_match_reference():
         sys.setswitchinterval(interval)
     for got, want in zip(results, expect):
         np.testing.assert_array_equal(got, want)
+
+
+# K: most block matrices (8 * G * _JCHUNK bytes: one block's lookups for a
+# G-point axis) that a p = 2 sweep may hold beyond its accumulator.  This
+# thread holds two blocks' lookup matrices while the workers fill two more
+# (4.1 matrices with the lags' overlap), and each worker's band temporaries
+# are about one matrix at G = 61 (a band is a quarter of one), so the sweep
+# can reach about 6.1; K is that rounded up.  Measured over 30 sweeps of 5
+# blocks: 3.3 to 5.0.  Lookups of a whole block per call held 5.0 to 9.1,
+# and above 7 in 26 of the 30.
+PEAK_BLOCK_MATRICES = 7
+
+
+def test_sweep_memory_stays_within_a_few_block_matrices():
+    m, times = 4 * _JCHUNK + 1, (0.14, 0.52)  # 5 blocks
+    offsets = [int(t / _DELTA) for t in times]
+    rng = np.random.default_rng(5)
+    n = m + offsets[-1] - offsets[0]
+    obs = ObservationSet.from_increments(rng.standard_normal(n) * np.exp(rng.normal(0.0, 1.0, n)),
+                                         _DELTA, times)
+    grid = np.linspace(-9.0, 4.0, 61)
+    estimate_density(obs, _table("wide"), [grid, grid])  # the table's slope, untraced
+    peaks = []
+    for _ in range(5):  # the highest of a few, as the workers' overlap varies
+        tracemalloc.start()
+        try:
+            est = estimate_density(obs, _table("wide"), [grid, grid])
+            peaks.append(tracemalloc.get_traced_memory()[1] - est.values.nbytes)
+        finally:
+            tracemalloc.stop()
+    block_bytes = 8 * grid.size * _JCHUNK
+    assert max(peaks) <= PEAK_BLOCK_MATRICES * block_bytes, max(peaks) / block_bytes
 
 
 def test_failed_block_lookup_surfaces_and_stops_the_workers(monkeypatch):

@@ -32,7 +32,9 @@ from voldeconv.estimator import DensityGrid, _floor_index, _vector_count
 from voldeconv.noise_model import T_MAX
 from voldeconv.experiment import (
     _stage,
+    csv_text,
     emit_report,
+    grid_csv,
     params_from_mapping,
     parse_axis_spec,
     parse_config_text,
@@ -410,6 +412,37 @@ def test_auto_grid_quadrature_memory_stays_within_two_grids():
     block_bytes = 8 * analytic_truth._GRID_BLOCK
     bound = 2 * grid_bytes + PEAK_BLOCK_ARRAYS * block_bytes  # 3.6 MB
     assert peak <= bound, (peak, bound)
+
+
+def _grid_csv_by_rows(axes, values):
+    """grid_csv's text formatted row by row: every row's coordinates taken
+    from the meshgrid and formatted anew."""
+    names = ["x"] if len(axes) == 1 else [f"x{k + 1}" for k in range(len(axes))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    cols = [m.ravel() for m in mesh] + [np.asarray(values).ravel()]
+    return csv_text(",".join(names + ["f_hat"]), zip(*cols))
+
+
+_AXES = [
+    np.array([-0.0, 1e-300, 0.1, 2.5]),
+    np.arange(-1, 2),  # an int axis: its values are written as integers
+    [np.float64(-3.25), np.float64(0.0), np.float64(1e-300), np.float64(7.0)],
+]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_grid_csv_matches_row_by_row_formatting(p):
+    axes = _AXES[:p]
+    shape = tuple(len(a) for a in axes)
+    rng = np.random.default_rng(p)
+    values = rng.standard_normal(shape)
+    values.flat[:3] = [-0.0, 1e-300, 5e-324]
+    for vals in (values, values.astype(np.float32), np.arange(values.size).reshape(shape),
+                 [np.float64(v) for v in values.ravel()]):
+        assert grid_csv(axes, vals) == _grid_csv_by_rows(axes, vals)
+    text = grid_csv(axes, values)
+    assert text.count("\n") == values.size + 1
+    assert "-0.0," in text and ",1e-300" in text
 
 
 def test_mix_seed_frozen_values():

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,6 +37,7 @@ from voldeconv import (
 from voldeconv.deconv_kernel import _half_rule_coefficients
 from voldeconv.errors import ConfigError
 from voldeconv.experiment import ExperimentConfig, resolve_grid, truth_for
+from voldeconv import quadrature
 from voldeconv.quadrature import _BLOCK, _RULES, _in_order, _rule, fourier_sum, gauss_legendre
 from voldeconv.vol_sim import RegimeSwitchParams
 
@@ -219,7 +221,8 @@ def _assert_same_as_serial(nodes, coef, x):
 
 @pytest.mark.parametrize("h", [0.4, 2.46])
 @pytest.mark.parametrize(
-    "size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5, 29001]
+    "size", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+             3 * _BLOCK + 5, 6 * _BLOCK + 5, 29001]
 )
 def test_threaded_blocks_equal_the_serial_loop(h, size):
     # one or two workers, partial last blocks, empty x: the serial bits
@@ -264,6 +267,40 @@ def test_concurrent_vh_calls_give_the_serial_bits():
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(v, serial) for v in together)
+
+
+@pytest.mark.parametrize("h", [0.4, 1.0, 2.46])
+def test_block_sizes_that_are_multiples_of_16_keep_every_bit(monkeypatch, h):
+    # a point's gemv bits depend on where it sits in its block, so _BLOCK
+    # stays a multiple of 16: every such size tried from 256 to 4096 kept
+    # every bit of v_h, a block of 1000 points did not
+    x = np.linspace(-290.0, 290.0, 29001)
+    values = []
+    for block in (512, 1024, 2048, 4096):
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        values.append(vh_quadrature(SPEC, h, x))
+    assert all(np.array_equal(values[0], v) for v in values[1:])
+
+
+# One phase buffer of a 1024-point block of v_h's 256-node half rule, 2 MB.
+# A 29001-point vh_quadrature may hold two of them (one per worker) beside
+# two output-sized arrays (fourier_sum's result and its quotient by pi),
+# plus 128 KB for the pool and each block's sums, measured at 74 KB.  At
+# 2048-point blocks it held 4.2 MB more.
+PHASE_BYTES = 8 * 256 * 1024
+
+
+def test_vh_quadrature_memory_stays_within_two_phase_buffers():
+    x = np.linspace(-290.0, 290.0, 29001)
+    vh_quadrature(SPEC, 0.4, x[:3])  # first-use rule reads, untraced
+    tracemalloc.start()
+    try:
+        vh_quadrature(SPEC, 0.4, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * PHASE_BYTES + 2 * x.nbytes + (128 << 10)
+    assert peak <= bound, (peak, bound)
 
 
 class _Recorder:

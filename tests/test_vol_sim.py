@@ -407,6 +407,27 @@ def test_bundle_memory_stays_within_a_few_chunks(model, n):
     assert beyond <= PEAK_CHUNK_ARRAYS[model] * chunk_bytes, beyond / chunk_bytes
 
 
+# One piece of 2048 increments at the default 50 substeps, 0.8 MB.  A
+# bundle at n = 1e5 and the default ratio may hold PEAK_CHUNK_ARRAYS of
+# them beyond its increments (6.6 MB for OU, 10.6 MB for regime); measured
+# 4.7 and 8.7 MB.  Pieces of 4096 increments held 9.5 and 17.3 MB.
+PIECE_BYTES = 8 * 2048 * 50
+
+
+@pytest.mark.parametrize("model", ["ou", "regime"])
+def test_default_bundle_memory_stays_within_a_few_pieces(model):
+    params = OU if model == "ou" else REGIME
+    simulate_bundle(model, params, 100, 0.1, seed=5)  # first-use imports, untraced
+    tracemalloc.start()
+    try:
+        bundle = simulate_bundle(model, params, 100_000, 100_000**-0.5, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beyond = peak - bundle.increments.nbytes
+    assert beyond <= PEAK_CHUNK_ARRAYS[model] * PIECE_BYTES, beyond / PIECE_BYTES
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
 
