@@ -36,9 +36,6 @@ from voldeconv import (
 )
 from voldeconv.experiment import resolve_grid, table_for_axes
 
-STAGES = ("resolve_grid", "table_for_axes", "simulate_bundle", "estimate_density",
-          "compute_mise", "emit_report")
-
 
 def traced(fn, *args, **kwargs):
     """(fn(*args, **kwargs), its tracemalloc peak in bytes)."""
@@ -51,7 +48,8 @@ def traced(fn, *args, **kwargs):
 
 
 def stage_peaks(cfg, tmp: str) -> dict:
-    """Peak bytes per stage of cfg's first replication at its one n."""
+    """Peak bytes per stage of cfg's first replication at its one n, in
+    pipeline order."""
     report = run_experiment(cfg)
     emit_report(report, tmp)
     truth = truth_for(cfg)
@@ -79,8 +77,8 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, n_schedule=(args.n,), replications=1)
         with tempfile.TemporaryDirectory() as tmp:
             peaks = stage_peaks(cfg, tmp)
-        for stage in STAGES:
-            print(f"{name} {stage} {peaks[stage] / 1e6:.2f} MB")
+        for stage, peak in peaks.items():
+            print(f"{name} {stage} {peak / 1e6:.2f} MB")
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(f"process ru_maxrss {rss_kib * 1024 / 1e6:.1f} MB")
     return 0
