@@ -415,6 +415,7 @@ def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, tabl
         ).increments
     with _stage("estimate", n, rep):
         obs = ObservationSet.from_increments(increments, delta, cfg.times)
+        del increments  # freed before the estimate, which needs only obs
         est = estimate_density(obs, table, axes)
     return seed, obs, est
 

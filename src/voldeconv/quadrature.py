@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import ConfigError, _require_integer
 
-# points per fourier_sum block, bounding its two phase buffers (2 MB each
+# points per fourier_sum block, bounding its two phase buffers (0.5 MB each
 # for v_h's rule).  A point's gemv bits depend on where it sits in its block:
-# keep it a multiple of 16 (256 to 4096 kept every bit, 1000 did not)
-_BLOCK = 1024
+# keep it a multiple of 16 (128 to 4096 kept every bit, 1000 did not)
+_BLOCK = 256
 _RULES = pathlib.Path(__file__).with_name("gauss_legendre_rules.npz")
 
 

@@ -30,7 +30,7 @@ from voldeconv import (
 )
 from voldeconv import deconv_kernel, estimator
 from voldeconv.errors import ConfigError, InputError, RangeError, _require_finite
-from voldeconv.estimator import _JCHUNK, DensityGrid
+from voldeconv.estimator import _BREAKPOINT_BLOCK, _JCHUNK, DensityGrid
 from voldeconv.experiment import table_for_axes
 from voldeconv.vol_sim import integrate_price, simulate_ou
 
@@ -93,6 +93,58 @@ def test_log_square_matches_noise_law():
     assert clamped == 0
     cdf = lambda u: sps.erf(np.exp(np.asarray(u) / 2.0) / np.sqrt(2.0))
     assert sst.kstest(vals, cdf).statistic < 0.006  # measured 0.0025 at this seed
+
+
+def _log_square_reference(x):
+    """The transform as one expression, a new array per step."""
+    a = np.abs(np.asarray(x, dtype=float))
+    return 2.0 * np.log(np.maximum(a, 1e-12)), int(np.count_nonzero(a < 1e-12))
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, np.nextafter(1e-12, 0.0),
+          np.nextafter(1e-12, 1.0), -np.nextafter(1e-12, 0.0), np.nan, np.inf, -np.inf,
+          1e308, -1e308, 1.0, -2.5, np.e]
+
+
+def _read_only(values):
+    x = np.array(values)
+    x.flags.writeable = False
+    return x
+
+
+@pytest.mark.parametrize("make", [
+    np.array,
+    list,
+    lambda v: np.array(v, dtype=np.float32),
+    _read_only,
+    lambda v: np.array(v)[::2],  # strided
+], ids=["float64", "list", "float32", "read-only", "strided"])
+def test_log_square_transform_keeps_the_reference_bits(make):
+    with np.errstate(invalid="ignore", over="ignore"):
+        x = make(_EDGES + list(np.random.default_rng(3).normal(0.0, 1e-11, 200)))
+    before = np.array(x, copy=True)
+    vals, clamped = log_square_transform(x)
+    want, want_clamped = _log_square_reference(before)
+    assert vals.dtype == np.float64
+    assert vals.tobytes() == want.tobytes()  # bit for bit, NaN and -0.0 included
+    assert clamped == want_clamped
+    assert np.array(x).tobytes() == before.tobytes()  # the input is untouched
+
+
+# The transform holds one output-sized float array and the n-byte clamp
+# mask at once, plus 64 KB for numpy's own bookkeeping (measured: 0.3 KB).
+# Two output-sized temporaries, as in 2 log(max(|x|, floor)), held 8 MB more
+# at n = 1e6.
+def test_log_square_transform_memory_stays_within_one_output():
+    x = np.random.default_rng(4).standard_normal(1_000_000)
+    tracemalloc.start()
+    try:
+        vals, _ = log_square_transform(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = vals.nbytes + x.size + (64 << 10)
+    assert peak <= bound, (peak, bound)
 
 
 def test_observation_vector_index_arithmetic():
@@ -469,6 +521,29 @@ def test_p1_interval_sums_match_direct_sum(case):
     assert np.max(np.abs(est - ref)) <= 1e-12 * scale
 
 
+def test_prefix_sums_equal_the_concatenated_form(monkeypatch):
+    # _interval_sums' in-place long-double prefix sums, caught at their
+    # cumsum, against 0 followed by cumsum(sorted y) in long double; by
+    # value, since x86-64 long doubles carry 6 undefined padding bytes
+    y = np.random.default_rng(6).normal(-1.3, 2.0, 5001)
+    y[::7] = _FLOOR
+    seen = []
+    cumsum = np.cumsum
+
+    def spy(a, *args, **kwargs):
+        seen.append(kwargs.get("out"))
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    estimator._interval_sums(y, np.linspace(-8.0, 2.0, 11), _table("wide"))
+    monkeypatch.undo()
+    (out,) = seen
+    csum = out.base
+    want = np.concatenate(([0.0], np.cumsum(np.sort(y), dtype=np.longdouble)))
+    assert csum.dtype == np.longdouble and csum.shape == want.shape
+    assert np.array_equal(csum, want)
+
+
 @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf, -np.inf, -0.1])
 def test_observation_set_refuses_a_bad_delta(delta):
     message = f"delta must be finite and positive, got {delta!r}"
@@ -836,6 +911,32 @@ def test_concurrent_threaded_sweeps_match_reference():
         sys.setswitchinterval(interval)
     for got, want in zip(results, expect):
         np.testing.assert_array_equal(got, want)
+
+
+# K: most block arrays (8 * _BREAKPOINT_BLOCK bytes: one block's breakpoint
+# indices) that the p = 1 interval sums may hold beside 24 bytes per value
+# (the sorted copy and its long-double prefix sums).  A block makes about a
+# dozen such arrays, the long-double ones counting twice; the measured peak
+# at m = 1e6 was 13.0 of them.  Prefix sums cast from a
+# whole long-double copy and then concatenated held 16 MB more.
+PEAK_BREAKPOINT_ARRAYS = 16
+
+
+def test_p1_estimate_memory_stays_within_24_bytes_a_value():
+    m = 1_000_000
+    z = np.random.default_rng(8).standard_normal(m)
+    obs = _obs_from_values(2.0 * np.log(np.abs(z)), 1e-6, (0.5,))
+    grid = np.linspace(-9.0, 4.0, 121)
+    table = table_for_axes("poly3", 2.0, [grid])
+    estimate_density(obs, table, [grid])  # the table's slope, untraced
+    tracemalloc.start()
+    try:
+        estimate_density(obs, table, [grid])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 24 * (m + 1) + PEAK_BREAKPOINT_ARRAYS * 8 * _BREAKPOINT_BLOCK
+    assert peak <= bound, ((peak - 24 * (m + 1)) / (8 * _BREAKPOINT_BLOCK), bound)
 
 
 # K: most block matrices (8 * G * _JCHUNK bytes: one block's lookups for a

@@ -1,5 +1,5 @@
-"""tools/stage_memory.py: one line per config and stage, in order, then the
-process's peak RSS, at a small n."""
+"""tools/stage_memory.py: one line per config and stage, in order, and each
+config's fresh-process peak RSS, then the process's peak RSS, at a small n."""
 
 import os
 import pathlib
@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
-_STAGES = ("resolve_grid", "table_for_axes", "simulate_bundle", "estimate_density",
+_STAGES = ("resolve_grid", "table_for_axes", "simulate_bundle", "observe", "estimate_density",
            "compute_mise", "emit_report")
 
 
@@ -20,9 +20,13 @@ def test_stage_lines_have_the_format():
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     lines = proc.stdout.splitlines()
-    expected = [(cfg, stage) for cfg in ("crit06", "crit07") for stage in _STAGES]
+    expected = [(cfg, stage) for cfg in ("crit06", "crit07") for stage in _STAGES + ("run",)]
     assert len(lines) == len(expected) + 1
     for line, (cfg, stage) in zip(lines, expected):
+        if stage == "run":
+            match = re.fullmatch(rf"{cfg} run_experiment ru_maxrss (\d+\.\d) MB", line)
+            assert match and float(match.group(1)) > 0.0, line
+            continue
         match = re.fullmatch(rf"{cfg} {stage} (\d+\.\d\d) MB", line)
         assert match, line
         assert float(match.group(1)) < 100.0  # a stage at n = 2000 holds a few MB
