@@ -104,12 +104,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=100_000, help="increments (default 1e5)")
     args = parser.parse_args(argv)
+    # the fresh runs first: on Linux a child's ru_maxrss starts from its
+    # parent's peak, which must stay below the run's own
+    rss = {name: fresh_run_rss(name, args.n) for name in configs(args.n)}
     for name, cfg in configs(args.n).items():
         with tempfile.TemporaryDirectory() as tmp:
             peaks = stage_peaks(cfg, tmp)
         for stage, peak in peaks.items():
             print(f"{name} {stage} {peak / 1e6:.2f} MB")
-        print(f"{name} run_experiment ru_maxrss {fresh_run_rss(name, args.n):.1f} MB", flush=True)
+        print(f"{name} run_experiment ru_maxrss {rss[name]:.1f} MB", flush=True)
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(f"process ru_maxrss {rss_kib * 1024 / 1e6:.1f} MB")
     return 0
