@@ -406,7 +406,7 @@ def table_for_axes(kernel_name: str, h: float, axes):
 
 def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, table, axes):
     """One replication's simulate -> observe -> estimate step, returning (seed,
-    observations, estimate); a failure is re-raised naming its stage, n and rep."""
+    clamp count, estimate); a failure is re-raised naming its stage, n and rep."""
     n = cfg.n_schedule[n_index]
     seed = mix_seed(cfg.master_seed, n_index, rep)
     with _stage("simulate", n, rep):
@@ -417,7 +417,7 @@ def _replicate(cfg: ExperimentConfig, n_index: int, rep: int, delta: float, tabl
         obs = ObservationSet.from_increments(increments, delta, cfg.times)
         del increments  # freed before the estimate, which needs only obs
         est = estimate_density(obs, table, axes)
-    return seed, obs, est
+    return seed, obs.n_clamped, est
 
 
 def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
@@ -448,7 +448,7 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
             table = table_for_axes(cfg.kernel_name, h, axes)
         for rep in range(cfg.replications):
             t0 = time.perf_counter()
-            seed, obs, est = _replicate(cfg, n_index, rep, delta, table, axes)
+            seed, clamps, est = _replicate(cfg, n_index, rep, delta, table, axes)
             with _stage("compare", n, rep):
                 mise = compute_mise(est, truth)
             seconds = time.perf_counter() - t0
@@ -456,7 +456,7 @@ def run_experiment(cfg: ExperimentConfig) -> MonteCarloReport:
             records.append(
                 ExperimentRecord(
                     n=int(n), rep=rep, seed=seed, mise=mise,
-                    bias_center=bias_center, clamps=obs.n_clamped,
+                    bias_center=bias_center, clamps=clamps,
                     seconds=seconds,
                 )
             )
@@ -534,7 +534,7 @@ def bias_check(cfg: ExperimentConfig, truth: TruthDensity) -> BiasReport:
 
     values = np.empty(cfg.replications)
     for rep in range(cfg.replications):
-        _, _, est = _replicate(cfg, n_index, rep, delta, table, point_axes)
+        est = _replicate(cfg, n_index, rep, delta, table, point_axes)[2]
         values[rep] = float(est.values.ravel()[0])
 
     f_true = truth.evaluator(point)

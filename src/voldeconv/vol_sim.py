@@ -22,17 +22,19 @@ each drawn and filtered on a worker, and the calling thread splices,
 exponentiates and sums; the OU model's one path is filtered on the calling
 thread, so that the path's worker only draws, like the price shocks' (a
 filter there unbalanced the workers and made OU bundles 5-10 % slower).
-Every normal stream is a two-buffer ring of draws (_ring_draws).  A bundle
-keeps the recipe of its sigma^2 path, not the path: PathBundle.sigma2
-re-runs the same sigma^2 stream (_sigma2_pieces) when it is first read.  The
-public simulate_ou and simulate_regime_switch are the same iterators read as
-one chunk, and integrate_price is one block of the same price sum.
+Every normal stream is a two-buffer ring of draws (_ring_draws); the OU
+filter, exp and sqrt work in place in its pieces.  A bundle keeps its sigma^2
+path's recipe, not the path: PathBundle.sigma2 re-runs the sigma^2 stream
+(_sigma2_pieces) when first read.  simulate_ou and simulate_regime_switch are
+the same iterators read as one chunk; integrate_price is one price block.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import numbers
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -53,6 +55,7 @@ SeedLike = Union[int, np.random.SeedSequence]
 _CHUNK = 2048
 MIN_SUBGRID_RATIO = 10  # fewest fine substeps per delta interval
 _SUBGRID_RATIO = 50  # default fine substeps per delta interval
+_LOAD_LOCK = threading.Lock()  # a load beside another finds a half-made module
 
 
 @dataclass(frozen=True)
@@ -140,27 +143,50 @@ def _ring_draws(seed: SeedLike, sizes: list):
     return (rng.standard_normal(out=ring[k % 2][:size]) for k, size in enumerate(sizes))
 
 
-def _ou_filter(params: OUParams, dt: float, draws):
-    """Yield the OU path piece by piece from its standard normals' pieces.
+@functools.cache
+def _sosfilt_core():
+    """scipy's in-place filter core _sosfilt(sos, x, zi), loaded by file where
+    scipy.signal (0.6 s and 50 MB to import) is not imported, else _lfilter_sos."""
+    try:
+        with _LOAD_LOCK:
+            module = sys.modules.get("scipy.signal._sosfilt")
+            if module is None:
+                from importlib import machinery, util
+                # finding scipy.signal's spec imports scipy, not scipy.signal
+                where = util.find_spec("scipy.signal").submodule_search_locations
+                spec = machinery.PathFinder.find_spec("scipy.signal._sosfilt", where)
+                module = util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            return module._sosfilt
+    except (ImportError, AttributeError, OSError):
+        return _lfilter_sos
 
-    The AR(1) state is carried between pieces by lfilter's zi, so the
-    pieces joined are the same bits whatever the chunk size.
-    """
+
+def _lfilter_sos(sos, x, zi):
+    """_sosfilt(sos, x, zi) for one section [[1, 0, 0, 1, a1, 0]], by lfilter."""
     from scipy.signal import lfilter  # imported here: slow to import
+    x[0], zi[0, 0, :1] = lfilter([1.0], sos[0, 3:5], x[0], zi=zi[0, 0, :1])
 
+
+def _ou_filter(params: OUParams, dt: float, draws):
+    """Yield the OU path piece by piece, each filtered in place in its draws.
+
+    x_k = phi x_{k-1} + e_k is the section [[1, 0, 0, 1, -phi, 0]], run as
+    lfilter([1], [1, -phi]) runs it (y = e + z, z <- phi y), to the same bits;
+    zi carries its state between pieces, so any chunk size gives the same path.
+    """
     phi = np.exp(-params.a * dt)
     sd_stat = np.sqrt(params.stationary_var)
     scale = sd_stat * np.sqrt(1.0 - phi * phi)
-    state = np.zeros(1)
+    sos, zi = np.array([[1.0, 0.0, 0.0, 1.0, -phi, 0.0]]), np.zeros((1, 1, 2))
     for k, e in enumerate(draws):
         first = e[0]
         e *= scale
         if k == 0:
             e[0] = first * sd_stat
-        # AR(1) recursion x_k = phi x_{k-1} + e_k as a linear filter
-        x, state = lfilter([1.0], [1.0, -phi], e, zi=state)
-        x += params.mu
-        yield x
+        _sosfilt_core()(sos, e[np.newaxis], zi)
+        e += params.mu
+        yield e
 
 
 def simulate_ou(params: OUParams, n_steps: int, dt: float, seed: SeedLike):
@@ -272,8 +298,8 @@ def simulate_regime_switch(
 
 def _price_block(sigma2, z, fine_dt, delta, ratio, drift, start):
     """Normalized increments of the whole delta intervals covered by the
-    substeps start, start + 1, ... whose sigma^2 and shocks are given."""
-    steps = np.sqrt(sigma2)
+    substeps start, start + 1, ... whose sigma^2 (overwritten) and shocks are given."""
+    steps = np.sqrt(sigma2, out=sigma2)
     steps *= np.sqrt(fine_dt)
     steps *= z
     if drift is not None:
@@ -311,7 +337,7 @@ def integrate_price(
     shock stream is keyed by `seed` and independent of whatever generated
     the sigma path.  Non-finite increments (from the drift) raise InputError.
     """
-    sigma2 = np.asarray(sigma2_path, dtype=float)
+    sigma2 = np.array(sigma2_path, dtype=float)  # a copy: _price_block writes it
     if sigma2.ndim != 1 or sigma2.size < 1:
         raise InputError(
             f"sigma2_path must be a non-empty 1-D sequence, got shape {sigma2.shape}"

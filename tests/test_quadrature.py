@@ -78,6 +78,25 @@ def test_import_loads_no_slow_scipy_module():
     assert _fresh_process_output(code) == "[]"
 
 
+def test_simulation_and_experiment_load_no_scipy_signal():
+    # the OU filter loads scipy's filter core alone, by file location; a
+    # regime bundle first, whose two workers each start a filter at once
+    code = (
+        "import sys\n"
+        "from voldeconv import (ExperimentConfig, OUParams, RegimeSwitchParams, run_experiment,\n"
+        "                       simulate_bundle, simulate_ou, vol_sim)\n"
+        "ou = OUParams(2.0, 0.0, 2.0)\n"
+        "simulate_bundle('regime', RegimeSwitchParams(1.0, 1.0, ou, ou), 500, 0.05, seed=1)\n"
+        "simulate_bundle('ou', ou, 500, 0.05, seed=1)\n"
+        "simulate_ou(ou, 1000, 0.01, seed=1)\n"
+        "run_experiment(ExperimentConfig(model='ou', params=ou, n_schedule=(500,), delta_exp=0.5,\n"
+        "                                gamma=9.0, times=(1.0,), grid_spec='auto',\n"
+        "                                replications=1, master_seed=1))\n"
+        "print('scipy.signal' in sys.modules, vol_sim._sosfilt_core() is vol_sim._lfilter_sos)\n"
+    )
+    assert _fresh_process_output(code) == "False False"
+
+
 def test_rules_are_shared_read_only_leggauss():
     nodes, weights = gauss_legendre(64)
     ref_nodes, ref_weights = np.polynomial.legendre.leggauss(64)

@@ -1,5 +1,6 @@
 """tools/stage_memory.py: one line per config and stage, in order, and each
-config's fresh-process peak RSS, then the process's peak RSS, at a small n."""
+config's fresh-process peak RSS, wall seconds and scipy.signal import, then
+the process's peak RSS, at a small n."""
 
 import os
 import pathlib
@@ -24,8 +25,11 @@ def test_stage_lines_have_the_format():
     assert len(lines) == len(expected) + 1
     for line, (cfg, stage) in zip(lines, expected):
         if stage == "run":
-            match = re.fullmatch(rf"{cfg} run_experiment ru_maxrss (\d+\.\d) MB", line)
-            assert match and float(match.group(1)) > 0.0, line
+            match = re.fullmatch(
+                rf"{cfg} run_experiment ru_maxrss (\d+\.\d) MB wall (\d+\.\d\d) s "
+                r"scipy.signal (yes|no)", line)
+            assert match and float(match.group(1)) > 0.0 and float(match.group(2)) > 0.0, line
+            assert match.group(3) == "no", line  # the OU filter loads its core alone
             continue
         match = re.fullmatch(rf"{cfg} {stage} (\d+\.\d\d) MB", line)
         assert match, line

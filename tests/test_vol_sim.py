@@ -4,6 +4,7 @@ two-state switching process, price integration, and the bundled generator."""
 import hashlib
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -382,13 +383,15 @@ def test_concurrent_bundles_match_serial_ones():
 
 
 # K: most chunk arrays (8 * _CHUNK * subgrid_ratio bytes each) a bundle may
-# hold beyond the increments it returns.  Measured peaks at n = 20 000 and
-# 60 000, with and without thread switches forced every 10 us: 6.05 for OU,
-# of which 4 are the path's and the shocks' draw buffers, and at most 11.08
-# for regime, of which 6 are its three streams' draw buffers; K is each
-# rounded up, plus one.  Streams whose pieces piled up would hold about one
-# more array per piece.
-PEAK_CHUNK_ARRAYS = {"ou": 8, "regime": 13}
+# hold beyond the increments it returns: each stream's two-buffer ring (two
+# streams for OU, three for regime) and a quarter array for the per-piece
+# sums.  The filter, exp and sqrt work in place in the ring, so no stage
+# makes a chunk array.  Measured peaks at n = 1e4 to 1e5, with and without
+# thread switches forced every 10 us: 4.07 for OU and 6.09 for regime; with
+# lfilter's output and a fresh sqrt array per piece they were 6.07 and
+# 11.11.  Streams whose pieces piled up would hold about one more array per
+# piece.
+PEAK_CHUNK_ARRAYS = {"ou": 2 * 2 + 0.25, "regime": 2 * 3 + 0.25}
 
 
 @pytest.mark.parametrize("n", [20_000, 60_000])
@@ -409,8 +412,8 @@ def test_bundle_memory_stays_within_a_few_chunks(model, n):
 
 # One piece of 2048 increments at the default 50 substeps, 0.8 MB.  A
 # bundle at n = 1e5 and the default ratio may hold PEAK_CHUNK_ARRAYS of
-# them beyond its increments (6.6 MB for OU, 10.6 MB for regime); measured
-# 4.7 and 8.7 MB.  Pieces of 4096 increments held 9.5 and 17.3 MB.
+# them beyond its increments (3.5 MB for OU, 5.1 MB for regime); measured
+# 3.3 and 5.0 MB.
 PIECE_BYTES = 8 * 2048 * 50
 
 
@@ -460,6 +463,116 @@ def test_pinned_bits_hold_with_thread_switches_forced(model):
     finally:
         sys.setswitchinterval(interval)
     assert (_digest(bundle.sigma2), _digest(bundle.increments)) == PINNED[model]
+
+
+def _ou_reference(params, dt, draws):
+    """The OU path from its draws by one whole-path lfilter call, as the
+    filter ran before it worked in place: stationary first draw, then
+    x_k = phi x_{k-1} + e_k."""
+    phi = np.exp(-params.a * dt)
+    sd_stat = np.sqrt(params.stationary_var)
+    e = draws * (sd_stat * np.sqrt(1.0 - phi * phi))
+    e[0] = draws[0] * sd_stat
+    return scipy.signal.lfilter([1.0], [1.0, -phi], e) + params.mu
+
+
+def test_the_filter_core_is_scipys_sosfilt_core():
+    assert vol_sim._sosfilt_core() is sys.modules["scipy.signal._sosfilt"]._sosfilt
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_filter_core_gives_lfilter_bits_over_chained_pieces(trial):
+    # random phi and piece sizes, 1 among them; the state is carried across
+    # pieces, and the first piece starts stationary
+    rng = np.random.default_rng(trial)
+    params = OUParams(a=rng.uniform(0.01, 5.0), mu=rng.normal(), b=rng.uniform(0.1, 3.0))
+    dt = 10.0 ** rng.uniform(-5.0, 0.0)
+    sizes = rng.permutation([1, 1, *rng.integers(2, 400, size=4)])
+    draws = rng.standard_normal(sizes.sum())
+    expected = _ou_reference(params, dt, draws)
+    for core in (vol_sim._sosfilt_core(), vol_sim._lfilter_sos):
+        pieces = np.split(draws.copy(), np.cumsum(sizes)[:-1])
+        with mock.patch.object(vol_sim, "_sosfilt_core", lambda: core):
+            path = np.concatenate([x.copy() for x in vol_sim._ou_filter(params, dt, iter(pieces))])
+        assert path.tobytes() == expected.tobytes()
+    # and the core alone from a non-zero state: lfilter's y and final state
+    phi, x, z = np.exp(-params.a * dt), rng.standard_normal(sizes[0]), rng.normal()
+    y, zf = scipy.signal.lfilter([1.0], [1.0, -phi], x, zi=[z])
+    zi = np.array([[[z, 0.0]]])
+    vol_sim._sosfilt_core()(np.array([[1.0, 0.0, 0.0, 1.0, -phi, 0.0]]), x[np.newaxis], zi)
+    assert x.tobytes() == y.tobytes() and zi[0, 0, 0] == zf[0]
+
+
+class _NoSosfilt:
+    """A stand-in scipy.signal._sosfilt module without the core."""
+
+
+@pytest.mark.parametrize("failure", ["no attribute", "no spec", ImportError, OSError])
+@pytest.mark.parametrize("model", ["ou", "regime"])
+def test_a_core_that_cannot_be_loaded_falls_back_to_lfilter_bits(model, failure):
+    # the loader's errors all fall back to scipy.signal.lfilter, once, with
+    # the pinned bits
+    from importlib import machinery
+
+    vol_sim._sosfilt_core.cache_clear()
+    try:
+        with mock.patch.dict(sys.modules):
+            if failure == "no attribute":
+                sys.modules["scipy.signal._sosfilt"] = _NoSosfilt()
+                assert vol_sim._sosfilt_core() is vol_sim._lfilter_sos
+            else:
+                del sys.modules["scipy.signal._sosfilt"]
+                fail = dict(return_value=None) if failure == "no spec" else dict(
+                    side_effect=failure("refused"))
+                with mock.patch.object(machinery.PathFinder, "find_spec", **fail):
+                    assert vol_sim._sosfilt_core() is vol_sim._lfilter_sos
+        bundle = simulate_bundle(model, OU if model == "ou" else REGIME, 9000, 0.05, seed=2024)
+        assert vol_sim._sosfilt_core() is vol_sim._lfilter_sos  # cached
+    finally:
+        vol_sim._sosfilt_core.cache_clear()
+    assert (_digest(bundle.sigma2), _digest(bundle.increments)) == PINNED[model]
+
+
+def test_threads_that_ask_for_the_core_at_once_load_it_one_at_a_time():
+    # a load beside another finds the extension half made, and falls back
+    # or raises; a slowed spec search shows whether two loads overlap
+    from importlib import machinery
+
+    find, count_lock, inside, most = machinery.PathFinder.find_spec, threading.Lock(), [0], [0]
+
+    def slow_find(*args, **kwargs):
+        with count_lock:
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+        time.sleep(0.05)
+        with count_lock:
+            inside[0] -= 1
+        return find(*args, **kwargs)
+
+    barrier = threading.Barrier(4)
+
+    def load(_):
+        barrier.wait(timeout=10)
+        return vol_sim._sosfilt_core()
+
+    vol_sim._sosfilt_core.cache_clear()
+    try:
+        with mock.patch.dict(sys.modules), \
+                mock.patch.object(machinery.PathFinder, "find_spec", slow_find):
+            del sys.modules["scipy.signal._sosfilt"]
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                cores = list(pool.map(load, range(4), timeout=30))
+    finally:
+        vol_sim._sosfilt_core.cache_clear()
+    assert most[0] == 1
+    assert all(core is sys.modules["scipy.signal._sosfilt"]._sosfilt for core in cores)
+
+
+def test_integrate_price_leaves_the_callers_path_unchanged():
+    sigma2 = np.exp(simulate_ou(OU, 1000, 0.01, seed=1))
+    before = sigma2.copy()
+    integrate_price(sigma2, 0.01, 0.1, seed=2)
+    assert sigma2.tobytes() == before.tobytes()
 
 
 class _RecordingGenerator:
@@ -512,21 +625,21 @@ def test_every_draw_goes_into_a_two_buffer_ring(model, streams):
 
 
 def _filter_and_draw_threads(simulate):
-    """The thread of every lfilter call and of every standard_normal call
+    """The thread of every filter-core call and of every standard_normal call
     that simulate() makes, in call order."""
     filters, made = [], []
-    lfilter, default_rng = scipy.signal.lfilter, np.random.default_rng
+    core, default_rng = vol_sim._sosfilt_core(), np.random.default_rng
 
-    def recording_lfilter(*args, **kwargs):
+    def recording_core(*args):
         filters.append(threading.get_ident())
-        return lfilter(*args, **kwargs)
+        return core(*args)
 
     def recording_rng(seed):
         made.append(_RecordingGenerator(default_rng(seed), []))
         return made[-1]
 
-    # _ou_filter imports lfilter when it first runs, so the attribute is patched
-    with mock.patch.object(scipy.signal, "lfilter", recording_lfilter), \
+    # _ou_filter asks _sosfilt_core for the core at every piece
+    with mock.patch.object(vol_sim, "_sosfilt_core", lambda: recording_core), \
             mock.patch.object(vol_sim.np.random, "default_rng", recording_rng):
         simulate()
     return filters, [thread for rng in made for thread in rng.draw_threads]

@@ -15,9 +15,11 @@ stage,
 
     <config> <stage> <peak> MB
 
-then `<config> run_experiment ru_maxrss <peak> MB`: the most resident memory
-of a fresh interpreter that imports the package and runs the config's
-run_experiment, untraced, as a user's run would.  A last line
+then `<config> run_experiment ru_maxrss <peak> MB wall <s> s scipy.signal
+<yes|no>`: the most resident memory and the wall seconds (interpreter start
+and imports included) of a fresh interpreter that imports the package and
+runs the config's run_experiment, untraced, as a user's run would, and
+whether that run imported scipy.signal (about 0.6 s and 50 MB).  A last line
 `process ru_maxrss <peak> MB` gives this process's, tracemalloc's own
 bookkeeping included.  MB is 10**6 bytes.  The p = 2 sweep and the v_h sums
 are BLAS products, so set OPENBLAS_NUM_THREADS as the run to compare with
@@ -32,6 +34,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 from output_digests import criterion_06, criterion_07  # this directory, sys.path[0]
@@ -85,19 +88,24 @@ def configs(n: int) -> dict:
 
 def print_run_rss(name: str, n: int) -> None:
     """Run config name's run_experiment at n, then print this process's
-    ru_maxrss (KiB on Linux)."""
+    ru_maxrss (KiB on Linux) and whether scipy.signal was imported."""
     run_experiment(configs(n)[name])
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    signal = "yes" if "scipy.signal" in sys.modules else "no"
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, signal)
 
 
-def fresh_run_rss(name: str, n: int) -> float:
-    """ru_maxrss in MB of a fresh interpreter running print_run_rss."""
+def fresh_run(name: str, n: int) -> str:
+    """`ru_maxrss <MB> MB wall <s> s scipy.signal <yes|no>` of a fresh
+    interpreter running print_run_rss."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import stage_memory; "
             "stage_memory.print_run_rss(sys.argv[2], int(sys.argv[3]))")
     tools = str(pathlib.Path(__file__).resolve().parent)
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code, tools, name, str(n)],
                           stdout=subprocess.PIPE, text=True, check=True)
-    return int(proc.stdout.split()[-1]) * 1024 / 1e6
+    wall = time.perf_counter() - t0
+    rss_kib, signal = proc.stdout.split()[-2:]
+    return f"ru_maxrss {int(rss_kib) * 1024 / 1e6:.1f} MB wall {wall:.2f} s scipy.signal {signal}"
 
 
 def main(argv=None) -> int:
@@ -106,13 +114,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # the fresh runs first: on Linux a child's ru_maxrss starts from its
     # parent's peak, which must stay below the run's own
-    rss = {name: fresh_run_rss(name, args.n) for name in configs(args.n)}
+    runs = {name: fresh_run(name, args.n) for name in configs(args.n)}
     for name, cfg in configs(args.n).items():
         with tempfile.TemporaryDirectory() as tmp:
             peaks = stage_peaks(cfg, tmp)
         for stage, peak in peaks.items():
             print(f"{name} {stage} {peak / 1e6:.2f} MB")
-        print(f"{name} run_experiment ru_maxrss {rss[name]:.1f} MB", flush=True)
+        print(f"{name} run_experiment {runs[name]}", flush=True)
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
     print(f"process ru_maxrss {rss_kib * 1024 / 1e6:.1f} MB")
     return 0
